@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .geometry import as_vec
 from .rates import PredictedRate, predicted_rate_from_mass_exponent
@@ -134,8 +135,10 @@ def compare_along_diagonal(p: PowerParams, dim: int | None = None) -> str:
     log factors break ties (fewer logs is faster), and a full tie is
     'Equal'.
     """
-    sq = square_regime(p)
-    ci = circle_regime(p, dim)
+    return _diagonal_verdict(square_regime(p), circle_regime(p, dim))
+
+
+def _diagonal_verdict(sq: RegimeLabel, ci: RegimeLabel) -> str:
     ds, dc = sq.diagonal_exponent, ci.diagonal_exponent
     if ds < dc - _TIE_TOL:
         return "SquareBetter"
@@ -172,26 +175,8 @@ class RegionMap:
 
 def _component_count(keys: np.ndarray) -> int:
     """Connected components of equal-label cells, 8-connectivity."""
-    n1, n2 = keys.shape
-    seen = np.zeros(keys.shape, dtype=bool)
-    comps = 0
-    for i in range(n1):
-        for j in range(n2):
-            if seen[i, j]:
-                continue
-            comps += 1
-            stack = [(i, j)]
-            seen[i, j] = True
-            while stack:
-                a, b = stack.pop()
-                for da in (-1, 0, 1):
-                    for db in (-1, 0, 1):
-                        x, y = a + da, b + db
-                        if 0 <= x < n1 and 0 <= y < n2 and not seen[x, y] \
-                                and keys[x, y] == keys[a, b]:
-                            seen[x, y] = True
-                            stack.append((x, y))
-    return comps
+    eight = np.ones((3, 3), dtype=int)
+    return int(sum(ndimage.label(keys == v, structure=eight)[1] for v in np.unique(keys)))
 
 
 def _boundary_lattice(alpha_max: float, resolution: int) -> list[tuple[float, float]]:
@@ -236,8 +221,7 @@ def region_map(alpha_max: float = 4.0, resolution: int = 201,
         p = PowerParams((a1, a2), r_mode=r_mode)
         sq = square_regime(p)
         ci = circle_regime(p)
-        verdict = compare_along_diagonal(p)
-        rows.append((a1, a2, sq, ci, verdict))
+        rows.append((a1, a2, sq, ci, _diagonal_verdict(sq, ci)))
         return sq, ci
 
     for i, a1 in enumerate(values):
@@ -299,6 +283,6 @@ def params_report(p: PowerParams, dim: int | None = None) -> dict:
             "exponents": list(ci.exponent_vector),
             "log_power": ci.log_power,
         },
-        "verdict": compare_along_diagonal(p, dim),
+        "verdict": _diagonal_verdict(sq, ci),
         "radial_consistency": consistency,
     }

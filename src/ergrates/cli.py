@@ -153,6 +153,13 @@ def _num(cfg: dict, key: str, kind=float):
         raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
 
 
+def _tol(cfg: dict) -> float:
+    tol = _num(cfg, "tol")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tol must be a finite number > 0, got {cfg['tol']!r}")
+    return tol
+
+
 def _running_theta(p: np.ndarray, vals: np.ndarray, k: int) -> float:
     """Rate slope from the first k+1 points; nan until 8 points accumulate."""
     if k + 1 < 8 or np.any(vals[: k + 1] <= 0):
@@ -214,9 +221,8 @@ def _cmd_rates(args) -> int:
     direction = _vec(cfg, "direction") if "direction" in cfg else np.ones(dim)
     p = np.geomspace(_num(cfg, "p-lo"), _num(cfg, "p-hi"), _num(cfg, "points", int))
     grid = rates_mod.ray_grid(direction, p)
-    tol = _num(cfg, "tol")
-    vals = np.array(rates_mod._map_ordered(
-        lambda t: rates_mod._decay_auto(body, measure, t, tol), grid))
+    tol = _tol(cfg)
+    vals = np.array([rates_mod.decay_integral(body, measure, t, tol) for t in grid])
     rows = []
     for k, (pk, t) in enumerate(zip(p, grid)):
         rows.append([pk] + list(t) + [vals[k], _running_theta(p, vals, k)])
@@ -265,7 +271,7 @@ def _cmd_verify(args) -> int:
         raise ConfigError("verify needs a theorem number (1, 2 or 3)")
     which = _num(cfg, "theorem", int)
     dim, body, measure, p = _theorem_defaults(cfg)
-    tol = _num(cfg, "tol")
+    tol = _tol(cfg)
     direction = _vec(cfg, "direction") if "direction" in cfg else np.ones(dim)
 
     if which == 1:
@@ -386,7 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="ergrates",
         description="decay rates of ergodic averages over dilated convex bodies",
-        epilog="ERGRATES_THREADS caps internal parallelism (default 1).",
     )
     sub = top.add_subparsers(dest="command", required=True)
 

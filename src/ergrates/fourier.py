@@ -35,6 +35,7 @@ from .geometry import (
     extremal_points,
     gaussian_curvature,
     is_strictly_convex,
+    unit_ball_volume,
     volume,
     width,
 )
@@ -54,10 +55,6 @@ __all__ = [
     "ray_zeros",
     "ray_peaks",
 ]
-
-
-def _unit_ball_volume(d: int) -> float:
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
 def unit_ball_profile(dim: int, w) -> np.ndarray:
@@ -82,7 +79,7 @@ def unit_ball_profile(dim: int, w) -> np.ndarray:
         nu = dim / 2.0
         safe = np.where(w == 0.0, 1.0, w)
         vals = (2.0 * math.pi) ** nu * bessel_j(nu, safe) / safe ** nu
-        out = np.where(w == 0.0, _unit_ball_volume(dim), vals)
+        out = np.where(w == 0.0, unit_ball_volume(dim), vals)
     else:
         raise ValueError(f"no closed form for dimension {dim}")
     return float(out[0]) if scalar else out
@@ -151,7 +148,7 @@ def ratio_abs_sq(body: ConvexBody, pts: np.ndarray) -> np.ndarray:
         if a.size != d:
             raise ValueError(f"dimension mismatch: body is {a.size}-d, points are {d}-d")
         w = np.linalg.norm(pts * a[None, :], axis=1)
-        g = unit_ball_profile(d, w) / _unit_ball_volume(d)
+        g = unit_ball_profile(d, w) / unit_ball_volume(d)
         return g * g
     if isinstance(body, Cube):
         if body.dim != d:

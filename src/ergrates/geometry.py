@@ -24,6 +24,7 @@ __all__ = [
     "Ellipsoid",
     "ConvexBody",
     "as_vec",
+    "unit_ball_volume",
     "dot",
     "hadamard",
     "volume",
@@ -80,7 +81,8 @@ def _unit(eta) -> np.ndarray:
     return eta
 
 
-def _unit_ball_volume(d: int) -> float:
+def unit_ball_volume(d: int) -> float:
+    """Lebesgue volume of the unit ball in R^d."""
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
@@ -153,9 +155,9 @@ def is_strictly_convex(body: ConvexBody) -> bool:
 def volume(body: ConvexBody) -> float:
     """Lebesgue volume L_d of the body."""
     if isinstance(body, Ball):
-        return _unit_ball_volume(body.dim) * body.radius ** body.dim
+        return unit_ball_volume(body.dim) * body.radius ** body.dim
     if isinstance(body, Ellipsoid):
-        return _unit_ball_volume(body.dim) * float(np.prod(body.semi_axes))
+        return unit_ball_volume(body.dim) * float(np.prod(body.semi_axes))
     if isinstance(body, Cube):
         return 1.0
     raise TypeError(f"unknown body {body!r}")

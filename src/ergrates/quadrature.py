@@ -1,22 +1,29 @@
-"""Panelized Gauss-Legendre quadrature with an oscillation-aware cell rule.
+"""Gauss rules, cached read-only, and an oscillation-aware adaptive cell rule.
 
-Two consumers: the Fourier-transform oracle (adaptive tensor-product rule
-over a parameter box) and the radial/angular integrals in the rates
-machinery (fixed panel helpers).  The guiding rule everywhere is that a
-cell may hold at most a quarter oscillation period per axis before the
-error estimate is trusted; budgets are enforced loudly, never silently.
+The only place 1-D Gauss-Legendre and Gauss-Jacobi rules are built.  Two
+consumers: the Fourier-transform oracle (adaptive tensor-product rule
+over a parameter box) and the radial/angular integrals in the rates and
+spectral machinery (panel and singular-end segment rules).  The guiding
+rule everywhere is that a cell may hold at most a quarter oscillation
+period per axis before the error estimate is trusted; budgets are
+enforced loudly, never silently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "QuadratureBudgetError",
     "gl_panel_rule",
-    "panel_integrate",
+    "gl_edges_rule",
+    "end_power_rule",
+    "segment_rules",
+    "refined_breaks",
     "integrate_box",
 ]
 
@@ -25,14 +32,33 @@ class QuadratureBudgetError(RuntimeError):
     """Raised when a tolerance is unreachable within the node budget."""
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _read_only(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Freeze a cached rule: every caller shares the same arrays."""
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
+@functools.cache
 def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (x, w)
-    return _GL_CACHE[order]
+    return _read_only(*np.polynomial.legendre.leggauss(order))
+
+
+@functools.cache
+def _jacobi(order: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule for the weight (1-x)^alpha (1+x)^beta on [-1, 1]."""
+    return _read_only(*special.roots_jacobi(order, alpha, beta))
+
+
+def gl_edges_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights for one Gauss-Legendre panel per pair of adjacent edges."""
+    edges = np.asarray(edges, dtype=float)
+    x, w = _gl(order)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
 
 
 def gl_panel_rule(a: float, b: float, n_panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -41,19 +67,58 @@ def gl_panel_rule(a: float, b: float, n_panels: int, order: int) -> tuple[np.nda
         raise ValueError(f"empty interval [{a}, {b}]")
     if n_panels < 1 or order < 1:
         raise ValueError("need n_panels >= 1 and order >= 1")
-    x, w = _gl(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return gl_edges_rule(np.linspace(a, b, n_panels + 1), order)
 
 
-def panel_integrate(f, a: float, b: float, n_panels: int, order: int = 8):
-    """Integrate a vectorized callable over [a, b] with fixed GL panels."""
-    nodes, weights = gl_panel_rule(a, b, n_panels, order)
-    return np.sum(f(nodes) * weights)
+def end_power_rule(a: float, b: float, exponent: float, at_lower: bool, order: int):
+    """Rule on [a, b] for integrands ~ (x-a)^exponent or (b-x)^exponent.
+
+    Returned weights apply to the full integrand (the singular factor is
+    divided back out at the nodes), so callers never special-case ends.
+    exponent = 0 gives the plain Gauss-Legendre rule on [a, b].
+    """
+    if exponent == 0.0:
+        x, w = _gl(order)
+    else:
+        x, w = _jacobi(order, 0.0, exponent) if at_lower else _jacobi(order, exponent, 0.0)
+    half = 0.5 * (b - a)
+    nodes = a + half * (x + 1.0)
+    if exponent == 0.0:
+        return nodes, half * w
+    dist = nodes - a if at_lower else b - nodes
+    return nodes, w * (half ** (exponent + 1.0)) / dist ** exponent
+
+
+def segment_rules(breaks: list[float], exp_lo: float, exp_hi: float, order: int):
+    """Per-segment rules on [breaks[0], breaks[-1]] with singular ends."""
+    nodes, weights = [], []
+    n_seg = len(breaks) - 1
+    for i in range(n_seg):
+        a, b = breaks[i], breaks[i + 1]
+        if b - a <= 0:
+            continue
+        if i == 0 and exp_lo != 0.0:
+            nd, wt = end_power_rule(a, b, exp_lo, at_lower=True, order=order)
+        else:
+            exponent = exp_hi if i == n_seg - 1 else 0.0
+            nd, wt = end_power_rule(a, b, exponent, at_lower=False, order=order)
+        nodes.append(nd)
+        weights.append(wt)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def refined_breaks(breaks: list[float], max_len: float) -> list[float]:
+    """Split long segments so narrow angular features are resolved.
+
+    Keeps the original break points, so Gauss-Jacobi end rules still sit
+    flush against the singular ends.
+    """
+    out = []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        n = max(1, int(math.ceil((b - a) / max_len)))
+        out.extend(a + (b - a) * k / n for k in range(n))
+    out.append(breaks[-1])
+    return out
 
 
 def panels_for_frequency(length: float, freq: float, quarter: int = 4) -> int:

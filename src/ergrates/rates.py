@@ -22,8 +22,6 @@ singular integral int |x|^(-(d+1)) dsigma inside bounded-ratio sectors
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,7 +31,7 @@ from scipy.stats import theilslopes
 
 from .fourier import ratio_abs_sq, unit_ball_profile
 from .geometry import Ball, ConvexBody, as_vec, width
-from .quadrature import QuadratureBudgetError
+from .quadrature import QuadratureBudgetError, end_power_rule, gl_edges_rule, segment_rules
 from .spectral import (
     AnisotropicPowerMeasure,
     AtomicMeasure,
@@ -42,12 +40,6 @@ from .spectral import (
     SpectralMeasure,
     SumMeasure,
     UndeterminedDivergenceError,
-    _angular_density,
-    _box_corner_breaks_2d,
-    _end_power_rule,
-    _power_exponents,
-    _segment_rules,
-    _support_profile,
     is_zero_measure,
     mass,
     singular_integral,
@@ -79,25 +71,6 @@ __all__ = [
     "predicted_rate_from_mass_exponent",
     "equivalence_bounds",
 ]
-
-
-def thread_count() -> int:
-    """Worker cap from ERGRATES_THREADS; defaults to 1 (serial, deterministic)."""
-    raw = os.environ.get("ERGRATES_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def _map_ordered(fn: Callable, items) -> list:
-    """Map preserving order; thread pool only when ERGRATES_THREADS > 1."""
-    n = thread_count()
-    if n <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- homogeneous comparison functions ----------------------------------------
@@ -264,18 +237,10 @@ def _radial_rule(body: ConvexBody, v: np.ndarray, rho: float, s: float,
     freq = width(body, v / speed) * speed if speed > 0 else 0.0
     n = max(4, int(math.ceil(rho * freq * 4.0 / (2.0 * math.pi))))
     edges = np.linspace(0.0, rho, n + 1)
-    if s != 1.0:
-        nodes0, w0 = _end_power_rule(0.0, edges[1], s - 1.0, at_lower=True, order=16)
-    else:
-        x, w = np.polynomial.legendre.leggauss(order)
-        half = 0.5 * edges[1]
-        nodes0, w0 = half * (x + 1.0), half * w
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    mids = 0.5 * (edges[1:-1] + edges[2:])
-    halfs = 0.5 * (edges[2:] - edges[1:-1])
-    nodes = np.concatenate([nodes0, (mids[:, None] + halfs[:, None] * xg[None, :]).ravel()])
-    weights = np.concatenate([w0, (halfs[:, None] * wg[None, :]).ravel()])
-    return nodes, weights
+    nodes0, w0 = end_power_rule(0.0, edges[1], s - 1.0, at_lower=True,
+                                order=16 if s != 1.0 else order)
+    nodes, weights = gl_edges_rule(edges[1:], order)
+    return np.concatenate([nodes0, nodes]), np.concatenate([w0, weights])
 
 
 def _radial_decay(body: ConvexBody, v: np.ndarray, rho: float, s: float) -> float:
@@ -283,6 +248,19 @@ def _radial_decay(body: ConvexBody, v: np.ndarray, rho: float, s: float) -> floa
     pts = r[:, None] * v[None, :]
     vals = ratio_abs_sq(body, pts)
     return float(np.sum(vals * r ** (s - 1.0) * w))
+
+
+def _refine(level_value: Callable[[int], float], levels, rel_tol: float, t: np.ndarray) -> float:
+    """First level value within rel_tol of the one before it; raises past the last level."""
+    prev = level_value(levels[0])
+    for level in levels[1:]:
+        cur = level_value(level)
+        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+            return cur
+        prev = cur
+    raise QuadratureBudgetError(
+        f"angular refinement did not reach rel_tol={rel_tol:g} for t={t.tolist()}"
+    )
 
 
 def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
@@ -295,12 +273,12 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
     t = as_vec(t, dim=d)
     if np.any(t <= 0):
         raise ValueError("t must be positive in every coordinate")
-    s = m.gamma if isinstance(m, RadialPowerMeasure) else float(sum(m.alphas))
-    exps = _power_exponents(m)
+    s = m.radial_order
+    alphas = m.angular_alphas
 
     def angular_value(om_rows: np.ndarray) -> np.ndarray:
-        dens = _angular_density(m, om_rows)
-        rho = _support_profile(m, om_rows)
+        dens = m.angular_density(om_rows)
+        rho = m.support_profile(om_rows)
         out = np.empty(om_rows.shape[0])
         for i in range(om_rows.shape[0]):
             out[i] = dens[i] * _radial_decay(body, om_rows[i] * t, rho[i], s)
@@ -311,55 +289,41 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
         return 2.0 * float(angular_value(om)[0])
 
     if d == 2:
+        a1, a2 = alphas
         base = {0.0, math.pi / 2}
         if isinstance(m, AnisotropicPowerMeasure):
-            base |= set(_box_corner_breaks_2d(m.halfwidths))
+            # the support box's corner direction is a kink of the radial extent
+            base.add(math.atan2(m.halfwidths[1], m.halfwidths[0]))
 
         def level_value(splits: int) -> float:
             breaks = sorted(base)
             for _ in range(splits):
                 mids = [(a + b) / 2 for a, b in zip(breaks[:-1], breaks[1:])]
                 breaks = sorted(set(breaks) | set(mids))
-            nodes, wts = _segment_rules(breaks, exp_lo=exps[1], exp_hi=exps[0], order=16)
+            nodes, wts = segment_rules(breaks, exp_lo=a2 - 1.0, exp_hi=a1 - 1.0, order=16)
             om = np.stack([np.cos(nodes), np.sin(nodes)], axis=-1)
             return 4.0 * float(np.sum(angular_value(om) * wts))
 
-        prev = level_value(1)
-        for splits in range(2, 7):
-            cur = level_value(splits)
-            if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-                return cur
-            prev = cur
-        raise QuadratureBudgetError(
-            f"angular refinement did not reach rel_tol={rel_tol:g} for t={t.tolist()}"
-        )
+        return _refine(level_value, range(1, 7), rel_tol, t)
 
     if d == 3:
         # iterated fixed-order angles; adequate for the moderate |t| this
         # path sees (the acceptance-scale sweeps are all 2-D)
-        a1, a2, a3 = (1.0, 1.0, 1.0) if isinstance(m, RadialPowerMeasure) else m.alphas
+        a1, a2, a3 = alphas
 
         def inner(phi: float, n_seg: int) -> float:
             breaks = list(np.linspace(0.0, math.pi / 2, n_seg + 1))
-            nodes, wts = _segment_rules(breaks, exp_lo=a1 + a2 - 1.0, exp_hi=a3 - 1.0, order=12)
+            nodes, wts = segment_rules(breaks, exp_lo=a1 + a2 - 1.0, exp_hi=a3 - 1.0, order=12)
             st, ct = np.sin(nodes), np.cos(nodes)
             om = np.stack([st * math.cos(phi), st * math.sin(phi), ct], axis=-1)
             return float(np.sum(angular_value(om) * st * wts))
 
         def level_value(n_seg: int) -> float:
             breaks = list(np.linspace(0.0, math.pi / 2, n_seg + 1))
-            nodes, wts = _segment_rules(breaks, exp_lo=a2 - 1.0, exp_hi=a1 - 1.0, order=12)
+            nodes, wts = segment_rules(breaks, exp_lo=a2 - 1.0, exp_hi=a1 - 1.0, order=12)
             return 8.0 * float(sum(w * inner(ph, n_seg) for ph, w in zip(nodes, wts)))
 
-        prev = level_value(2)
-        for n_seg in (4, 8, 16):
-            cur = level_value(n_seg)
-            if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-                return cur
-            prev = cur
-        raise QuadratureBudgetError(
-            f"angular refinement did not reach rel_tol={rel_tol:g} for t={t.tolist()}"
-        )
+        return _refine(level_value, (2, 4, 8, 16), rel_tol, t)
 
     raise ValueError(f"continuous decay integrals support d <= 3, got d = {d}")
 
@@ -455,14 +419,14 @@ def decay_integral_levelform(body: Ball, m: RadialPowerMeasure, t,
         w_dir = np.array([2.0])
     elif d == 2:
         n_seg = max(1, n_angular // 8)
-        phi, w_phi = _segment_rules(list(np.linspace(0, math.pi / 2, n_seg + 1)), 0.0, 0.0, order=8)
+        phi, w_phi = segment_rules(list(np.linspace(0, math.pi / 2, n_seg + 1)), 0.0, 0.0, order=8)
         om = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
         u_dir = np.linalg.norm(om * t[None, :], axis=1)
         w_dir = 4.0 * w_phi
     else:
         n_seg = max(1, n_angular // 16)
-        th, w_th = _segment_rules(list(np.linspace(0, math.pi / 2, n_seg + 1)), 0.0, 0.0, order=8)
-        ph, w_ph = _segment_rules(list(np.linspace(0, math.pi / 2, n_seg + 1)), 0.0, 0.0, order=8)
+        th, w_th = segment_rules(list(np.linspace(0, math.pi / 2, n_seg + 1)), 0.0, 0.0, order=8)
+        ph, w_ph = segment_rules(list(np.linspace(0, math.pi / 2, n_seg + 1)), 0.0, 0.0, order=8)
         TH, PH = np.meshgrid(th, ph, indexing="ij")
         om = np.stack(
             [np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1
@@ -492,12 +456,10 @@ def decay_integral_levelform(body: Ball, m: RadialPowerMeasure, t,
     piece_edges = np.concatenate([sorted_heights, [0.0]])
 
     total = 0.0
-    xg, wg = np.polynomial.legendre.leggauss(8)
     for hi_u, lo_u in zip(piece_edges[:-1], piece_edges[1:]):
         if hi_u - lo_u <= 1e-15:
             continue
-        u_nodes = 0.5 * (hi_u + lo_u) + 0.5 * (hi_u - lo_u) * xg
-        u_w = 0.5 * (hi_u - lo_u) * wg
+        u_nodes, u_w = gl_edges_rule(np.array([lo_u, hi_u]), 8)
         for u, wu in zip(u_nodes, u_w):
             active = np.where(heights > u)[0]
             # central segment: always active for u < 1
@@ -644,12 +606,6 @@ def bounded_verdict(p_values, ratios) -> BoundednessVerdict:
 # -- theorem checkers --------------------------------------------------------
 
 
-def _decay_auto(body: ConvexBody, m: SpectralMeasure, t, rel_tol: float) -> float:
-    if isinstance(m, AtomicMeasure):
-        return decay_integral_atomic(body, m, t)
-    return decay_integral(body, m, t, rel_tol=rel_tol)
-
-
 def check_rate_equivalence(body: ConvexBody, m: SpectralMeasure,
                            phi: HomogeneousFunction, t_grid,
                            rel_tol: float = 1e-4) -> dict:
@@ -671,7 +627,7 @@ def check_rate_equivalence(body: ConvexBody, m: SpectralMeasure,
     grid = grid[order]
     p = np.linalg.norm(grid, axis=1)
 
-    i_vals = np.array(_map_ordered(lambda t: _decay_auto(body, m, t, rel_tol), grid))
+    i_vals = np.array([decay_integral(body, m, t, rel_tol) for t in grid])
     mass_vals = np.array(
         [mass(m, EllipsoidNeighborhood.from_inverse(t)) for t in grid]
     )
@@ -730,7 +686,7 @@ def check_critical_rate(body: ConvexBody, m: SpectralMeasure, sector_bound: floa
     grid = grid[order]
     p = np.linalg.norm(grid, axis=1)
 
-    i_vals = np.array(_map_ordered(lambda t: _decay_auto(body, m, t, rel_tol), grid))
+    i_vals = np.array([decay_integral(body, m, t, rel_tol) for t in grid])
     ratios = p ** (d + 1) * i_vals
     v = bounded_verdict(p, ratios)
 
@@ -798,7 +754,7 @@ def check_supercritical_rate(body: ConvexBody, m: SpectralMeasure, degree: float
             "fit": None,
         }
     grid = ray_grid(s / np.linalg.norm(s), p_values)
-    i_vals = np.array(_map_ordered(lambda t: _decay_auto(body, m, t, rel_tol), grid))
+    i_vals = np.array([decay_integral(body, m, t, rel_tol) for t in grid])
     p = np.asarray(p_values, dtype=float)
     # atomic I oscillates along a ray; the robust trend slope keeps the
     # verdict off the oscillation phases the ladder happens to sample

@@ -21,9 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import optimize
 
 from .geometry import as_vec, unit_sphere_area
+from .quadrature import refined_breaks, segment_rules
 
 __all__ = [
     "AtomicMeasure",
@@ -68,10 +69,12 @@ class AtomicMeasure:
         for p in pts:
             if len(p) != self.dim:
                 raise ValueError(f"atom {p} does not have dimension {self.dim}")
+            if not all(math.isfinite(c) for c in p):
+                raise ValueError(f"atom {p} has a non-finite coordinate")
             if not any(c != 0.0 for c in p):
                 raise ValueError("atoms at the origin are not allowed")
-        if any(w <= 0.0 for w in wts):
-            raise ValueError("atom weights must be positive")
+        if not all(math.isfinite(w) and w > 0.0 for w in wts):
+            raise ValueError("atom weights must be finite and positive")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
 
@@ -86,6 +89,17 @@ class AtomicMeasure:
         return np.asarray(self.weights, dtype=float)
 
 
+def _require_finite(what: str, values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} must be finite")
+
+
+# Both power families give the angular-radial quadratures one interface: along
+# a unit direction omega the density in r is angular_density(omega) *
+# r^(radial_order - 1) on 0 < r <= support_profile(omega), and angular_alphas
+# are the alpha_k of the |omega_k|^(alpha_k - 1) factors (all 1 when radial).
+
+
 @dataclass(frozen=True)
 class RadialPowerMeasure:
     """Density c |x|^(gamma - d) on 0 < |x| <= R; total mass c*S_d*R^gamma/gamma."""
@@ -96,6 +110,7 @@ class RadialPowerMeasure:
     dim: int
 
     def __post_init__(self):
+        _require_finite("radial measure parameters", (self.gamma, self.radius, self.scale))
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.radius <= 0:
@@ -105,10 +120,26 @@ class RadialPowerMeasure:
 
     @classmethod
     def with_total_mass(cls, gamma: float, radius: float, total: float, dim: int):
+        _require_finite("radial measure parameters", (gamma, radius, total))
         if gamma <= 0 or radius <= 0:
             raise ValueError("gamma and radius must be positive")
         s = total * gamma / (unit_sphere_area(dim) * radius ** gamma)
         return cls(gamma=gamma, radius=radius, scale=s, dim=dim)
+
+    @property
+    def radial_order(self) -> float:
+        """Exponent s with mass ~ rho^s along each ray."""
+        return self.gamma
+
+    @property
+    def angular_alphas(self) -> tuple[float, ...]:
+        return (1.0,) * self.dim
+
+    def angular_density(self, om: np.ndarray) -> np.ndarray:
+        return np.full(om.shape[0], self.scale)
+
+    def support_profile(self, om: np.ndarray) -> np.ndarray:
+        return np.full(om.shape[0], self.radius)
 
 
 @dataclass(frozen=True)
@@ -124,6 +155,7 @@ class AnisotropicPowerMeasure:
         hw = tuple(float(b) for b in self.halfwidths)
         if len(al) != len(hw):
             raise ValueError("alphas and halfwidths must share a dimension")
+        _require_finite("anisotropic measure parameters", al + hw + (self.scale,))
         if any(a <= 0 for a in al):
             raise ValueError("every alpha must be positive")
         if any(b <= 0 for b in hw):
@@ -145,6 +177,24 @@ class AnisotropicPowerMeasure:
             halfwidths=probe.halfwidths,
             scale=total / total_mass(probe),
         )
+
+    @property
+    def radial_order(self) -> float:
+        return float(sum(self.alphas))
+
+    @property
+    def angular_alphas(self) -> tuple[float, ...]:
+        return self.alphas
+
+    def angular_density(self, om: np.ndarray) -> np.ndarray:
+        al = np.asarray(self.alphas)
+        return self.scale * np.prod(np.abs(om) ** (al[None, :] - 1.0), axis=1)
+
+    def support_profile(self, om: np.ndarray) -> np.ndarray:
+        h = np.asarray(self.halfwidths)
+        with np.errstate(divide="ignore"):
+            ratios = np.where(np.abs(om) > 0.0, h[None, :] / np.abs(om), np.inf)
+        return np.min(ratios, axis=1)
 
 
 @dataclass(frozen=True)
@@ -276,64 +326,6 @@ Neighborhood = EllipsoidNeighborhood | BoxNeighborhood
 _QUAD_ORDER = 24
 
 
-def _end_power_rule(a: float, b: float, exponent: float, at_lower: bool, order: int):
-    """Rule on [a, b] for integrands ~ (x-a)^exponent or (b-x)^exponent.
-
-    Returned weights apply to the full integrand (the singular factor is
-    divided back out at the nodes), so callers never special-case ends.
-    """
-    if exponent == 0.0:
-        x, w = np.polynomial.legendre.leggauss(order)
-        half = 0.5 * (b - a)
-        return a + half * (x + 1.0), half * w
-    if at_lower:
-        x, w = special.roots_jacobi(order, 0.0, exponent)
-        half = 0.5 * (b - a)
-        nodes = a + half * (x + 1.0)
-        weights = w * (half ** (exponent + 1.0)) / (nodes - a) ** exponent
-        return nodes, weights
-    x, w = special.roots_jacobi(order, exponent, 0.0)
-    half = 0.5 * (b - a)
-    nodes = a + half * (x + 1.0)
-    weights = w * (half ** (exponent + 1.0)) / (b - nodes) ** exponent
-    return nodes, weights
-
-
-def _segment_rules(breaks: list[float], exp_lo: float, exp_hi: float, order: int):
-    """Per-segment rules on [breaks[0], breaks[-1]] with singular ends."""
-    nodes, weights = [], []
-    n_seg = len(breaks) - 1
-    for i in range(n_seg):
-        a, b = breaks[i], breaks[i + 1]
-        if b - a <= 0:
-            continue
-        if i == 0 and exp_lo != 0.0:
-            nd, wt = _end_power_rule(a, b, exp_lo, at_lower=True, order=order)
-        elif i == n_seg - 1 and exp_hi != 0.0:
-            nd, wt = _end_power_rule(a, b, exp_hi, at_lower=False, order=order)
-        else:
-            x, w = np.polynomial.legendre.leggauss(order)
-            half = 0.5 * (b - a)
-            nd, wt = a + half * (x + 1.0), half * w
-        nodes.append(nd)
-        weights.append(wt)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _refined_breaks(breaks: list[float], max_len: float) -> list[float]:
-    """Split long segments so narrow angular features are resolved.
-
-    Keeps the original break points, so Gauss-Jacobi end rules still sit
-    flush against the singular ends.
-    """
-    out = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        n = max(1, int(math.ceil((b - a) / max_len)))
-        out.extend(a + (b - a) * k / n for k in range(n))
-    out.append(breaks[-1])
-    return out
-
-
 def _crossings(fn, lo: float, hi: float, n: int = 4096) -> list[float]:
     """Sign changes of fn on (lo, hi), refined by brentq."""
     xs = np.linspace(lo, hi, n)
@@ -351,17 +343,17 @@ def _octant_directions_2d(phi: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
 
-def _orthant_integral_2d(exponents: tuple[float, float], g, extra_breaks=()) -> float:
-    """4 * int over phi in (0, pi/2) of |cos|^(e1) |sin|^(e2) ... folded into g.
+def _orthant_integral_2d(alphas: tuple[float, float], g, extra_breaks=()) -> float:
+    """4 * int over phi in (0, pi/2) of |cos|^(a1-1) |sin|^(a2-1) ... folded into g.
 
     g(omega_rows) must contain the full angular integrand including the
-    |omega_k|^(alpha_k - 1) factors; exponents = (alpha_1 - 1, alpha_2 - 1)
-    tell the rule which end singularities to absorb.
+    |omega_k|^(alpha_k - 1) factors; alphas tell the rule which end
+    singularities to absorb.
     """
-    e1, e2 = exponents
+    a1, a2 = alphas
     breaks = sorted({0.0, math.pi / 2} | {float(b) for b in extra_breaks if 0.0 < b < math.pi / 2})
-    breaks = _refined_breaks(breaks, math.pi / 32)
-    nodes, weights = _segment_rules(list(breaks), exp_lo=e2, exp_hi=e1, order=_QUAD_ORDER)
+    breaks = refined_breaks(breaks, math.pi / 32)
+    nodes, weights = segment_rules(list(breaks), exp_lo=a2 - 1.0, exp_hi=a1 - 1.0, order=_QUAD_ORDER)
     vals = g(_octant_directions_2d(nodes))
     return 4.0 * float(np.sum(vals * weights))
 
@@ -384,50 +376,21 @@ def _orthant_integral_3d(
         {0.0, math.pi / 4, math.pi / 2}
         | {float(b) for b in outer_breaks if 0.0 < b < math.pi / 2}
     )
-    phi_breaks = _refined_breaks(phi_breaks, math.pi / 16)
-    phi_nodes, phi_weights = _segment_rules(phi_breaks, exp_lo=ph_lo, exp_hi=ph_hi, order=_QUAD_ORDER)
+    phi_breaks = refined_breaks(phi_breaks, math.pi / 16)
+    phi_nodes, phi_weights = segment_rules(phi_breaks, exp_lo=ph_lo, exp_hi=ph_hi, order=_QUAD_ORDER)
 
     total = 0.0
     for phi, wphi in zip(phi_nodes, phi_weights):
         breaks = {0.0, math.pi / 4, math.pi / 2}
         if inner_breaks_fn is not None:
             breaks |= {b for b in inner_breaks_fn(phi) if 0.0 < b < math.pi / 2}
-        th_breaks = _refined_breaks(sorted(breaks), math.pi / 16)
-        th_nodes, th_weights = _segment_rules(th_breaks, exp_lo=th_lo, exp_hi=th_hi, order=_QUAD_ORDER)
+        th_breaks = refined_breaks(sorted(breaks), math.pi / 16)
+        th_nodes, th_weights = segment_rules(th_breaks, exp_lo=th_lo, exp_hi=th_hi, order=_QUAD_ORDER)
         st, ct = np.sin(th_nodes), np.cos(th_nodes)
         om = np.stack([st * math.cos(phi), st * math.sin(phi), ct], axis=-1)
         # sin(theta) from the surface element; the alpha powers live in g
         total += wphi * float(np.sum(g(om) * st * th_weights))
     return 8.0 * total
-
-
-def _angular_density(m, om: np.ndarray) -> np.ndarray:
-    """Angular factor A(omega) of the density: radial=scale, aniso=scale*prod|omega|^(alpha-1)."""
-    if isinstance(m, RadialPowerMeasure):
-        return np.full(om.shape[0], m.scale)
-    al = np.asarray(m.alphas)
-    return m.scale * np.prod(np.abs(om) ** (al[None, :] - 1.0), axis=1)
-
-
-def _support_profile(m, om: np.ndarray) -> np.ndarray:
-    """Radial extent of the measure's support along unit directions omega."""
-    if isinstance(m, RadialPowerMeasure):
-        return np.full(om.shape[0], m.radius)
-    h = np.asarray(m.halfwidths)
-    with np.errstate(divide="ignore"):
-        ratios = np.where(np.abs(om) > 0.0, h[None, :] / np.abs(om), np.inf)
-    return np.min(ratios, axis=1)
-
-
-def _power_exponents(m) -> tuple[float, ...]:
-    if isinstance(m, RadialPowerMeasure):
-        return (0.0,) * m.dim
-    return tuple(a - 1.0 for a in m.alphas)
-
-
-def _radial_order(m) -> float:
-    """Exponent s with mass ~ rho^s along each ray (gamma or sum of alphas)."""
-    return m.gamma if isinstance(m, RadialPowerMeasure) else float(sum(m.alphas))
 
 
 def _box_corner_breaks_2d(h) -> list[float]:
@@ -438,14 +401,14 @@ def _continuous_mass(m, hood: Neighborhood) -> float:
     d = m.dim
     if hood.dim != d:
         raise ValueError("measure and neighborhood disagree on dimension")
-    s = _radial_order(m)
+    s = m.radial_order
 
     # d = 1: everything is an interval; do it in closed form.
     if d == 1:
         rho_n = hood.radial_profile(np.array([[1.0]]))[0]
-        rho_s = _support_profile(m, np.array([[1.0]]))[0]
+        rho_s = m.support_profile(np.array([[1.0]]))[0]
         r = min(rho_n, rho_s)
-        return 2.0 * _angular_density(m, np.array([[1.0]]))[0] * r ** s / s
+        return 2.0 * m.angular_density(np.array([[1.0]]))[0] * r ** s / s
 
     # fully symmetric radial case: closed form
     if isinstance(m, RadialPowerMeasure) and isinstance(hood, EllipsoidNeighborhood):
@@ -455,8 +418,8 @@ def _continuous_mass(m, hood: Neighborhood) -> float:
             return m.scale * unit_sphere_area(d) * r ** s / s
 
     def g(om):
-        rho = np.minimum(hood.radial_profile(om), _support_profile(m, om))
-        return _angular_density(m, om) * rho ** s / s
+        rho = np.minimum(hood.radial_profile(om), m.support_profile(om))
+        return m.angular_density(om) * rho ** s / s
 
     if d == 2:
         breaks: list[float] = []
@@ -467,10 +430,10 @@ def _continuous_mass(m, hood: Neighborhood) -> float:
 
         def delta(phi):
             om = _octant_directions_2d(np.asarray(phi))
-            return hood.radial_profile(om) - _support_profile(m, om)
+            return hood.radial_profile(om) - m.support_profile(om)
 
         breaks += _crossings(delta, 1e-9, math.pi / 2 - 1e-9)
-        return _orthant_integral_2d(_power_exponents(m), g, extra_breaks=breaks)
+        return _orthant_integral_2d(m.angular_alphas, g, extra_breaks=breaks)
 
     if d == 3:
 
@@ -481,7 +444,7 @@ def _continuous_mass(m, hood: Neighborhood) -> float:
                 om = np.stack(
                     [st * math.cos(phi), st * math.sin(phi), ct], axis=-1
                 )
-                return hood.radial_profile(om) - _support_profile(m, om)
+                return hood.radial_profile(om) - m.support_profile(om)
 
             out = _crossings(delta, 1e-9, math.pi / 2 - 1e-9, n=1024)
             for h in boxes:
@@ -496,9 +459,8 @@ def _continuous_mass(m, hood: Neighborhood) -> float:
         if isinstance(m, AnisotropicPowerMeasure):
             boxes.append(m.halfwidths)
         outer_breaks = [math.atan2(h[1], h[0]) for h in boxes]
-        alphas = (1.0, 1.0, 1.0) if isinstance(m, RadialPowerMeasure) else m.alphas
         return _orthant_integral_3d(
-            alphas, g, inner_breaks_fn=inner_breaks, outer_breaks=outer_breaks
+            m.angular_alphas, g, inner_breaks_fn=inner_breaks, outer_breaks=outer_breaks
         )
 
     raise ValueError(f"mass quadrature supports d <= 3, got d = {d}")
@@ -580,7 +542,7 @@ def dyadic_singular_probe(m, q: float):
     """
     if not isinstance(m, (RadialPowerMeasure, AnisotropicPowerMeasure)):
         raise TypeError("probe applies to the continuous power families")
-    s = _radial_order(m) - q
+    s = m.radial_order - q
     a_tot = _angular_total(m)
     if isinstance(m, RadialPowerMeasure):
         r_top = m.radius
@@ -611,16 +573,16 @@ def dyadic_singular_probe(m, q: float):
         outer = 0.0  # the box IS the interval [-r_top, r_top]
     else:
         def g(om):
-            rho = _support_profile(m, om)
+            rho = m.support_profile(om)
             if s != 0.0:
                 rad = (rho ** s - r_top ** s) / s
             else:
                 rad = np.log(rho / r_top)
-            return _angular_density(m, om) * rad
+            return m.angular_density(om) * rad
 
         if m.dim == 2:
             breaks = _box_corner_breaks_2d(m.halfwidths)
-            outer = _orthant_integral_2d(_power_exponents(m), g, extra_breaks=breaks)
+            outer = _orthant_integral_2d(m.alphas, g, extra_breaks=breaks)
         else:
             h = m.halfwidths
 

@@ -11,6 +11,7 @@ import pytest
 from ergrates.classify import (
     PowerParams,
     RegimeLabel,
+    _component_count,
     circle_regime,
     compare_along_diagonal,
     params_report,
@@ -247,3 +248,49 @@ class TestParamsReport:
         assert rep["radial_consistency"] is None
         assert rep["verdict"] == "CircleBetter"
         assert rep["r"] == 0
+
+
+def _flood_fill_components(keys: np.ndarray) -> int:
+    """Reference count: depth-first flood fill over the 8 neighbours of each cell."""
+    n1, n2 = keys.shape
+    seen = np.zeros(keys.shape, dtype=bool)
+    comps = 0
+    for start in np.ndindex(keys.shape):
+        if seen[start]:
+            continue
+        comps += 1
+        seen[start] = True
+        stack = [start]
+        while stack:
+            a, b = stack.pop()
+            for x in range(max(a - 1, 0), min(a + 2, n1)):
+                for y in range(max(b - 1, 0), min(b + 2, n2)):
+                    if not seen[x, y] and keys[x, y] == keys[a, b]:
+                        seen[x, y] = True
+                        stack.append((x, y))
+    return comps
+
+
+class TestComponentCount:
+    def test_matches_flood_fill_on_random_grids(self):
+        rng = np.random.default_rng(20240)
+        for _ in range(60):
+            keys = rng.integers(0, 3, size=tuple(rng.integers(1, 13, size=2)))
+            assert _component_count(keys) == _flood_fill_components(keys)
+
+    def test_hand_built_grids(self):
+        # 8-connectivity: blocks touching only at a corner are one component
+        # (for both labels here), a checkerboard is one component per label,
+        # and a full stripe separates what lies on either side of it
+        corners = np.array([[1, 1, 0, 0],
+                            [1, 1, 0, 0],
+                            [0, 0, 1, 1],
+                            [0, 0, 1, 1]])
+        checkerboard = np.indices((5, 5)).sum(axis=0) % 2
+        stripes = np.array([[0, 0, 0],
+                            [1, 1, 1],
+                            [0, 0, 0]])
+        assert _component_count(corners) == 2
+        assert _component_count(checkerboard) == 2
+        assert _component_count(stripes) == 3
+        assert _component_count(np.zeros((4, 6), dtype=int)) == 1

@@ -105,7 +105,7 @@ class TestRatesCommand:
         # surface as a numeric failure, not silence or a crash
         rc = main(["rates", "--body", "cube", "--measure", "aniso:1.3,0.8;1,1;1",
                    "--direction", "137.3,912.7", "--p-lo", "1", "--p-hi", "1",
-                   "--points", "1", "--tol", "0",
+                   "--points", "1", "--tol", "1e-300",
                    "--out", str(tmp_path / "r.csv")])
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
@@ -175,6 +175,26 @@ class TestVerifyCommand:
                      "--out", out]) == 2
         err = capsys.readouterr().err
         assert "gamma must be positive" in err
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("argv, fragment", [
+        (["rates", "--measure", "atomic:[(1,0;nan)]"], "finite"),
+        (["rates", "--measure", "atomic:[(inf,0;1)]"], "finite"),
+        (["rates", "--measure", "radial:2,inf,1"], "finite"),
+        (["rates", "--measure", "aniso:1.5,0.7;1,inf;1"], "finite"),
+        (["rates", "--tol", "0"], "tol"),
+        (["rates", "--tol", "nan"], "tol"),
+        (["verify", "--theorem", "2", "--tol", "inf"], "tol"),
+    ], ids=["atomic-nan-weight", "atomic-inf-coordinate", "radial-inf-radius",
+            "aniso-inf-halfwidth", "tol-zero", "tol-nan", "verify-tol-inf"])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, fragment):
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--points", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ergrates: config error:") and err.count("\n") == 1
+        assert fragment in err
+        assert not out.exists()
 
 
 class TestClassifyCommand:

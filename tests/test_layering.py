@@ -1,0 +1,95 @@
+"""Layering: no ergrates module reaches into another module's private names.
+
+Each module's underscore names are its own business; a helper another
+module needs belongs in that module's public surface (or in the shared
+`quadrature` layer).  The scan reads the sources with `ast`, so it sees
+`from .mod import _name` as well as `mod._name` through any alias bound
+to a package module.  Dunders such as `__version__` are exempt.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = "ergrates"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / PACKAGE
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _dotted(node) -> str | None:
+    """'a.b.c' for a chain of attribute lookups on a plain name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def cross_module_private_uses(source: str, module: str) -> list[str]:
+    """Every use in `source` (module `module`) of another package module's private name,
+    in line order."""
+    tree = ast.parse(source)
+    module_aliases: set[str] = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module == PACKAGE
+                                        or (node.module or "").startswith(PACKAGE + ".")):
+                continue
+            target = (node.module or "") if node.level else (node.module or "")[len(PACKAGE) + 1:]
+            for alias in node.names:
+                if not target:
+                    # `from . import mod` binds a sibling module (or an __init__ name)
+                    module_aliases.add(alias.asname or alias.name)
+                    if _private(alias.name):
+                        found.append((node.lineno, f"from . import {alias.name}"))
+                elif target != module and _private(alias.name):
+                    found.append((node.lineno, f"from .{target} import {alias.name}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == PACKAGE or alias.name.startswith(PACKAGE + "."):
+                    module_aliases.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            owner = _dotted(node.value)
+            if owner is not None and (owner in module_aliases
+                                      or owner.split(".")[0] in module_aliases):
+                found.append((node.lineno, f"{owner}.{node.attr}"))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_across_modules(path):
+    assert cross_module_private_uses(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_scanner_catches_each_form():
+    source = "\n".join([
+        "import ergrates.rates",
+        "import ergrates.spectral as spec",
+        "from . import rates as rates_mod, __version__",
+        "from .spectral import _segment_rules, parse_measure",
+        "from .cli import _helper as renamed",
+        "from .own import _mine",
+        "rates_mod._decay_auto(1)",
+        "spec._support_profile",
+        "ergrates.rates._map_ordered",
+        "rates_mod.__name__",
+        "rates_mod.decay_integral",
+        "local._private",
+    ])
+    found = cross_module_private_uses(source, "own")
+    assert found == [
+        "line 4: from .spectral import _segment_rules",
+        "line 5: from .cli import _helper",
+        "line 7: rates_mod._decay_auto",
+        "line 8: spec._support_profile",
+        "line 9: ergrates.rates._map_ordered",
+    ]

@@ -2,14 +2,16 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from ergrates import quadrature
 from ergrates.quadrature import (
     QuadratureBudgetError,
+    end_power_rule,
     gl_panel_rule,
     integrate_box,
-    panel_integrate,
     panels_for_frequency,
 )
 
@@ -22,9 +24,39 @@ def test_polynomial_exactness():
         assert got == pytest.approx(2.0 ** (k + 1) / (k + 1), rel=1e-13)
 
 
-def test_panel_integrate_smooth():
-    val = panel_integrate(np.exp, 0.0, 1.0, n_panels=4)
-    assert val == pytest.approx(math.e - 1.0, rel=1e-12)
+def test_gl_panel_rule_smooth():
+    nodes, weights = gl_panel_rule(0.0, 1.0, n_panels=4, order=8)
+    assert float(np.sum(np.exp(nodes) * weights)) == pytest.approx(math.e - 1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("cached", [lambda: quadrature._gl(8),
+                                    lambda: quadrature._jacobi(16, 0.0, 0.5)],
+                         ids=["legendre", "jacobi"])
+def test_cached_rules_are_read_only(cached):
+    # every caller shares the cached arrays, so none of them may write to one
+    x, w = cached()
+    assert cached()[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("exponent", [-0.4, 0.7, 1.5])
+def test_end_power_rule_exact_at_both_ends(exponent):
+    # weights apply to the full integrand, so (end distance)^e * x^k is
+    # integrated exactly for every k up to 2 * order - 1
+    a, b, order = 0.5, 2.0, 6
+    for at_lower in (True, False):
+        nodes, weights = end_power_rule(a, b, exponent, at_lower=at_lower, order=order)
+        dist = nodes - a if at_lower else b - nodes
+        for k in range(2 * order):
+            got = float(np.sum(weights * dist ** exponent * nodes ** k))
+            with mpmath.workdps(30):
+                if at_lower:
+                    want = mpmath.quad(lambda x: (x - a) ** exponent * x ** k, [a, b])
+                else:
+                    want = mpmath.quad(lambda x: (b - x) ** exponent * x ** k, [a, b])
+            assert got == pytest.approx(float(want), rel=1e-12), (at_lower, k)
 
 
 def test_quarter_period_panel_count():
