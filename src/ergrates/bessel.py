@@ -1,11 +1,10 @@
 """Bessel J_nu evaluation for the orders the indicator transforms need.
 
-Only nu = d/2 for d in 1..4 occurs in this package, i.e. 1/2, 1, 3/2, 2.
-Half-integer orders use the elementary closed forms (they feed the odd-d
-ball transforms and keep those exact down to tiny arguments); everything
-else is delegated to scipy's jv, which already meets the 1e-12 absolute
-accuracy this package requires up to arguments of 1e4.  The test suite
-pins that contract against an mpmath oracle and the first zero of J_1.
+The ball transforms call J_nu only at nu = d/2 for even d, i.e. nu = 1
+and 2 (odd d use elementary forms in `fourier.unit_ball_profile`).  Both
+are delegated to scipy, which already meets the 1e-12 absolute accuracy
+this package requires up to arguments of 1e4.  The test suite pins that
+contract against an mpmath oracle and the first zero of J_1.
 """
 
 from __future__ import annotations
@@ -18,43 +17,15 @@ __all__ = ["bessel_j", "J1_FIRST_ZERO"]
 # First positive zero of J_1, used as an accuracy anchor in tests.
 J1_FIRST_ZERO = 3.8317059702075123
 
-_TINY = 1e-30
-
-
-def _j_half(x: np.ndarray) -> np.ndarray:
-    # J_{1/2}(x) = sqrt(2/(pi x)) sin x
-    x = np.where(x == 0.0, _TINY, x)
-    return np.sqrt(2.0 / (np.pi * x)) * np.sin(x)
-
-
-def _j_three_halves(x: np.ndarray) -> np.ndarray:
-    # J_{3/2}(x) = sqrt(2/(pi x)) (sin x / x - cos x)
-    x = np.where(x == 0.0, _TINY, x)
-    # sin x / x - cos x cancels catastrophically near 0; three series
-    # terms keep the truncation below 1e-18 under the cutoff even after
-    # the 1/sqrt(x) prefactor
-    small = np.abs(x) < 1e-2
-    series = x * x / 3.0 - x ** 4 / 30.0 + x ** 6 / 840.0
-    direct = np.sin(x) / x - np.cos(x)
-    core = np.where(small, series, direct)
-    return np.sqrt(2.0 / (np.pi * x)) * core
-
 
 def bessel_j(nu: float, x) -> np.ndarray | float:
     """J_nu(x) for real nu >= 0, vectorized over x.
 
     Absolute accuracy 1e-12 for |x| <= 1e4 at the orders used here
-    (nu in {1/2, 1, 3/2, 2}); see tests for the oracle comparison.
+    (nu in {1, 2}); see tests for the oracle comparison.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xv = np.atleast_1d(x)
-    if nu == 0.5:
-        out = _j_half(xv)
-    elif nu == 1.5:
-        out = _j_three_halves(xv)
-    elif nu == 1.0:
-        out = special.j1(xv)
-    else:
-        out = special.jv(nu, xv)
+    out = special.j1(xv) if nu == 1.0 else special.jv(nu, xv)
     return float(out[0]) if scalar else out

@@ -160,16 +160,6 @@ def _tol(cfg: dict) -> float:
     return tol
 
 
-def _running_theta(p: np.ndarray, vals: np.ndarray, k: int) -> float:
-    """Rate slope from the first k+1 points; nan until 8 points accumulate."""
-    if k + 1 < 8 or np.any(vals[: k + 1] <= 0):
-        return math.nan
-    lp = np.log(p[: k + 1])
-    design = np.stack([lp, np.log(lp), np.ones_like(lp)], axis=-1)
-    coef, *_ = np.linalg.lstsq(design, np.log(vals[: k + 1]), rcond=None)
-    return float(coef[0])
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -225,7 +215,11 @@ def _cmd_rates(args) -> int:
     vals = np.array([rates_mod.decay_integral(body, measure, t, tol) for t in grid])
     rows = []
     for k, (pk, t) in enumerate(zip(p, grid)):
-        rows.append([pk] + list(t) + [vals[k], _running_theta(p, vals, k)])
+        # running rate slope from the first k+1 points; nan until 8 accumulate
+        theta = math.nan
+        if k + 1 >= 8 and not np.any(vals[: k + 1] <= 0):
+            theta = float(rates_mod.rate_lstsq(p[: k + 1], vals[: k + 1])[0][0])
+        rows.append([pk] + list(t) + [vals[k], theta])
     header = ["p"] + [f"t_{k + 1}" for k in range(dim)] + ["I", "theta_fit_running"]
     _write(cfg["out"], _csv_text(header, rows, cfg))
     return 0

@@ -25,8 +25,6 @@ __all__ = [
     "ConvexBody",
     "as_vec",
     "unit_ball_volume",
-    "dot",
-    "hadamard",
     "volume",
     "support",
     "extremal_points",
@@ -55,20 +53,6 @@ def as_vec(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and v.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")
     return v
-
-
-def dot(x, y) -> float:
-    """Euclidean inner product; raises on dimension mismatch."""
-    x = as_vec(x)
-    y = as_vec(y, dim=x.size)
-    return float(np.dot(x, y))
-
-
-def hadamard(x, t) -> np.ndarray:
-    """Coordinatewise product x o t; raises on dimension mismatch."""
-    x = as_vec(x)
-    t = as_vec(t, dim=x.size)
-    return x * t
 
 
 def _unit(eta) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ConvexBody, as_vec, volume
-from .spectral import AtomicMeasure
+from .spectral import AtomicMeasure, split_top
 from .fourier import scaled_indicator_ft
 
 __all__ = [
@@ -139,19 +139,7 @@ def parse_action(spec: str, dim: int = 2) -> AtomicAction:
     if not inner:
         return AtomicAction(frequencies=(), coefficients=(), dim=dim)
     freqs, coefs = [], []
-    depth, cur, toks = 0, [], []
-    for ch in inner:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            toks.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    toks.append("".join(cur))
-    for tok in toks:
+    for tok in split_top(inner, ","):
         tok = tok.strip()
         if not (tok.startswith("(") and tok.endswith(")")):
             raise ValueError(f"bad component {tok!r} in {spec!r}")

@@ -1,9 +1,12 @@
-"""Gauss rules, cached read-only, and an oscillation-aware adaptive cell rule.
+"""Gauss rules, cached read-only, the first-orthant angular integral, and an
+oscillation-aware adaptive cell rule.
 
-The only place 1-D Gauss-Legendre and Gauss-Jacobi rules are built.  Two
+The only place 1-D Gauss-Legendre and Gauss-Jacobi rules are built.  Three
 consumers: the Fourier-transform oracle (adaptive tensor-product rule
-over a parameter box) and the radial/angular integrals in the rates and
-spectral machinery (panel and singular-end segment rules).  The guiding
+over a parameter box), the radial integrals in the rates machinery (panel
+and singular-end segment rules), and every angular integral over the
+unit sphere (decay integrals, neighborhood masses, the outer piece of the
+singular integral), which all go through `orthant_integral`.  The guiding
 rule everywhere is that a cell may hold at most a quarter oscillation
 period per axis before the error estimate is trusted; budgets are
 enforced loudly, never silently.
@@ -24,6 +27,8 @@ __all__ = [
     "end_power_rule",
     "segment_rules",
     "refined_breaks",
+    "orthant_directions",
+    "orthant_integral",
     "integrate_box",
 ]
 
@@ -119,6 +124,47 @@ def refined_breaks(breaks: list[float], max_len: float) -> list[float]:
         out.extend(a + (b - a) * k / n for k in range(n))
     out.append(breaks[-1])
     return out
+
+
+def orthant_directions(phi, theta=None) -> np.ndarray:
+    """Unit directions (rows) in the first orthant of the sphere.
+
+    d = 2: (cos phi, sin phi) for an array of phi.  d = 3: one azimuth phi
+    and an array of polar angles theta, measured from the x_3 axis.
+    """
+    if theta is None:
+        return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    st = np.sin(theta)
+    return np.stack([st * math.cos(phi), st * math.sin(phi), np.cos(theta)], axis=-1)
+
+
+def orthant_integral(alphas, g, breaks, order: int, theta_breaks=None) -> float:
+    """2^d times the integral of g over the first orthant of the unit sphere.
+
+    g maps unit directions (rows) to the full angular integrand, including
+    its |omega_k|^(alpha_k - 1) axis factors; the alphas tell the segment
+    rules which end singularities to absorb.  d = 1 is the one direction
+    e_1 (breaks and order unused).  In d = 2 and 3 the azimuth phi runs
+    over `breaks`; in d = 3 the polar angle theta runs over
+    `theta_breaks(phi)` and the sin(theta) surface element is included.
+    """
+    d = len(alphas)
+    if d == 1:
+        return 2.0 * float(g(np.array([[1.0]]))[0])
+    if d > 3:
+        raise ValueError(f"orthant integrals support d <= 3, got d = {d}")
+    a1, a2 = alphas[0], alphas[1]
+    # phi end behavior: sin(phi)^(a2-1) at 0, cos(phi)^(a1-1) at pi/2
+    phi, w_phi = segment_rules(breaks, exp_lo=a2 - 1.0, exp_hi=a1 - 1.0, order=order)
+    if d == 2:
+        return 4.0 * float(np.sum(g(orthant_directions(phi)) * w_phi))
+    # theta end behavior: sin(theta)^(a1+a2-1) at 0, cos(theta)^(a3-1) at pi/2
+    total = 0.0
+    for ph, wph in zip(phi, w_phi):
+        th, w_th = segment_rules(theta_breaks(ph), exp_lo=a1 + a2 - 1.0,
+                                 exp_hi=alphas[2] - 1.0, order=order)
+        total += wph * float(np.sum(g(orthant_directions(ph, th)) * np.sin(th) * w_th))
+    return 8.0 * float(total)
 
 
 def panels_for_frequency(length: float, freq: float, quarter: int = 4) -> int:

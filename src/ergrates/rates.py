@@ -31,7 +31,13 @@ from scipy.stats import theilslopes
 
 from .fourier import ratio_abs_sq, unit_ball_profile
 from .geometry import Ball, ConvexBody, as_vec, width
-from .quadrature import QuadratureBudgetError, end_power_rule, gl_edges_rule, segment_rules
+from .quadrature import (
+    QuadratureBudgetError,
+    end_power_rule,
+    gl_edges_rule,
+    orthant_integral,
+    segment_rules,
+)
 from .spectral import (
     AnisotropicPowerMeasure,
     AtomicMeasure,
@@ -61,6 +67,7 @@ __all__ = [
     "decay_integral_levelform",
     "RateFit",
     "fit_oscillatory_rate",
+    "rate_lstsq",
     "fit_rate",
     "BoundednessVerdict",
     "bounded_verdict",
@@ -285,11 +292,9 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
         return out
 
     if d == 1:
-        om = np.array([[1.0]])
-        return 2.0 * float(angular_value(om)[0])
+        return orthant_integral(alphas, angular_value, (), 0)
 
     if d == 2:
-        a1, a2 = alphas
         base = {0.0, math.pi / 2}
         if isinstance(m, AnisotropicPowerMeasure):
             # the support box's corner direction is a kink of the radial extent
@@ -300,28 +305,18 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
             for _ in range(splits):
                 mids = [(a + b) / 2 for a, b in zip(breaks[:-1], breaks[1:])]
                 breaks = sorted(set(breaks) | set(mids))
-            nodes, wts = segment_rules(breaks, exp_lo=a2 - 1.0, exp_hi=a1 - 1.0, order=16)
-            om = np.stack([np.cos(nodes), np.sin(nodes)], axis=-1)
-            return 4.0 * float(np.sum(angular_value(om) * wts))
+            return orthant_integral(alphas, angular_value, breaks, 16)
 
         return _refine(level_value, range(1, 7), rel_tol, t)
 
     if d == 3:
-        # iterated fixed-order angles; adequate for the moderate |t| this
-        # path sees (the acceptance-scale sweeps are all 2-D)
-        a1, a2, a3 = alphas
-
-        def inner(phi: float, n_seg: int) -> float:
-            breaks = list(np.linspace(0.0, math.pi / 2, n_seg + 1))
-            nodes, wts = segment_rules(breaks, exp_lo=a1 + a2 - 1.0, exp_hi=a3 - 1.0, order=12)
-            st, ct = np.sin(nodes), np.cos(nodes)
-            om = np.stack([st * math.cos(phi), st * math.sin(phi), ct], axis=-1)
-            return float(np.sum(angular_value(om) * st * wts))
-
+        # equal segments, the same in phi and theta, at fixed order; adequate
+        # for the moderate |t| this path sees (the acceptance-scale sweeps
+        # are all 2-D)
         def level_value(n_seg: int) -> float:
             breaks = list(np.linspace(0.0, math.pi / 2, n_seg + 1))
-            nodes, wts = segment_rules(breaks, exp_lo=a2 - 1.0, exp_hi=a1 - 1.0, order=12)
-            return 8.0 * float(sum(w * inner(ph, n_seg) for ph, w in zip(nodes, wts)))
+            return orthant_integral(alphas, angular_value, breaks, 12,
+                                    theta_breaks=lambda phi: breaks)
 
         return _refine(level_value, (2, 4, 8, 16), rel_tol, t)
 
@@ -509,6 +504,17 @@ def _validate_ladder(p: np.ndarray, v: np.ndarray) -> float:
     return decades
 
 
+def rate_lstsq(p: np.ndarray, v: np.ndarray, with_log: bool = True):
+    """Coefficients and residuals of the least-squares fit of log v on
+    [log p, log log p, 1] ([log p, 1] when with_log=False); no validation."""
+    lp = np.log(p)
+    cols = [lp, np.log(lp), np.ones_like(lp)] if with_log else [lp, np.ones_like(lp)]
+    design = np.stack(cols, axis=-1)
+    lv = np.log(v)
+    coef, *_ = np.linalg.lstsq(design, lv, rcond=None)
+    return coef, lv - design @ coef
+
+
 def fit_rate(p_values, i_values, label: str = "", with_log: bool = True) -> RateFit:
     """Fit the rate model along a geometric ladder.
 
@@ -525,14 +531,7 @@ def fit_rate(p_values, i_values, label: str = "", with_log: bool = True) -> Rate
     p = np.asarray(p_values, dtype=float)
     v = np.asarray(i_values, dtype=float)
     decades = _validate_ladder(p, v)
-    lp = np.log(p)
-    if with_log:
-        cols = [lp, np.log(np.log(p)), np.ones_like(lp)]
-    else:
-        cols = [lp, np.ones_like(lp)]
-    design = np.stack(cols, axis=-1)
-    coef, *_ = np.linalg.lstsq(design, np.log(v), rcond=None)
-    resid = np.log(v) - design @ coef
+    coef, resid = rate_lstsq(p, v, with_log)
     return RateFit(
         theta_hat=float(coef[0]),
         log_power_hat=float(coef[1]) if with_log else 0.0,

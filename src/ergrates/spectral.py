@@ -24,7 +24,7 @@ import numpy as np
 from scipy import optimize
 
 from .geometry import as_vec, unit_sphere_area
-from .quadrature import refined_breaks, segment_rules
+from .quadrature import orthant_directions, orthant_integral, refined_breaks
 
 __all__ = [
     "AtomicMeasure",
@@ -43,6 +43,7 @@ __all__ = [
     "total_mass",
     "parse_measure",
     "format_measure",
+    "split_top",
 ]
 
 
@@ -94,6 +95,29 @@ def _require_finite(what: str, values) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def _checked_scale(total: float, scale) -> float:
+    """The density scale `scale()` that gives total mass `total`; a ValueError
+    when a power or the scale itself leaves the floating-point range."""
+    try:
+        s = scale()
+    except (OverflowError, ZeroDivisionError):
+        s = math.nan
+    if not math.isfinite(s) or (s == 0.0) != (total == 0.0):
+        raise ValueError(
+            f"total mass {total:g} puts the density scale outside the floating-point range"
+        )
+    return s
+
+
+def _box_extent(halfwidths, om: np.ndarray) -> np.ndarray:
+    """Distance to the boundary of the box |x_k| <= h_k along unit directions (rows)."""
+    om = np.abs(np.atleast_2d(om))
+    h = np.asarray(halfwidths)
+    with np.errstate(divide="ignore"):
+        ratios = np.where(om > 0.0, h[None, :] / om, np.inf)
+    return np.min(ratios, axis=1)
+
+
 # Both power families give the angular-radial quadratures one interface: along
 # a unit direction omega the density in r is angular_density(omega) *
 # r^(radial_order - 1) on 0 < r <= support_profile(omega), and angular_alphas
@@ -123,7 +147,9 @@ class RadialPowerMeasure:
         _require_finite("radial measure parameters", (gamma, radius, total))
         if gamma <= 0 or radius <= 0:
             raise ValueError("gamma and radius must be positive")
-        s = total * gamma / (unit_sphere_area(dim) * radius ** gamma)
+        s = _checked_scale(
+            total, lambda: total * gamma / (unit_sphere_area(dim) * radius ** gamma)
+        )
         return cls(gamma=gamma, radius=radius, scale=s, dim=dim)
 
     @property
@@ -172,10 +198,11 @@ class AnisotropicPowerMeasure:
     @classmethod
     def with_total_mass(cls, alphas, halfwidths, total: float):
         probe = cls(alphas=tuple(alphas), halfwidths=tuple(halfwidths), scale=1.0)
+        _require_finite("anisotropic measure parameters", (total,))
         return cls(
             alphas=probe.alphas,
             halfwidths=probe.halfwidths,
-            scale=total / total_mass(probe),
+            scale=_checked_scale(total, lambda: total / total_mass(probe)),
         )
 
     @property
@@ -191,10 +218,7 @@ class AnisotropicPowerMeasure:
         return self.scale * np.prod(np.abs(om) ** (al[None, :] - 1.0), axis=1)
 
     def support_profile(self, om: np.ndarray) -> np.ndarray:
-        h = np.asarray(self.halfwidths)
-        with np.errstate(divide="ignore"):
-            ratios = np.where(np.abs(om) > 0.0, h[None, :] / np.abs(om), np.inf)
-        return np.min(ratios, axis=1)
+        return _box_extent(self.halfwidths, om)
 
 
 @dataclass(frozen=True)
@@ -305,11 +329,7 @@ class BoxNeighborhood:
         return np.all((pts > -h[None, :]) & (pts <= h[None, :]), axis=1)
 
     def radial_profile(self, omega: np.ndarray) -> np.ndarray:
-        om = np.abs(np.atleast_2d(omega))
-        h = np.asarray(self.halfwidths)
-        with np.errstate(divide="ignore"):
-            ratios = np.where(om > 0.0, h[None, :] / om, np.inf)
-        return np.min(ratios, axis=1)
+        return _box_extent(self.halfwidths, omega)
 
 
 Neighborhood = EllipsoidNeighborhood | BoxNeighborhood
@@ -319,9 +339,11 @@ Neighborhood = EllipsoidNeighborhood | BoxNeighborhood
 #
 # Masses of star-shaped sets under power-homogeneous densities reduce to
 # integrals over the first orthant of the sphere (everything here is even
-# per axis).  End segments use Gauss-Jacobi rules so the |omega_k|^(alpha-1)
-# axis singularities are absorbed into the weights; radial truncation kinks
-# are located numerically and become segment breakpoints.
+# per axis), which `quadrature.orthant_integral` evaluates: its end segments
+# use Gauss-Jacobi rules so the |omega_k|^(alpha-1) axis singularities are
+# absorbed into the weights.  Here the breakpoints are chosen: box corners
+# and face switches are known in closed form, other radial truncation
+# kinks are located numerically.
 
 _QUAD_ORDER = 24
 
@@ -339,62 +361,18 @@ def _crossings(fn, lo: float, hi: float, n: int = 4096) -> list[float]:
     return out
 
 
-def _octant_directions_2d(phi: np.ndarray) -> np.ndarray:
-    return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+def _mass_breaks(d: int, extra) -> list[float]:
+    """Breaks of one angle on [0, pi/2]: the kinks in `extra` plus pi/4 in
+    d = 3, refined to pi/32 in d = 2 and to pi/16 (phi and theta) in d = 3."""
+    base = {0.0, math.pi / 2} if d == 2 else {0.0, math.pi / 4, math.pi / 2}
+    breaks = sorted(base | {float(b) for b in extra if 0.0 < b < math.pi / 2})
+    return refined_breaks(breaks, math.pi / 32 if d == 2 else math.pi / 16)
 
 
-def _orthant_integral_2d(alphas: tuple[float, float], g, extra_breaks=()) -> float:
-    """4 * int over phi in (0, pi/2) of |cos|^(a1-1) |sin|^(a2-1) ... folded into g.
-
-    g(omega_rows) must contain the full angular integrand including the
-    |omega_k|^(alpha_k - 1) factors; alphas tell the rule which end
-    singularities to absorb.
-    """
-    a1, a2 = alphas
-    breaks = sorted({0.0, math.pi / 2} | {float(b) for b in extra_breaks if 0.0 < b < math.pi / 2})
-    breaks = refined_breaks(breaks, math.pi / 32)
-    nodes, weights = segment_rules(list(breaks), exp_lo=a2 - 1.0, exp_hi=a1 - 1.0, order=_QUAD_ORDER)
-    vals = g(_octant_directions_2d(nodes))
-    return 4.0 * float(np.sum(vals * weights))
-
-
-def _orthant_integral_3d(
-    alphas: tuple[float, float, float], g, inner_breaks_fn=None, outer_breaks=()
-) -> float:
-    """8 * iterated integral over the first octant of the sphere.
-
-    Outer variable phi, inner variable theta (polar).  The inner integral
-    carries phi-dependent breakpoints (radial truncation kinks move with
-    phi), which keeps each 1-D integral piecewise smooth.
-    """
-    a1, a2, a3 = alphas
-    # theta end behavior: sin(theta)^(a1+a2-1) at 0, cos(theta)^(a3-1) at pi/2
-    th_lo, th_hi = a1 + a2 - 1.0, a3 - 1.0
-    ph_lo, ph_hi = a2 - 1.0, a1 - 1.0
-
-    phi_breaks = sorted(
-        {0.0, math.pi / 4, math.pi / 2}
-        | {float(b) for b in outer_breaks if 0.0 < b < math.pi / 2}
-    )
-    phi_breaks = refined_breaks(phi_breaks, math.pi / 16)
-    phi_nodes, phi_weights = segment_rules(phi_breaks, exp_lo=ph_lo, exp_hi=ph_hi, order=_QUAD_ORDER)
-
-    total = 0.0
-    for phi, wphi in zip(phi_nodes, phi_weights):
-        breaks = {0.0, math.pi / 4, math.pi / 2}
-        if inner_breaks_fn is not None:
-            breaks |= {b for b in inner_breaks_fn(phi) if 0.0 < b < math.pi / 2}
-        th_breaks = refined_breaks(sorted(breaks), math.pi / 16)
-        th_nodes, th_weights = segment_rules(th_breaks, exp_lo=th_lo, exp_hi=th_hi, order=_QUAD_ORDER)
-        st, ct = np.sin(th_nodes), np.cos(th_nodes)
-        om = np.stack([st * math.cos(phi), st * math.sin(phi), ct], axis=-1)
-        # sin(theta) from the surface element; the alpha powers live in g
-        total += wphi * float(np.sum(g(om) * st * th_weights))
-    return 8.0 * total
-
-
-def _box_corner_breaks_2d(h) -> list[float]:
-    return [math.atan2(h[1], h[0])]
+def _box_face_switch(h, phi: float) -> float:
+    """Polar angle where the extent of the 3-D box h moves from the x/y faces
+    to the z face, along azimuth phi."""
+    return math.atan2(1.0, max(math.cos(phi) / h[0], math.sin(phi) / h[1]) * h[2])
 
 
 def _continuous_mass(m, hood: Neighborhood) -> float:
@@ -403,12 +381,13 @@ def _continuous_mass(m, hood: Neighborhood) -> float:
         raise ValueError("measure and neighborhood disagree on dimension")
     s = m.radial_order
 
-    # d = 1: everything is an interval; do it in closed form.
+    # d = 1: everything is an interval; do it in closed form, in scalar
+    # arithmetic (numpy's array power can round differently in the last bit)
     if d == 1:
         rho_n = hood.radial_profile(np.array([[1.0]]))[0]
         rho_s = m.support_profile(np.array([[1.0]]))[0]
         r = min(rho_n, rho_s)
-        return 2.0 * m.angular_density(np.array([[1.0]]))[0] * r ** s / s
+        return float(2.0 * m.angular_density(np.array([[1.0]]))[0] * r ** s / s)
 
     # fully symmetric radial case: closed form
     if isinstance(m, RadialPowerMeasure) and isinstance(hood, EllipsoidNeighborhood):
@@ -416,54 +395,31 @@ def _continuous_mass(m, hood: Neighborhood) -> float:
         if all(a == ax[0] for a in ax):
             r = min(ax[0], m.radius)
             return m.scale * unit_sphere_area(d) * r ** s / s
+    if d > 3:
+        raise ValueError(f"mass quadrature supports d <= 3, got d = {d}")
 
     def g(om):
         rho = np.minimum(hood.radial_profile(om), m.support_profile(om))
         return m.angular_density(om) * rho ** s / s
 
+    def delta(om):
+        return hood.radial_profile(om) - m.support_profile(om)
+
+    boxes = [x.halfwidths for x in (hood, m)
+             if isinstance(x, (BoxNeighborhood, AnisotropicPowerMeasure))]
+    corners = [math.atan2(h[1], h[0]) for h in boxes]
     if d == 2:
-        breaks: list[float] = []
-        if isinstance(hood, BoxNeighborhood):
-            breaks += _box_corner_breaks_2d(hood.halfwidths)
-        if isinstance(m, AnisotropicPowerMeasure):
-            breaks += _box_corner_breaks_2d(m.halfwidths)
+        crossings = _crossings(lambda phi: delta(orthant_directions(phi)), 1e-9, math.pi / 2 - 1e-9)
+        breaks = _mass_breaks(2, corners + crossings)
+        return orthant_integral(m.angular_alphas, g, breaks, _QUAD_ORDER)
 
-        def delta(phi):
-            om = _octant_directions_2d(np.asarray(phi))
-            return hood.radial_profile(om) - m.support_profile(om)
+    def theta_breaks(phi):
+        out = _crossings(lambda theta: delta(orthant_directions(phi, theta)),
+                         1e-9, math.pi / 2 - 1e-9, n=1024)
+        return _mass_breaks(3, out + [_box_face_switch(h, phi) for h in boxes])
 
-        breaks += _crossings(delta, 1e-9, math.pi / 2 - 1e-9)
-        return _orthant_integral_2d(m.angular_alphas, g, extra_breaks=breaks)
-
-    if d == 3:
-
-        def inner_breaks(phi):
-            def delta(theta):
-                theta = np.asarray(theta)
-                st, ct = np.sin(theta), np.cos(theta)
-                om = np.stack(
-                    [st * math.cos(phi), st * math.sin(phi), ct], axis=-1
-                )
-                return hood.radial_profile(om) - m.support_profile(om)
-
-            out = _crossings(delta, 1e-9, math.pi / 2 - 1e-9, n=1024)
-            for h in boxes:
-                # min-switch between the x/y faces and the z face
-                denom = max(math.cos(phi) / h[0], math.sin(phi) / h[1])
-                out.append(math.atan2(1.0, denom * h[2]))
-            return out
-
-        boxes = []
-        if isinstance(hood, BoxNeighborhood):
-            boxes.append(hood.halfwidths)
-        if isinstance(m, AnisotropicPowerMeasure):
-            boxes.append(m.halfwidths)
-        outer_breaks = [math.atan2(h[1], h[0]) for h in boxes]
-        return _orthant_integral_3d(
-            m.angular_alphas, g, inner_breaks_fn=inner_breaks, outer_breaks=outer_breaks
-        )
-
-    raise ValueError(f"mass quadrature supports d <= 3, got d = {d}")
+    return orthant_integral(m.angular_alphas, g, _mass_breaks(3, corners), _QUAD_ORDER,
+                            theta_breaks)
 
 
 def mass(m: SpectralMeasure, hood: Neighborhood) -> float:
@@ -565,37 +521,24 @@ def dyadic_singular_probe(m, q: float):
             f"(neither geometric decay nor blow-up within {_DYADIC_SHELLS} shells)"
         )
 
-    if isinstance(m, RadialPowerMeasure):
-        return inner  # support is the ball of radius r_top: nothing outside
+    if isinstance(m, RadialPowerMeasure) or m.dim == 1:
+        # the support is the ball of radius r_top (or the interval
+        # [-r_top, r_top]): nothing outside
+        return inner
 
     # outer piece: box minus inscribed ball, finite for every s
-    if m.dim == 1:
-        outer = 0.0  # the box IS the interval [-r_top, r_top]
-    else:
-        def g(om):
-            rho = m.support_profile(om)
-            if s != 0.0:
-                rad = (rho ** s - r_top ** s) / s
-            else:
-                rad = np.log(rho / r_top)
-            return m.angular_density(om) * rad
+    h = m.halfwidths
 
-        if m.dim == 2:
-            breaks = _box_corner_breaks_2d(m.halfwidths)
-            outer = _orthant_integral_2d(m.alphas, g, extra_breaks=breaks)
+    def g(om):
+        rho = m.support_profile(om)
+        if s != 0.0:
+            rad = (rho ** s - r_top ** s) / s
         else:
-            h = m.halfwidths
+            rad = np.log(rho / r_top)
+        return m.angular_density(om) * rad
 
-            def inner_breaks(phi):
-                denom = max(math.cos(phi) / h[0], math.sin(phi) / h[1])
-                return [math.atan2(1.0, denom * h[2])]
-
-            outer = _orthant_integral_3d(
-                m.alphas,
-                g,
-                inner_breaks_fn=inner_breaks,
-                outer_breaks=[math.atan2(h[1], h[0])],
-            )
+    outer = orthant_integral(m.alphas, g, _mass_breaks(m.dim, [math.atan2(h[1], h[0])]),
+                             _QUAD_ORDER, lambda phi: _mass_breaks(3, [_box_face_switch(h, phi)]))
     return inner + outer
 
 
@@ -678,7 +621,8 @@ def density_at(m: SpectralMeasure, x) -> float:
 #   sum:[spec|spec|...]
 
 
-def _split_top(s: str, sep: str) -> list[str]:
+def split_top(s: str, sep: str) -> list[str]:
+    """Split s at each sep outside parentheses and brackets."""
     out, depth, cur = [], 0, []
     for ch in s:
         if ch in "([":
@@ -705,7 +649,7 @@ def parse_measure(spec: str, dim: int = 2) -> SpectralMeasure:
         if not inner:
             return AtomicMeasure(points=(), weights=(), dim=dim)
         points, weights = [], []
-        for tok in _split_top(inner, ","):
+        for tok in split_top(inner, ","):
             tok = tok.strip()
             if not (tok.startswith("(") and tok.endswith(")")):
                 raise ValueError(f"bad atom {tok!r} in {spec!r}")
@@ -740,7 +684,7 @@ def parse_measure(spec: str, dim: int = 2) -> SpectralMeasure:
         body = spec[len("sum:"):].strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise ValueError(f"bad sum spec {spec!r}: expected sum:[spec|spec|...]")
-        parts = tuple(parse_measure(tok.strip(), dim=dim) for tok in _split_top(body[1:-1], "|"))
+        parts = tuple(parse_measure(tok.strip(), dim=dim) for tok in split_top(body[1:-1], "|"))
         return SumMeasure(parts=parts)
     raise ValueError(
         f"unknown measure spec {spec!r} (expected atomic:..., radial:..., aniso:..., or sum:[...])"

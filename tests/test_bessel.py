@@ -1,7 +1,7 @@
 """Bessel backend validation against mpmath and the integral representation.
 
 The accuracy contract is 1e-12 absolute up to x = 1e4 for the orders the
-package uses (1/2, 1, 3/2, 2); mpmath at 30 digits is the reference.
+package uses (1 and 2); mpmath at 30 digits is the reference.
 """
 
 import math
@@ -26,7 +26,7 @@ SAMPLE_X = np.concatenate([
 ])
 
 
-@pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("nu", [1.0, 2.0])
 def test_absolute_accuracy_vs_mpmath(nu):
     worst = 0.0
     for x in SAMPLE_X:
@@ -51,23 +51,6 @@ def test_integral_representation():
             vals = np.cos(nu * theta - x * np.sin(theta))
             oracle = np.trapezoid(vals, theta) / math.pi
             assert float(bessel_j(nu, x)) == pytest.approx(oracle, abs=1e-10)
-
-
-def test_half_integer_closed_forms():
-    # sqrt(2/(pi x)) sin x and its nu=3/2 sibling
-    for x in (0.3, 2.0, 17.0):
-        want = math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
-        assert float(bessel_j(0.5, x)) == pytest.approx(want, abs=1e-14)
-    x = 2.0
-    want = math.sqrt(2.0 / (math.pi * x)) * (math.sin(x) / x - math.cos(x))
-    assert float(bessel_j(1.5, x)) == pytest.approx(want, abs=1e-14)
-    assert float(bessel_j(1.5, 2.0)) == pytest.approx(0.49129377868716235, abs=1e-14)
-
-
-def test_small_argument_series_region():
-    # the 3/2 branch switches to a series below 1e-2 to dodge cancellation
-    for x in (1e-9, 1e-6, 2e-4, 9e-3):
-        assert float(bessel_j(1.5, x)) == pytest.approx(mp_j(1.5, x), abs=1e-15)
 
 
 def test_vectorized_matches_scalar():

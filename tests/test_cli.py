@@ -186,8 +186,15 @@ class TestInputValidation:
         (["rates", "--tol", "0"], "tol"),
         (["rates", "--tol", "nan"], "tol"),
         (["verify", "--theorem", "2", "--tol", "inf"], "tol"),
+        (["rates", "--measure", "radial:2,1e200,1"], "floating-point range"),
+        (["rates", "--measure", "radial:400,10,1"], "floating-point range"),
+        (["rates", "--measure", "aniso:2,2;1e200,1;1"], "floating-point range"),
+        (["rates", "--measure", "radial:2,1e-200,1"], "floating-point range"),
+        (["rates", "--measure", "aniso:2,2;1e-200,1;1"], "floating-point range"),
     ], ids=["atomic-nan-weight", "atomic-inf-coordinate", "radial-inf-radius",
-            "aniso-inf-halfwidth", "tol-zero", "tol-nan", "verify-tol-inf"])
+            "aniso-inf-halfwidth", "tol-zero", "tol-nan", "verify-tol-inf",
+            "radial-huge-radius", "radial-huge-gamma", "aniso-huge-halfwidth",
+            "radial-tiny-radius", "aniso-tiny-halfwidth"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, fragment):
         out = tmp_path / "out.txt"
         assert main(argv + ["--points", "2", "--out", str(out)]) == 2

@@ -12,6 +12,7 @@ from ergrates.quadrature import (
     end_power_rule,
     gl_panel_rule,
     integrate_box,
+    orthant_integral,
     panels_for_frequency,
 )
 
@@ -57,6 +58,27 @@ def test_end_power_rule_exact_at_both_ends(exponent):
                 else:
                     want = mpmath.quad(lambda x: (b - x) ** exponent * x ** k, [a, b])
             assert got == pytest.approx(float(want), rel=1e-12), (at_lower, k)
+
+
+@pytest.mark.parametrize("alphas", [(1.0, 1.0), (0.5, 1.5), (2.4, 0.7),
+                                    (1.0, 1.0, 1.0), (0.5, 0.7, 1.5), (2.4, 1.2, 0.6)],
+                         ids=lambda al: ",".join(f"{a:g}" for a in al))
+def test_orthant_integral_matches_sphere_moments(alphas):
+    # int over the unit sphere of prod |omega_k|^(alpha_k - 1) is
+    # 2 prod Gamma(alpha_k / 2) / Gamma(sum alpha_k / 2); the end exponents
+    # below and above 1 must be absorbed by the Jacobi end segments
+    want = 2.0 * math.prod(math.gamma(a / 2.0) for a in alphas) / math.gamma(sum(alphas) / 2.0)
+    al = np.asarray(alphas)
+
+    def g(om):
+        return np.prod(np.abs(om) ** (al[None, :] - 1.0), axis=1)
+
+    for n_seg in (2, 4, 8):
+        breaks = list(np.linspace(0.0, math.pi / 2, n_seg + 1))
+        for order in (12, 16, 24):
+            got = orthant_integral(alphas, g, breaks, order, theta_breaks=lambda phi: breaks)
+            assert type(got) is float
+            assert got == pytest.approx(want, rel=1e-13), (n_seg, order)
 
 
 def test_quarter_period_panel_count():

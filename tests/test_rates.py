@@ -31,6 +31,7 @@ from ergrates.rates import (
     parse_phi,
     power_phi,
     predicted_rate_from_mass_exponent,
+    rate_lstsq,
     ray_grid,
     sector_grid,
 )
@@ -239,6 +240,22 @@ class TestFit:
             fit_rate(np.geomspace(2, 50, 12), np.ones(12))
         with pytest.raises(ValueError, match="positive"):
             fit_rate(good_p, np.zeros_like(good_p))
+
+    def test_least_squares_core(self):
+        # the core takes any ladder (the running fit feeds it prefixes) and
+        # is exactly what fit_rate reports on a valid one
+        p = np.array([3.0, 7.0, 20.0, 45.0])
+        coef, resid = rate_lstsq(p, p ** (-1.5) * np.log(p) ** 2 * 0.25)
+        assert coef == pytest.approx([-1.5, 2.0, math.log(0.25)], abs=1e-10)
+        assert np.max(np.abs(resid)) < 1e-12
+        coef, _ = rate_lstsq(p, 4.0 * p ** 0.5, with_log=False)
+        assert coef == pytest.approx([0.5, math.log(4.0)], abs=1e-12)
+        ladder = p_ladder(2.0, 2000.0)
+        vals = ladder ** (-2.0) * (1.0 + 0.1 * np.sin(ladder))
+        fit = fit_rate(ladder, vals)
+        coef, resid = rate_lstsq(ladder, vals)
+        assert (fit.theta_hat, fit.log_power_hat, fit.intercept) == tuple(coef)
+        assert fit.residual_rms == float(np.sqrt(np.mean(resid ** 2)))
 
     def test_ladder_shape(self):
         p = p_ladder(2.0, 200.0)

@@ -27,6 +27,7 @@ from ergrates.spectral import (
     mass,
     parse_measure,
     singular_integral,
+    split_top,
     total_mass,
 )
 
@@ -143,6 +144,12 @@ class TestAtomicMass:
 
 
 class TestContinuousMass:
+    def test_masses_are_python_floats(self):
+        for d in (1, 2, 3):
+            m = AnisotropicPowerMeasure((1.5,) * d, (1.0,) * d, 1.0)
+            for hood in (EllipsoidNeighborhood((0.4,) * d), BoxNeighborhood((0.4,) * d)):
+                assert type(mass(m, hood)) is float
+
     def test_radial_symmetric_closed_form(self):
         # gamma = d: constant density, so mass is scale * volume of the ball
         for d, vol in ((1, 2.0), (2, math.pi), (3, 4.0 * math.pi / 3.0)):
@@ -384,6 +391,19 @@ class TestSpecStrings:
         assert isinstance(s, SumMeasure)
         assert total_mass(s) == pytest.approx(3.0, rel=1e-12)
         assert parse_measure(format_measure(s)) == s
+
+    def test_split_top_ignores_nested_separators(self):
+        assert split_top("(1,2),[3,(4,5)],6", ",") == ["(1,2)", "[3,(4,5)]", "6"]
+        assert split_top("radial:2,1,1|atomic:[(1,1;2)]", "|") == [
+            "radial:2,1,1", "atomic:[(1,1;2)]"]
+        assert split_top("", ",") == [""]
+
+    def test_with_total_mass_never_underflows_to_zero(self):
+        # each factor of the unit-scale mass is finite, their product is not:
+        # a scale of 1/inf = 0 would silently be the zero measure
+        with pytest.raises(ValueError, match="floating-point range"):
+            AnisotropicPowerMeasure.with_total_mass((2.0, 2.0), (1e100, 1e100), 1.0)
+        assert AnisotropicPowerMeasure.with_total_mass((2.0, 2.0), (1e100, 1e100), 0.0).scale == 0.0
 
     def test_errors_are_loud(self):
         with pytest.raises(ValueError, match="gamma must be positive"):
