@@ -6,6 +6,7 @@ Layout rules the artifacts obey:
     exact invocation;
   - identical effective configs produce byte-identical files (fixed float
     formatting, sorted JSON keys, seeded randomness only);
+  - JSON is strict: a non-finite float is written as null;
   - plots are delegated to generated gnuplot scripts, never rendered here.
 
 Exit codes: 0 success, 2 configuration problem, 3 numeric budget or
@@ -110,11 +111,23 @@ def _csv_text(header: list[str], rows, cfg: dict, extra_comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_or_null(v):
+    """Copy of a report with every non-finite float as None: strict JSON has
+    no Infinity or NaN, and the reports state such values in words."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_null(x) for x in v]
+    return v
+
+
 def _json_text(report: dict, cfg: dict) -> str:
-    report = dict(report)
+    report = _finite_or_null(report)
     report["config_hash"] = config_hash(cfg)
     report["version"] = __version__
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # -- option merging ----------------------------------------------------------

@@ -80,7 +80,8 @@ def end_power_rule(a: float, b: float, exponent: float, at_lower: bool, order: i
 
     Returned weights apply to the full integrand (the singular factor is
     divided back out at the nodes), so callers never special-case ends.
-    exponent = 0 gives the plain Gauss-Legendre rule on [a, b].
+    exponent = 0 gives the plain Gauss-Legendre rule on [a, b].  Column
+    arrays a, b of shape (N, 1) give N rules at once, one per row.
     """
     if exponent == 0.0:
         x, w = _gl(order)

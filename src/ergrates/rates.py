@@ -30,7 +30,7 @@ from scipy import optimize
 from scipy.stats import theilslopes
 
 from .fourier import ratio_abs_sq, unit_ball_profile
-from .geometry import Ball, ConvexBody, as_vec, width
+from .geometry import Ball, ConvexBody, Ellipsoid, as_vec, unit_ball_volume, width
 from .quadrature import (
     QuadratureBudgetError,
     end_power_rule,
@@ -212,7 +212,8 @@ def sector_grid(bound: float, dim: int, p_values, n_dir: int = 5) -> np.ndarray:
         dirs.append(vec / np.linalg.norm(vec))
     rows = [d * p for p in np.asarray(p_values, dtype=float) for d in dirs]
     out = np.asarray(rows)
-    assert all(sec.contains(r) for r in out)
+    if not all(sec.contains(r) for r in out):
+        raise ValueError(f"sector grid leaves the sector X_{bound:g}; p values must be positive")
     return out
 
 
@@ -232,7 +233,22 @@ def decay_integral_atomic(body: ConvexBody, m: AtomicMeasure, t) -> float:
     return float(np.sum(m.weight_array * ratio_abs_sq(body, pts)))
 
 
-def _radial_rule(body: ConvexBody, v: np.ndarray, rho: float, s: float,
+# One budget for every radial rule, per direction or tabulated: 2^20 panels
+# of a quarter period each (z up to about 8e5), far beyond any dilation the
+# sweeps use; larger supports are refused before anything is allocated.
+_MAX_RADIAL_PANELS = 1 << 20
+
+
+def _check_radial_panels(panels: float, rho: float, t: np.ndarray) -> None:
+    """Raise QuadratureBudgetError when a radial rule needs more than the budget."""
+    if not panels <= _MAX_RADIAL_PANELS:
+        raise QuadratureBudgetError(
+            f"radial quadrature over support {rho:.6g} at t={t.tolist()} needs "
+            f"{panels:.3g} panels, over the budget of {_MAX_RADIAL_PANELS}"
+        )
+
+
+def _radial_rule(body: ConvexBody, v: np.ndarray, rho: float, s: float, t: np.ndarray,
                  order: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Panel rule for int_0^rho |ratio(r v)|^2 r^(s-1) dr along one direction.
 
@@ -242,7 +258,9 @@ def _radial_rule(body: ConvexBody, v: np.ndarray, rho: float, s: float,
     """
     speed = float(np.linalg.norm(v))
     freq = width(body, v / speed) * speed if speed > 0 else 0.0
-    n = max(4, int(math.ceil(rho * freq * 4.0 / (2.0 * math.pi))))
+    panels = rho * freq * 4.0 / (2.0 * math.pi)
+    _check_radial_panels(panels, rho, t)
+    n = max(4, int(math.ceil(panels)))
     edges = np.linspace(0.0, rho, n + 1)
     nodes0, w0 = end_power_rule(0.0, edges[1], s - 1.0, at_lower=True,
                                 order=16 if s != 1.0 else order)
@@ -250,11 +268,84 @@ def _radial_rule(body: ConvexBody, v: np.ndarray, rho: float, s: float,
     return np.concatenate([nodes0, nodes]), np.concatenate([w0, weights])
 
 
-def _radial_decay(body: ConvexBody, v: np.ndarray, rho: float, s: float) -> float:
-    r, w = _radial_rule(body, v, rho, s)
+def _radial_decay(body: ConvexBody, v: np.ndarray, rho: float, s: float,
+                  t: np.ndarray) -> float:
+    r, w = _radial_rule(body, v, rho, s, t)
     pts = r[:, None] * v[None, :]
     vals = ratio_abs_sq(body, pts)
     return float(np.sum(vals * r ** (s - 1.0) * w))
+
+
+# -- the cumulative profile G_s of balls and ellipsoids ----------------------
+#
+# For K = a o B(0,1) the damping along r omega is g(c r)^2, where g is the
+# normalised unit-ball profile and c = |a o omega o t|.  So the radial
+# integral along omega is
+#
+#     int_0^rho g(c r)^2 r^(s-1) dr = c^(-s) G_s(c rho),
+#     G_s(z) = int_0^z g(u)^2 u^(s-1) du,
+#
+# and one table of G_s per (d, s) serves every direction, level, t and call.
+# It holds G_s at the quarter periods k pi/4 of g^2: Gauss-Jacobi-16 on the
+# first panel absorbs u^(s-1), Gauss-Legendre-8 on the others.  The table
+# grows in whole chunks of panels, each continuing the same sequential
+# cumulative sum, so an entry is a pure function of (d, s, k) and no value
+# depends on how far the table had grown before.
+
+_QUARTER = math.pi / 4.0
+_FIRST_ORDER = 16
+_PANEL_ORDER = 8
+_CHUNK_PANELS = 1024  # 8192 nodes per growth step: well under 1 MB transient
+_PROFILE_TABLES: dict[tuple[int, float], np.ndarray] = {}
+
+
+def _profile_integrand(d: int, s: float, u: np.ndarray) -> np.ndarray:
+    g = unit_ball_profile(d, u) / unit_ball_volume(d)
+    return g * g * u ** (s - 1.0)
+
+
+def _profile_table(d: int, s: float, k_top: int) -> np.ndarray:
+    """G_s(k pi/4) for k = 0, 1, ... and at least up to k_top (read-only)."""
+    cum = _PROFILE_TABLES.get((d, s))
+    if cum is not None and cum.size > k_top:
+        return cum
+    if cum is None:
+        u, w = end_power_rule(0.0, _QUARTER, s - 1.0, at_lower=True, order=_FIRST_ORDER)
+        cum = np.array([0.0, np.sum(_profile_integrand(d, s, u) * w)])
+    chunks = [cum]
+    k0 = cum.size - 1  # the next panel is [k0 pi/4, (k0 + 1) pi/4]
+    while k0 < k_top:
+        u, w = gl_edges_rule(_QUARTER * np.arange(k0, k0 + _CHUNK_PANELS + 1), _PANEL_ORDER)
+        panels = np.sum((_profile_integrand(d, s, u) * w).reshape(-1, _PANEL_ORDER), axis=1)
+        chunks.append(np.cumsum(np.concatenate(([chunks[-1][-1]], panels)))[1:])
+        k0 += _CHUNK_PANELS
+    cum = np.concatenate(chunks)
+    cum.flags.writeable = False
+    _PROFILE_TABLES[(d, s)] = cum
+    return cum
+
+
+def _cumulative_profile(d: int, s: float, z: np.ndarray) -> np.ndarray:
+    """G_s(z) for an array of z >= 0: a table entry plus one partial cell.
+
+    The partial cell is Gauss-Legendre-8 on [floor(z / (pi/4)) pi/4, z];
+    below pi/4 the whole of [0, z] is one Gauss-Jacobi-16 rule.
+    """
+    k = np.floor(z / _QUARTER).astype(np.int64)
+    cum = _profile_table(d, s, int(np.max(k)))
+    out = np.empty(z.shape)
+    first = k == 0
+    if np.any(first):
+        u, w = end_power_rule(0.0, z[first, None], s - 1.0, at_lower=True,
+                              order=_FIRST_ORDER)
+        out[first] = np.sum(_profile_integrand(d, s, u) * w, axis=1)
+    rest = ~first
+    if np.any(rest):
+        kr = k[rest]
+        u, w = end_power_rule(_QUARTER * kr[:, None], z[rest, None], 0.0, at_lower=True,
+                              order=_PANEL_ORDER)
+        out[rest] = cum[kr] + np.sum(_profile_integrand(d, s, u) * w, axis=1)
+    return out
 
 
 def _refine(level_value: Callable[[int], float], levels, rel_tol: float, t: np.ndarray) -> float:
@@ -271,10 +362,14 @@ def _refine(level_value: Callable[[int], float], levels, rel_tol: float, t: np.n
 
 
 def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
-    """Angular-adaptive, radially panelized quadrature of I(t).
+    """Angular-adaptive quadrature of I(t) over the power measure's directions.
 
-    The integrand is even in every coordinate of x for all supported
-    bodies, so only the first orthant of angles is integrated.
+    Along each angular node the radial integral of a ball or an ellipsoid is
+    c^(-s) G_s(rho c) from the cumulative profile table, one array
+    expression per level; the cube's is a per-direction panel rule of a
+    quarter oscillation period.  The integrand is even in every coordinate
+    of x for all supported bodies, so only the first orthant of angles is
+    integrated.
     """
     d = m.dim
     t = as_vec(t, dim=d)
@@ -283,13 +378,26 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
     s = m.radial_order
     alphas = m.angular_alphas
 
-    def angular_value(om_rows: np.ndarray) -> np.ndarray:
-        dens = m.angular_density(om_rows)
-        rho = m.support_profile(om_rows)
-        out = np.empty(om_rows.shape[0])
-        for i in range(om_rows.shape[0]):
-            out[i] = dens[i] * _radial_decay(body, om_rows[i] * t, rho[i], s)
-        return out
+    if isinstance(body, (Ball, Ellipsoid)):
+        axes = body.semi_axes
+
+        def angular_value(om_rows: np.ndarray) -> np.ndarray:
+            if axes.size != d:
+                raise ValueError(f"dimension mismatch: expected {axes.size}, got {d}")
+            c = np.linalg.norm(om_rows * (axes * t)[None, :], axis=1)
+            rho = m.support_profile(om_rows)
+            z = rho * c
+            top = int(np.argmax(z))
+            _check_radial_panels(z[top] / _QUARTER, float(rho[top]), t)
+            return m.angular_density(om_rows) * c ** (-s) * _cumulative_profile(d, s, z)
+    else:
+        def angular_value(om_rows: np.ndarray) -> np.ndarray:
+            dens = m.angular_density(om_rows)
+            rho = m.support_profile(om_rows)
+            out = np.empty(om_rows.shape[0])
+            for i in range(om_rows.shape[0]):
+                out[i] = dens[i] * _radial_decay(body, om_rows[i] * t, rho[i], s, t)
+            return out
 
     if d == 1:
         return orthant_integral(alphas, angular_value, (), 0)
@@ -327,9 +435,11 @@ def decay_integral(body: ConvexBody, m: SpectralMeasure, t, rel_tol: float = 1e-
     """I(t) for any supported measure; dispatches per family.
 
     Atomic parts are exact sums; continuous parts use angular-radial
-    quadrature with the radial direction panelized to a quarter
-    oscillation period.  Raises QuadratureBudgetError when the angular
-    refinement cannot reach rel_tol.
+    quadrature.  Along each direction a ball or an ellipsoid takes its
+    radial integral from the cached cumulative profile G_s; the cube's
+    radial integral is panelized to a quarter oscillation period.  Raises
+    QuadratureBudgetError when the angular refinement cannot reach rel_tol
+    or a radial integral needs more panels than the budget.
     """
     if isinstance(m, AtomicMeasure):
         return decay_integral_atomic(body, m, t)

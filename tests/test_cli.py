@@ -6,11 +6,14 @@ are reparsed as plain text or JSON.
 
 import json
 import math
+import time
 
+import numpy as np
 import pytest
 
 from ergrates.cli import (
     ConfigError,
+    _json_text,
     config_hash,
     emit_config,
     main,
@@ -110,6 +113,21 @@ class TestRatesCommand:
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ["ball:1", "ellipsoid:2,1", "cube"])
+    def test_huge_support_refused_by_panel_budget(self, tmp_path, capsys, body):
+        # a finite, in-range support of 1e150 would need ~1e153 radial
+        # panels; the budget refuses it before anything is allocated
+        out = tmp_path / "r.csv"
+        start = time.perf_counter()
+        rc = main(["rates", "--body", body, "--measure", "radial:2,1e150,1",
+                   "--points", "2", "--out", str(out)])
+        assert time.perf_counter() - start < 10.0
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ergrates: numeric failure:") and err.count("\n") == 1
+        assert "support 1e+150" in err and "t=[10.0, 10.0]" in err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_identity_columns(self, tmp_path):
@@ -148,6 +166,27 @@ class TestVerifyCommand:
         rep = json.loads(out.read_text())
         assert rep["evidence"]["singular_state"] == "finite"
         assert rep["evidence"]["consistent"] is True
+
+    def test_theorem2_infinite_singular_integral_is_strict_json(self, tmp_path):
+        out = tmp_path / "v.json"
+        assert main(["verify", "--theorem", "2", "--measure", "radial:2,1,1",
+                     "--points", "4", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+
+        def refuse(token):
+            raise ValueError(f"non-strict JSON token {token}")
+
+        rep = json.loads(text, parse_constant=refuse)
+        assert rep["evidence"]["singular_state"] == "infinite"
+        assert rep["evidence"]["singular_integral"] is None
+
+    def test_json_writer_maps_non_finite_floats_to_null(self):
+        report = {"a": math.inf, "b": [1.5, -math.inf, (math.nan, 2.0)],
+                  "c": {"d": np.float64(math.inf), "e": 0.25}}
+        rep = json.loads(_json_text(report, {}))
+        assert rep["a"] is None and rep["b"] == [1.5, None, [None, 2.0]]
+        assert rep["c"] == {"d": None, "e": 0.25}
 
     def test_theorem3_excluded(self, tmp_path):
         out = tmp_path / "v.json"

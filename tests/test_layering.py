@@ -5,6 +5,9 @@ module needs belongs in that module's public surface (or in the shared
 `quadrature` layer).  The scan reads the sources with `ast`, so it sees
 `from .mod import _name` as well as `mod._name` through any alias bound
 to a package module.  Dunders such as `__version__` are exempt.
+
+Input checks raise; they never assert, because `python -O` strips assert
+statements and the check with them.
 """
 
 import ast
@@ -68,6 +71,12 @@ def cross_module_private_uses(source: str, module: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_names_across_modules(path):
     assert cross_module_private_uses(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
 def test_scanner_catches_each_form():

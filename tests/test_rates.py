@@ -2,17 +2,25 @@
 
 Oracles: QUADPACK on the polar reduction of I(t) with scipy's own Bessel
 evaluations (independent of the panel rules and the profile code under
-test), the distribution-function route against the quadrature route, and
+test), the distribution-function route against the quadrature route, the
+exact Weber-Schafheitlin large-t constant of radial measures on balls,
+the per-direction panel rule against the cumulative profile table, and
 synthetic ladders with known exponents for the fitter.
 """
 
 import math
+import os
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from ergrates.geometry import Ball, Cube, Ellipsoid
+import ergrates
+from ergrates import rates
+from ergrates.geometry import Ball, Cube, Ellipsoid, unit_ball_volume
 from ergrates.rates import (
     Sector,
     bounded_verdict,
@@ -45,6 +53,7 @@ from ergrates.spectral import (
 )
 
 RNG = np.random.default_rng(41005)
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(ergrates.__file__)))
 
 
 def ball_ratio_sq(z):
@@ -182,6 +191,106 @@ class TestContinuous:
         m = RadialPowerMeasure(2.0, 1.0, 1.0, 2)
         with pytest.raises(ValueError):
             decay_integral(Ball(1.0), m, [1.0, 0.0])
+
+
+def weber_schafheitlin(nu, lam):
+    """int_0^inf J_nu(u)^2 u^(-lam) du for 0 < lam < 2 nu + 1 (DLMF 10.22.57)."""
+    g = mpmath.gamma
+    return float(g(lam) * g(nu + (1 - lam) / 2)
+                 / (2 ** lam * g((1 + lam) / 2) ** 2 * g(nu + (1 + lam) / 2)))
+
+
+class TestWeberSchafheitlinLimit:
+    """p^gamma I((p, ..., p)) for radial sigma of total mass 1 on the unit
+    ball tends to c S_d ((2 pi)^(d/2) / V_d)^2 WS(d/2, d+1-gamma), with
+    c = gamma / S_d; the relative residual decays like p^-(d+1-gamma)."""
+
+    @staticmethod
+    def residual(d, gamma, p):
+        m = RadialPowerMeasure.with_total_mass(gamma, 1.0, 1.0, dim=d)
+        const = (gamma * ((2 * math.pi) ** (d / 2) / unit_ball_volume(d)) ** 2
+                 * weber_schafheitlin(d / 2, d + 1 - gamma))
+        val = decay_integral(Ball(1.0, dim=d), m, [p] * d, rel_tol=1e-9)
+        return p ** gamma * val / const - 1.0
+
+    def test_d2_gamma2_constant_is_four(self):
+        assert 2.0 * (2.0 * math.pi / math.pi) ** 2 * weber_schafheitlin(1.0, 1.0) == \
+            pytest.approx(4.0, rel=1e-15)
+
+    @pytest.mark.parametrize("d, gamma", [(2, 0.5), (2, 1.0), (3, 1.0)])
+    def test_constant_pinned_at_p_1000(self, d, gamma):
+        assert abs(self.residual(d, gamma, 1000.0)) < 1e-6
+
+    @pytest.mark.parametrize("d, gamma", [(2, 2.0), (2, 2.5), (3, 2.0), (3, 3.0)])
+    def test_residual_slope(self, d, gamma):
+        lo, hi = self.residual(d, gamma, 100.0), self.residual(d, gamma, 1000.0)
+        assert lo < 0.0 and hi < 0.0
+        assert math.log10(hi / lo) == pytest.approx(-(d + 1 - gamma), abs=0.05)
+
+
+class TestCumulativeProfile:
+    """The G_s table against the per-direction panel rule, and its history."""
+
+    # The d = 3 closed form of the profile cancels for small u (relative
+    # error about 3e-16 / u^2, 3e-10 at its series switch u = 1e-3).  Both
+    # rules sample that noise at different nodes, and u^(s-1) weights it
+    # most for s <= 1, so there the two can agree only to about 1e-11.
+    @pytest.mark.parametrize("d, s_values, rel", [
+        (1, (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5), 1e-12),
+        (2, (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5), 1e-12),
+        (3, (1.5, 2.0, 2.5, 3.0, 3.5), 1e-12),
+        (3, (0.5, 1.0), 3e-11),
+    ])
+    def test_matches_per_direction_panel_rule(self, d, s_values, rel):
+        rng = np.random.default_rng(8080 + d)
+        # below pi/4 (one Jacobi rule), just under it, and up to 6366 panels
+        zs = np.array([0.1, 0.5, math.pi / 4 - 1e-3, 1.0, 3.7, 42.0, 613.5, 5000.0])
+        bodies = (Ball(1.3, dim=d), Ellipsoid(tuple(rng.uniform(0.3, 2.0, size=d))))
+        worst = 0.0
+        for s in s_values:
+            for body in bodies:
+                om = np.abs(rng.normal(size=d)) + 0.05
+                om /= np.linalg.norm(om)
+                t = rng.uniform(1.0, 50.0, size=d)
+                v = om * t
+                c = float(np.linalg.norm(body.semi_axes * v))
+                table = c ** (-s) * rates._cumulative_profile(d, s, zs)
+                for z, got in zip(zs, table):
+                    want = rates._radial_decay(body, v, z / c, s, t)
+                    worst = max(worst, abs(got - want) / want)
+        assert worst <= rel
+
+    def test_values_independent_of_table_growth(self, monkeypatch):
+        monkeypatch.setattr(rates, "_PROFILE_TABLES", {})
+        zs = np.array([0.3, 0.9, 7.5, 100.25, 2000.0])
+        before = rates._cumulative_profile(2, 2.5, zs)
+        small_table = rates._PROFILE_TABLES[(2, 2.5)].copy()
+        rates._cumulative_profile(2, 2.5, np.array([3.0e5]))
+        grown = rates._PROFILE_TABLES[(2, 2.5)]
+        assert grown.size > 100 * small_table.size
+        assert np.array_equal(grown[:small_table.size], small_table)
+        assert np.array_equal(rates._cumulative_profile(2, 2.5, zs), before)
+        # and a table built large in one go holds the same entries
+        monkeypatch.setattr(rates, "_PROFILE_TABLES", {})
+        rates._cumulative_profile(2, 2.5, np.array([3.0e5]))
+        assert np.array_equal(rates._PROFILE_TABLES[(2, 2.5)], grown)
+
+    def test_decay_integral_independent_of_history_and_process(self, monkeypatch):
+        monkeypatch.setattr(rates, "_PROFILE_TABLES", {})
+        m = RadialPowerMeasure.with_total_mass(2.5, 1.0, 1.0, dim=2)
+        body, t = Ellipsoid((2.0, 1.0)), [100.0, 130.0]
+        first = decay_integral(body, m, t, rel_tol=1e-6)
+        decay_integral(body, m, [1.0e5, 1.3e5], rel_tol=1e-3)  # grows the table
+        assert decay_integral(body, m, t, rel_tol=1e-6) == first
+        code = ("from ergrates.geometry import Ellipsoid\n"
+                "from ergrates.rates import decay_integral\n"
+                "from ergrates.spectral import RadialPowerMeasure\n"
+                "m = RadialPowerMeasure.with_total_mass(2.5, 1.0, 1.0, dim=2)\n"
+                "print(repr(decay_integral(Ellipsoid((2.0, 1.0)), m, [100.0, 130.0], 1e-6)))\n")
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.stdout.strip() == repr(first), res.stderr
 
 
 class TestLevelform:
@@ -370,6 +479,10 @@ class TestGrids:
         assert g.shape[1] == 2
         for t in g:
             assert sec.contains(t)
+
+    def test_sector_grid_refuses_points_outside_the_sector(self):
+        with pytest.raises(ValueError, match="leaves the sector"):
+            sector_grid(2.0, 2, [-1.0, 10.0])
 
 
 class TestEquivalenceChecker:
