@@ -139,6 +139,11 @@ def orthant_directions(phi, theta=None) -> np.ndarray:
     return np.stack([st * math.cos(phi), st * math.sin(phi), np.cos(theta)], axis=-1)
 
 
+# rows of directions per call of the angular integrand in d = 3: whole phi
+# lines are batched up to this count, which bounds the transient arrays
+_ROWS_PER_CALL = 4096
+
+
 def orthant_integral(alphas, g, breaks, order: int, theta_breaks=None) -> float:
     """2^d times the integral of g over the first orthant of the unit sphere.
 
@@ -148,6 +153,8 @@ def orthant_integral(alphas, g, breaks, order: int, theta_breaks=None) -> float:
     e_1 (breaks and order unused).  In d = 2 and 3 the azimuth phi runs
     over `breaks`; in d = 3 the polar angle theta runs over
     `theta_breaks(phi)` and the sin(theta) surface element is included.
+    g is called on batches of rows (in d = 3, of whole phi lines), so it
+    must treat every row on its own.
     """
     d = len(alphas)
     if d == 1:
@@ -160,11 +167,19 @@ def orthant_integral(alphas, g, breaks, order: int, theta_breaks=None) -> float:
     if d == 2:
         return 4.0 * float(np.sum(g(orthant_directions(phi)) * w_phi))
     # theta end behavior: sin(theta)^(a1+a2-1) at 0, cos(theta)^(a3-1) at pi/2
+    rules = [segment_rules(theta_breaks(ph), exp_lo=a1 + a2 - 1.0,
+                           exp_hi=alphas[2] - 1.0, order=order) for ph in phi]
+    # one call of g per batch of whole phi lines, at most _ROWS_PER_CALL rows
+    per_call = max(1, _ROWS_PER_CALL // max(th.size for th, _ in rules))
     total = 0.0
-    for ph, wph in zip(phi, w_phi):
-        th, w_th = segment_rules(theta_breaks(ph), exp_lo=a1 + a2 - 1.0,
-                                 exp_hi=alphas[2] - 1.0, order=order)
-        total += wph * float(np.sum(g(orthant_directions(ph, th)) * np.sin(th) * w_th))
+    for i in range(0, len(rules), per_call):
+        batch = range(i, min(i + per_call, len(rules)))
+        vals = g(np.concatenate([orthant_directions(phi[k], rules[k][0]) for k in batch]))
+        start = 0
+        for k in batch:
+            th, w_th = rules[k]
+            total += w_phi[k] * float(np.sum(vals[start:start + th.size] * np.sin(th) * w_th))
+            start += th.size
     return 8.0 * float(total)
 
 

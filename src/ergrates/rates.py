@@ -21,6 +21,8 @@ singular integral int |x|^(-(d+1)) dsigma inside bounded-ratio sectors
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -30,7 +32,7 @@ from scipy import optimize
 from scipy.stats import theilslopes
 
 from .fourier import ratio_abs_sq, unit_ball_profile
-from .geometry import Ball, ConvexBody, Ellipsoid, as_vec, unit_ball_volume, width
+from .geometry import Ball, ConvexBody, Cube, as_vec, unit_ball_volume
 from .quadrature import (
     QuadratureBudgetError,
     end_power_rule,
@@ -233,14 +235,14 @@ def decay_integral_atomic(body: ConvexBody, m: AtomicMeasure, t) -> float:
     return float(np.sum(m.weight_array * ratio_abs_sq(body, pts)))
 
 
-# One budget for every radial rule, per direction or tabulated: 2^20 panels
-# of a quarter period each (z up to about 8e5), far beyond any dilation the
-# sweeps use; larger supports are refused before anything is allocated.
+# One budget for every radial integral: 2^20 table panels of a quarter
+# period each (z up to about 8e5), far beyond any dilation the sweeps use;
+# larger supports are refused before anything is allocated.
 _MAX_RADIAL_PANELS = 1 << 20
 
 
 def _check_radial_panels(panels: float, rho: float, t: np.ndarray) -> None:
-    """Raise QuadratureBudgetError when a radial rule needs more than the budget."""
+    """Raise QuadratureBudgetError when a radial table needs more than the budget."""
     if not panels <= _MAX_RADIAL_PANELS:
         raise QuadratureBudgetError(
             f"radial quadrature over support {rho:.6g} at t={t.tolist()} needs "
@@ -248,108 +250,229 @@ def _check_radial_panels(panels: float, rho: float, t: np.ndarray) -> None:
         )
 
 
-def _radial_rule(body: ConvexBody, v: np.ndarray, rho: float, s: float, t: np.ndarray,
-                 order: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Panel rule for int_0^rho |ratio(r v)|^2 r^(s-1) dr along one direction.
-
-    Panels hold at most a quarter oscillation period of |F|^2 (frequency
-    width(K, v/|v|) * |v| in r); the panel touching r = 0 absorbs the
-    r^(s-1) power into a Jacobi rule when s != 1.
-    """
-    speed = float(np.linalg.norm(v))
-    freq = width(body, v / speed) * speed if speed > 0 else 0.0
-    panels = rho * freq * 4.0 / (2.0 * math.pi)
-    _check_radial_panels(panels, rho, t)
-    n = max(4, int(math.ceil(panels)))
-    edges = np.linspace(0.0, rho, n + 1)
-    nodes0, w0 = end_power_rule(0.0, edges[1], s - 1.0, at_lower=True,
-                                order=16 if s != 1.0 else order)
-    nodes, weights = gl_edges_rule(edges[1:], order)
-    return np.concatenate([nodes0, nodes]), np.concatenate([w0, weights])
-
-
-def _radial_decay(body: ConvexBody, v: np.ndarray, rho: float, s: float,
-                  t: np.ndarray) -> float:
-    r, w = _radial_rule(body, v, rho, s, t)
-    pts = r[:, None] * v[None, :]
-    vals = ratio_abs_sq(body, pts)
-    return float(np.sum(vals * r ** (s - 1.0) * w))
-
-
-# -- the cumulative profile G_s of balls and ellipsoids ----------------------
+# -- cumulative radial tables ------------------------------------------------
 #
-# For K = a o B(0,1) the damping along r omega is g(c r)^2, where g is the
-# normalised unit-ball profile and c = |a o omega o t|.  So the radial
-# integral along omega is
+# Every radial integral along an angular node omega (the measure has density
+# r^(s-1) on 0 < r <= rho along omega) is read off one cumulative table of a
+# fixed 1-D kernel, so each angular level is one array expression.
+#
+# Balls and ellipsoids.  For K = a o B(0,1) the damping along r omega is
+# g(c r)^2, where g is the normalised unit-ball profile and c = |a o omega o t|:
 #
 #     int_0^rho g(c r)^2 r^(s-1) dr = c^(-s) G_s(c rho),
-#     G_s(z) = int_0^z g(u)^2 u^(s-1) du,
+#     G_s(z) = int_0^z g(u)^2 u^(s-1) du                   (kind "ball", key d).
 #
-# and one table of G_s per (d, s) serves every direction, level, t and call.
-# It holds G_s at the quarter periods k pi/4 of g^2: Gauss-Jacobi-16 on the
-# first panel absorbs u^(s-1), Gauss-Legendre-8 on the others.  The table
-# grows in whole chunks of panels, each continuing the same sequential
-# cumulative sum, so an entry is a pure function of (d, s, k) and no value
+# The cube.  With a_k = t_k omega_k / 2 the damping is
+# prod_k sinc^2(a_k r) = prod_k (1 - cos b_k r) / (2 a_k^2 r^2), b_k = 2 a_k.
+# Expanding the product over m factors gives 1 + sum_j c_j cos(w_j r), with
+# the (3^m - 1)/2 frequencies w_j = |sum_k sigma_k b_k| (sigma in {-1,0,1}^m,
+# first nonzero entry +1; 4 in d = 2, 13 in d = 3) and c_j = 2 (-1/2)^|sigma|.
+# The sum vanishes to order r^(2m), so the Taylor terms of the cosines of
+# degree < 2m cancel across j, and subtracting a Taylor polynomial T_2n of
+# degree 2n <= 2m - 2 from every cosine changes nothing.  Hence
+#
+#     int_0^rho prod_k sinc^2(a_k r) r^(s-1) dr
+#         = (prod_k 2 a_k^2)^(-1) [ [n = -1] rho^(s-2m) / (s-2m)
+#                                   + sum_j c_j w_j^(2m-s) K_{s,m}(w_j rho) ],
+#     K_{s,m}(z) = int_0^z u^(s-1-2m) (cos u - T_2n(u)) du   (kind "cube", key m),
+#
+# with n >= -1 the smallest order that makes the kernel integrable at 0
+# (T_-2 = 0); a term with w_j = 0 takes its limit.  Subtracting no more than
+# that keeps K bounded (up to a log) as z grows, so the terms do not cancel
+# polynomially large parts of each other.
+#
+# Near an axis, where a_k rho < 1, frequencies that differ by b_k nearly
+# cancel, and the rounding error grows like (max_i a_i / a_k)^2.  Such
+# factors are expanded instead in the series
+# sinc^2(x) = sum_n C_n x^(2n), C_n = (-1)^n 2^(2n+1) / (2n+2)!; a term of
+# total order N over the small factors shifts s to s + 2N on the m' others
+# (one table call per order), or is rho^(s+2N) / (s+2N) when m' = 0.
+#
+# Each table holds its integral at the quarter periods k pi/4 of g^2 (and
+# eighth periods of cos): Gauss-Jacobi-16 on the first panel absorbs the
+# kernel's power at u = 0, Gauss-Legendre-8 on the others.  Tables grow in
+# whole chunks of panels, each continuing the same sequential cumulative
+# sum, so an entry is a pure function of (kind, key, s, k) and no value
 # depends on how far the table had grown before.
 
 _QUARTER = math.pi / 4.0
 _FIRST_ORDER = 16
 _PANEL_ORDER = 8
 _CHUNK_PANELS = 1024  # 8192 nodes per growth step: well under 1 MB transient
-_PROFILE_TABLES: dict[tuple[int, float], np.ndarray] = {}
+_QUERY_BLOCK = 512  # queries per block of partial cells: 4096 nodes at a time
+_TABLES: dict[tuple[str, int, float], np.ndarray] = {}
+
+# The cube kernel's smooth factor is summed as its Taylor series below
+# _SERIES_TOP, where cos u - T_2n(u) cancels; the last of 24 terms is below
+# 1e-32 of the sum there.
+_SERIES_TOP = 4.0
+_SERIES_TERMS = 24
+# An axis factor with a_k rho below _SMALL_AXIS takes the sinc^2 series;
+# |C_n| x^(2n) < 1e-19 for x <= 1 from n = 12 on.
+_SMALL_AXIS = 1.0
+_SINC2_ORDERS = 13
+_SINC2_SERIES = np.array([(-1.0) ** n * 2.0 ** (2 * n + 1) / math.factorial(2 * n + 2)
+                          for n in range(_SINC2_ORDERS)])
 
 
-def _profile_integrand(d: int, s: float, u: np.ndarray) -> np.ndarray:
-    g = unit_ball_profile(d, u) / unit_ball_volume(d)
-    return g * g * u ** (s - 1.0)
+def _taylor_order(m: int, s: float) -> int:
+    """Smallest n >= -1 with s - 2m + 2n + 2 > 0: K_{s,m} subtracts T_2n."""
+    return max(-1, math.floor(m - 1 - s / 2.0) + 1)
 
 
-def _profile_table(d: int, s: float, k_top: int) -> np.ndarray:
-    """G_s(k pi/4) for k = 0, 1, ... and at least up to k_top (read-only)."""
-    cum = _PROFILE_TABLES.get((d, s))
+def _end_exponent(kind: str, key: int, s: float) -> float:
+    """Power of u at u = 0 that the table's first-panel Jacobi rule absorbs."""
+    if kind == "ball":
+        return s - 1.0
+    return s - 2 * key + 2 * _taylor_order(key, s) + 1.0
+
+
+@functools.cache
+def _remainder_series(n: int) -> np.ndarray:
+    """Coefficients in v = u^2 of (cos u - T_2n(u)) / u^(2n+2)."""
+    return np.array([(-1.0) ** (n + 1 + i) / math.factorial(2 * (n + 1 + i))
+                     for i in range(_SERIES_TERMS)])
+
+
+def _cosine_remainder(n: int, u: np.ndarray) -> np.ndarray:
+    """(cos u - T_2n(u)) / u^(2n+2), smooth and even; cos u when n = -1."""
+    if n < 0:
+        return np.cos(u)
+    out = np.empty(u.shape)
+    near = u < _SERIES_TOP
+    out[near] = np.polynomial.polynomial.polyval(u[near] ** 2, _remainder_series(n))
+    far = u[~near]
+    taylor = sum((-1.0) ** i * far ** (2 * i) / math.factorial(2 * i) for i in range(n + 1))
+    out[~near] = (np.cos(far) - taylor) / far ** (2 * n + 2)
+    return out
+
+
+def _table_integrand(kind: str, key: int, s: float, u: np.ndarray) -> np.ndarray:
+    if kind == "ball":
+        g = unit_ball_profile(key, u) / unit_ball_volume(key)
+        return g * g * u ** (s - 1.0)
+    return u ** _end_exponent(kind, key, s) * _cosine_remainder(_taylor_order(key, s), u)
+
+
+def _table(kind: str, key: int, s: float, k_top: int) -> np.ndarray:
+    """The integral up to k pi/4 for k = 0, 1, ... and at least up to k_top (read-only)."""
+    cum = _TABLES.get((kind, key, s))
     if cum is not None and cum.size > k_top:
         return cum
     if cum is None:
-        u, w = end_power_rule(0.0, _QUARTER, s - 1.0, at_lower=True, order=_FIRST_ORDER)
-        cum = np.array([0.0, np.sum(_profile_integrand(d, s, u) * w)])
+        u, w = end_power_rule(0.0, _QUARTER, _end_exponent(kind, key, s), at_lower=True,
+                              order=_FIRST_ORDER)
+        cum = np.array([0.0, np.sum(_table_integrand(kind, key, s, u) * w)])
     chunks = [cum]
     k0 = cum.size - 1  # the next panel is [k0 pi/4, (k0 + 1) pi/4]
     while k0 < k_top:
         u, w = gl_edges_rule(_QUARTER * np.arange(k0, k0 + _CHUNK_PANELS + 1), _PANEL_ORDER)
-        panels = np.sum((_profile_integrand(d, s, u) * w).reshape(-1, _PANEL_ORDER), axis=1)
+        panels = np.sum((_table_integrand(kind, key, s, u) * w).reshape(-1, _PANEL_ORDER),
+                        axis=1)
         chunks.append(np.cumsum(np.concatenate(([chunks[-1][-1]], panels)))[1:])
         k0 += _CHUNK_PANELS
     cum = np.concatenate(chunks)
     cum.flags.writeable = False
-    _PROFILE_TABLES[(d, s)] = cum
+    _TABLES[(kind, key, s)] = cum
     return cum
 
 
-def _cumulative_profile(d: int, s: float, z: np.ndarray) -> np.ndarray:
-    """G_s(z) for an array of z >= 0: a table entry plus one partial cell.
+def _cumulative(kind: str, key: int, s: float, z: np.ndarray) -> np.ndarray:
+    """The table's integral up to each z > 0: a table entry plus one partial cell.
 
     The partial cell is Gauss-Legendre-8 on [floor(z / (pi/4)) pi/4, z];
-    below pi/4 the whole of [0, z] is one Gauss-Jacobi-16 rule.
+    below pi/4 the whole of [0, z] is one Gauss-Jacobi-16 rule.  Queries
+    go through in blocks of _QUERY_BLOCK, which bounds the transient node
+    arrays; every value depends on its own z alone.
     """
     k = np.floor(z / _QUARTER).astype(np.int64)
-    cum = _profile_table(d, s, int(np.max(k)))
+    cum = _table(kind, key, s, int(np.max(k)))
     out = np.empty(z.shape)
-    first = k == 0
-    if np.any(first):
-        u, w = end_power_rule(0.0, z[first, None], s - 1.0, at_lower=True,
-                              order=_FIRST_ORDER)
-        out[first] = np.sum(_profile_integrand(d, s, u) * w, axis=1)
-    rest = ~first
-    if np.any(rest):
-        kr = k[rest]
-        u, w = end_power_rule(_QUARTER * kr[:, None], z[rest, None], 0.0, at_lower=True,
-                              order=_PANEL_ORDER)
-        out[rest] = cum[kr] + np.sum(_profile_integrand(d, s, u) * w, axis=1)
+    for lo in range(0, z.size, _QUERY_BLOCK):
+        zb, kb = z[lo:lo + _QUERY_BLOCK], k[lo:lo + _QUERY_BLOCK]
+        ob = out[lo:lo + _QUERY_BLOCK]
+        first = kb == 0
+        if np.any(first):
+            u, w = end_power_rule(0.0, zb[first, None], _end_exponent(kind, key, s),
+                                  at_lower=True, order=_FIRST_ORDER)
+            ob[first] = np.sum(_table_integrand(kind, key, s, u) * w, axis=1)
+        rest = ~first
+        if np.any(rest):
+            kr = kb[rest]
+            u, w = end_power_rule(_QUARTER * kr[:, None], zb[rest, None], 0.0, at_lower=True,
+                                  order=_PANEL_ORDER)
+            ob[rest] = cum[kr] + np.sum(_table_integrand(kind, key, s, u) * w, axis=1)
+    return out
+
+
+@functools.cache
+def _cosine_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signs sigma (rows, first nonzero +1) and coefficients c of prod_k (1 - cos b_k r) - 1."""
+    # a sign tuple beats its negation exactly when its first nonzero entry is +1
+    sigma = np.array([sg for sg in itertools.product((-1, 0, 1), repeat=m)
+                      if sg > tuple(-v for v in sg)], dtype=float)
+    coef = 2.0 * (-0.5) ** np.count_nonzero(sigma, axis=1)
+    return sigma, coef
+
+
+def _cosine_sum_radial(a: np.ndarray, rho: np.ndarray, s: float) -> np.ndarray:
+    """int_0^rho prod_k sinc^2(a_k r) r^(s-1) dr by the K_{s,m} identity, rows of a > 0."""
+    m = a.shape[1]
+    sigma, coef = _cosine_terms(m)
+    w = np.abs((2.0 * a) @ sigma.T)
+    z = w * rho[:, None]
+    # the constant 1 of the product, and any term with w = 0, integrates
+    # r^(s-1-2m) when nothing is subtracted (n = -1), else it cancels
+    flat = rho ** (s - 2 * m) / (s - 2 * m) if _taylor_order(m, s) < 0 else 0.0 * rho
+    terms = np.repeat(flat[:, None], z.shape[1], axis=1)
+    pos = z > 0.0
+    if np.any(pos):
+        terms[pos] = w[pos] ** (2 * m - s) * _cumulative("cube", m, s, z[pos])
+    return (terms @ coef + flat) / np.prod(2.0 * a * a, axis=1)
+
+
+def _cube_radial(a: np.ndarray, rho: np.ndarray, s: float) -> np.ndarray:
+    """int_0^rho prod_k sinc^2(a_k r) r^(s-1) dr for rows of a > 0 and rho.
+
+    Directions are grouped by which factors are near their axis
+    (a_k rho < 1); those take the sinc^2 series, grouped by total order.
+    """
+    small = a * rho[:, None] < _SMALL_AXIS
+    out = np.empty(rho.shape)
+    for mask in np.unique(small, axis=0):
+        rows = np.all(small == mask, axis=1)
+        ar, rr = a[rows], rho[rows]
+        full = ar[:, ~mask]
+        if not mask.any():
+            out[rows] = _cosine_sum_radial(full, rr, s)
+            continue
+        # series coefficients of prod over the small factors, by total order
+        coef = np.zeros((rr.size, _SINC2_ORDERS))
+        coef[:, 0] = 1.0
+        for x2 in (ar[:, mask] ** 2).T:
+            powers = _SINC2_SERIES[None, :] * x2[:, None] ** np.arange(_SINC2_ORDERS)
+            coef = np.stack([np.sum(coef[:, :j + 1] * powers[:, j::-1], axis=1)
+                             for j in range(_SINC2_ORDERS)], axis=1)
+        total = np.zeros(rr.size)
+        for order in range(_SINC2_ORDERS):
+            s_n = s + 2.0 * order
+            rest = (rr ** s_n / s_n if full.shape[1] == 0
+                    else _cosine_sum_radial(full, rr, s_n))
+            total += coef[:, order] * rest
+        out[rows] = total
     return out
 
 
 def _refine(level_value: Callable[[int], float], levels, rel_tol: float, t: np.ndarray) -> float:
-    """First level value within rel_tol of the one before it; raises past the last level."""
+    """First level value within rel_tol of the one before it; raises past the last level.
+
+    A rel_tol below double precision is refused at once: two levels that
+    agree to the last bit do not show an error that small.
+    """
+    if rel_tol < np.finfo(float).eps:
+        raise QuadratureBudgetError(
+            f"rel_tol={rel_tol:g} is below double precision; no refinement can confirm it"
+        )
     prev = level_value(levels[0])
     for level in levels[1:]:
         cur = level_value(level)
@@ -361,15 +484,26 @@ def _refine(level_value: Callable[[int], float], levels, rel_tol: float, t: np.n
     )
 
 
+def _axis_graded(scale: float) -> list[float]:
+    """scale * 2^j for j >= 0 below pi/4: angular breaks graded toward an axis."""
+    out = []
+    while scale < math.pi / 4:
+        out.append(scale)
+        scale *= 2.0
+    return out
+
+
 def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
     """Angular-adaptive quadrature of I(t) over the power measure's directions.
 
-    Along each angular node the radial integral of a ball or an ellipsoid is
-    c^(-s) G_s(rho c) from the cumulative profile table, one array
-    expression per level; the cube's is a per-direction panel rule of a
-    quarter oscillation period.  The integrand is even in every coordinate
-    of x for all supported bodies, so only the first orthant of angles is
-    integrated.
+    Along each angular node the radial integral is read off a cumulative
+    table, one array expression per level: c^(-s) G_s(rho c) for a ball or
+    an ellipsoid, the K_{s,m} cosine sum (with the sinc^2 series for
+    factors near their axis) for the cube.  The cube's angular breaks are
+    graded toward each axis, where its sinc^2 factors form boundary layers
+    of width about 2 pi / (t_k rho).  The integrand is even in every
+    coordinate of x for all supported bodies, so only the first orthant of
+    angles is integrated.
     """
     d = m.dim
     t = as_vec(t, dim=d)
@@ -377,8 +511,19 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
         raise ValueError("t must be positive in every coordinate")
     s = m.radial_order
     alphas = m.angular_alphas
+    is_cube = isinstance(body, Cube)
+    if is_cube:
+        if body.dim != d:
+            raise ValueError(f"dimension mismatch: expected {body.dim}, got {d}")
 
-    if isinstance(body, (Ball, Ellipsoid)):
+        def angular_value(om_rows: np.ndarray) -> np.ndarray:
+            a = 0.5 * om_rows * t[None, :]
+            rho = m.support_profile(om_rows)
+            z = rho * np.sum(2.0 * a, axis=1)  # the largest frequency times rho
+            top = int(np.argmax(z))
+            _check_radial_panels(z[top] / _QUARTER, float(rho[top]), t)
+            return m.angular_density(om_rows) * _cube_radial(a, rho, s)
+    else:
         axes = body.semi_axes
 
         def angular_value(om_rows: np.ndarray) -> np.ndarray:
@@ -389,27 +534,30 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
             z = rho * c
             top = int(np.argmax(z))
             _check_radial_panels(z[top] / _QUARTER, float(rho[top]), t)
-            return m.angular_density(om_rows) * c ** (-s) * _cumulative_profile(d, s, z)
-    else:
-        def angular_value(om_rows: np.ndarray) -> np.ndarray:
-            dens = m.angular_density(om_rows)
-            rho = m.support_profile(om_rows)
-            out = np.empty(om_rows.shape[0])
-            for i in range(om_rows.shape[0]):
-                out[i] = dens[i] * _radial_decay(body, om_rows[i] * t, rho[i], s, t)
-            return out
+            return m.angular_density(om_rows) * c ** (-s) * _cumulative("ball", d, s, z)
 
     if d == 1:
         return orthant_integral(alphas, angular_value, (), 0)
 
+    def layers(t_k: float) -> list[float]:
+        """Breaks graded toward an axis whose factor has dilation t_k (cube only)."""
+        if not is_cube:
+            return []
+        rho_max = (m.radius if isinstance(m, RadialPowerMeasure)
+                   else math.hypot(*m.halfwidths))
+        return _axis_graded(2.0 * math.pi / (t_k * rho_max))
+
+    # phi: omega_2 -> 0 at phi = 0, omega_1 -> 0 at phi = pi/2
+    phi_base = ({0.0, math.pi / 2} | set(layers(t[1]))
+                | {math.pi / 2 - b for b in layers(t[0])})
+
     if d == 2:
-        base = {0.0, math.pi / 2}
         if isinstance(m, AnisotropicPowerMeasure):
             # the support box's corner direction is a kink of the radial extent
-            base.add(math.atan2(m.halfwidths[1], m.halfwidths[0]))
+            phi_base.add(math.atan2(m.halfwidths[1], m.halfwidths[0]))
 
         def level_value(splits: int) -> float:
-            breaks = sorted(base)
+            breaks = sorted(phi_base)
             for _ in range(splits):
                 mids = [(a + b) / 2 for a, b in zip(breaks[:-1], breaks[1:])]
                 breaks = sorted(set(breaks) | set(mids))
@@ -418,13 +566,19 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
         return _refine(level_value, range(1, 7), rel_tol, t)
 
     if d == 3:
-        # equal segments, the same in phi and theta, at fixed order; adequate
-        # for the moderate |t| this path sees (the acceptance-scale sweeps
-        # are all 2-D)
+        # theta: omega_1, omega_2 -> 0 at theta = 0, omega_3 -> 0 at theta = pi/2
+        theta_base = ({0.0, math.pi / 2} | set(layers(max(t[0], t[1])))
+                      | {math.pi / 2 - b for b in layers(t[2])})
+
+        # equal segments, the same in phi and theta, at fixed order (joined
+        # by the cube's graded breaks); adequate for the moderate |t| this
+        # path sees (the acceptance-scale sweeps are all 2-D)
         def level_value(n_seg: int) -> float:
-            breaks = list(np.linspace(0.0, math.pi / 2, n_seg + 1))
+            equal = set(np.linspace(0.0, math.pi / 2, n_seg + 1).tolist())
+            breaks = sorted(equal | phi_base)
+            theta_breaks = sorted(equal | theta_base)
             return orthant_integral(alphas, angular_value, breaks, 12,
-                                    theta_breaks=lambda phi: breaks)
+                                    theta_breaks=lambda phi: theta_breaks)
 
         return _refine(level_value, (2, 4, 8, 16), rel_tol, t)
 
@@ -435,11 +589,12 @@ def decay_integral(body: ConvexBody, m: SpectralMeasure, t, rel_tol: float = 1e-
     """I(t) for any supported measure; dispatches per family.
 
     Atomic parts are exact sums; continuous parts use angular-radial
-    quadrature.  Along each direction a ball or an ellipsoid takes its
-    radial integral from the cached cumulative profile G_s; the cube's
-    radial integral is panelized to a quarter oscillation period.  Raises
-    QuadratureBudgetError when the angular refinement cannot reach rel_tol
-    or a radial integral needs more panels than the budget.
+    quadrature.  Along each direction the radial integral is read off a
+    cached cumulative table: the profile G_s for a ball or an ellipsoid,
+    the cosine kernel K_{s,m} for the cube.  Raises QuadratureBudgetError
+    when the angular refinement cannot reach rel_tol (or rel_tol is below
+    double precision) or a radial integral needs more panels than the
+    budget.
     """
     if isinstance(m, AtomicMeasure):
         return decay_integral_atomic(body, m, t)

@@ -4,8 +4,11 @@ Oracles: QUADPACK on the polar reduction of I(t) with scipy's own Bessel
 evaluations (independent of the panel rules and the profile code under
 test), the distribution-function route against the quadrature route, the
 exact Weber-Schafheitlin large-t constant of radial measures on balls,
-the per-direction panel rule against the cumulative profile table, and
-synthetic ladders with known exponents for the fitter.
+a test-local per-direction panel rule against the cumulative tables,
+mpmath for the cube's radial integrals one direction at a time, for the
+cube a Cartesian Si-function reference (radial) and the separable product
+of 1-D QUADPACK integrals (aniso) with the Gradshteyn-Ryzhik 3.823 limit,
+and synthetic ladders with known exponents for the fitter.
 """
 
 import math
@@ -19,7 +22,7 @@ import pytest
 from scipy import integrate, special
 
 import ergrates
-from ergrates import rates
+from ergrates import quadrature, rates
 from ergrates.geometry import Ball, Cube, Ellipsoid, unit_ball_volume
 from ergrates.rates import (
     Sector,
@@ -228,8 +231,20 @@ class TestWeberSchafheitlinLimit:
         assert math.log10(hi / lo) == pytest.approx(-(d + 1 - gamma), abs=0.05)
 
 
+def panel_radial(body, v, rho, s, order=8):
+    """int_0^rho |ratio(r v)|^2 r^(s-1) dr by panels of a quarter oscillation
+    period: Gauss-Jacobi-16 on the first panel absorbs r^(s-1)."""
+    freq = sum(abs(x) for x in v) if isinstance(body, Cube) else float(
+        2.0 * np.linalg.norm(body.semi_axes * v))
+    edges = np.linspace(0.0, rho, max(4, math.ceil(rho * freq * 4.0 / (2.0 * math.pi))) + 1)
+    r0, w0 = quadrature.end_power_rule(0.0, edges[1], s - 1.0, at_lower=True, order=16)
+    r1, w1 = quadrature.gl_edges_rule(edges[1:], order)
+    r, w = np.concatenate([r0, r1]), np.concatenate([w0, w1])
+    return float(np.sum(ratio_abs_sq(body, r[:, None] * v[None, :]) * r ** (s - 1.0) * w))
+
+
 class TestCumulativeProfile:
-    """The G_s table against the per-direction panel rule, and its history."""
+    """The G_s table against a per-direction panel rule, and its history."""
 
     # The d = 3 closed form of the profile cancels for small u (relative
     # error about 3e-16 / u^2, 3e-10 at its series switch u = 1e-3).  Both
@@ -254,43 +269,188 @@ class TestCumulativeProfile:
                 t = rng.uniform(1.0, 50.0, size=d)
                 v = om * t
                 c = float(np.linalg.norm(body.semi_axes * v))
-                table = c ** (-s) * rates._cumulative_profile(d, s, zs)
+                table = c ** (-s) * rates._cumulative("ball", d, s, zs)
                 for z, got in zip(zs, table):
-                    want = rates._radial_decay(body, v, z / c, s, t)
+                    want = panel_radial(body, v, z / c, s)
                     worst = max(worst, abs(got - want) / want)
         assert worst <= rel
 
     def test_values_independent_of_table_growth(self, monkeypatch):
-        monkeypatch.setattr(rates, "_PROFILE_TABLES", {})
         zs = np.array([0.3, 0.9, 7.5, 100.25, 2000.0])
-        before = rates._cumulative_profile(2, 2.5, zs)
-        small_table = rates._PROFILE_TABLES[(2, 2.5)].copy()
-        rates._cumulative_profile(2, 2.5, np.array([3.0e5]))
-        grown = rates._PROFILE_TABLES[(2, 2.5)]
-        assert grown.size > 100 * small_table.size
-        assert np.array_equal(grown[:small_table.size], small_table)
-        assert np.array_equal(rates._cumulative_profile(2, 2.5, zs), before)
-        # and a table built large in one go holds the same entries
-        monkeypatch.setattr(rates, "_PROFILE_TABLES", {})
-        rates._cumulative_profile(2, 2.5, np.array([3.0e5]))
-        assert np.array_equal(rates._PROFILE_TABLES[(2, 2.5)], grown)
+        for kind, key in (("ball", 2), ("cube", 2)):
+            monkeypatch.setattr(rates, "_TABLES", {})
+            before = rates._cumulative(kind, key, 2.5, zs)
+            small_table = rates._TABLES[(kind, key, 2.5)].copy()
+            rates._cumulative(kind, key, 2.5, np.array([3.0e5]))
+            grown = rates._TABLES[(kind, key, 2.5)]
+            assert grown.size > 100 * small_table.size
+            assert np.array_equal(grown[:small_table.size], small_table)
+            assert np.array_equal(rates._cumulative(kind, key, 2.5, zs), before)
+            # and a table built large in one go holds the same entries
+            monkeypatch.setattr(rates, "_TABLES", {})
+            rates._cumulative(kind, key, 2.5, np.array([3.0e5]))
+            assert np.array_equal(rates._TABLES[(kind, key, 2.5)], grown)
 
     def test_decay_integral_independent_of_history_and_process(self, monkeypatch):
-        monkeypatch.setattr(rates, "_PROFILE_TABLES", {})
+        monkeypatch.setattr(rates, "_TABLES", {})
         m = RadialPowerMeasure.with_total_mass(2.5, 1.0, 1.0, dim=2)
-        body, t = Ellipsoid((2.0, 1.0)), [100.0, 130.0]
-        first = decay_integral(body, m, t, rel_tol=1e-6)
-        decay_integral(body, m, [1.0e5, 1.3e5], rel_tol=1e-3)  # grows the table
-        assert decay_integral(body, m, t, rel_tol=1e-6) == first
-        code = ("from ergrates.geometry import Ellipsoid\n"
+        first = [decay_integral(body, m, [100.0, 130.0], rel_tol=1e-6)
+                 for body in (Ellipsoid((2.0, 1.0)), Cube(2))]
+        for body in (Ellipsoid((2.0, 1.0)), Cube(2)):  # grow the tables
+            decay_integral(body, m, [1.0e5, 1.3e5], rel_tol=1e-3)
+        assert [decay_integral(body, m, [100.0, 130.0], rel_tol=1e-6)
+                for body in (Ellipsoid((2.0, 1.0)), Cube(2))] == first
+        code = ("from ergrates.geometry import Cube, Ellipsoid\n"
                 "from ergrates.rates import decay_integral\n"
                 "from ergrates.spectral import RadialPowerMeasure\n"
                 "m = RadialPowerMeasure.with_total_mass(2.5, 1.0, 1.0, dim=2)\n"
-                "print(repr(decay_integral(Ellipsoid((2.0, 1.0)), m, [100.0, 130.0], 1e-6)))\n")
+                "print(repr([decay_integral(b, m, [100.0, 130.0], 1e-6)\n"
+                "            for b in (Ellipsoid((2.0, 1.0)), Cube(2))]))\n")
         env = dict(os.environ, PYTHONPATH=SRC_DIR)
         res = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=60)
         assert res.stdout.strip() == repr(first), res.stderr
+
+
+def mp_cube_radial(a, rho, s):
+    """int_0^rho prod_k sinc^2(a_k r) r^(s-1) dr in mpmath, through r = v^(1/s)
+    (which makes the weight flat), split at every period of the fastest
+    frequency in the product."""
+    with mpmath.workdps(20):
+        a = [mpmath.mpf(float(x)) for x in a]
+        s = mpmath.mpf(s)
+
+        def f(v):
+            r = v ** (1 / s)
+            out = 1 / s
+            for ak in a:
+                out *= mpmath.sinc(ak * r) ** 2
+            return out
+
+        n = max(2, int(sum(2 * float(x) for x in a) * rho / (2 * math.pi)) + 2)
+        return float(mpmath.quad(f, [(mpmath.mpf(rho) * i / n) ** s for i in range(n + 1)]))
+
+
+class TestCubeKernel:
+    """The cube's radial integral from the K_{s,m} tables and the small-axis
+    series, one direction at a time, against mpmath."""
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("t, om, rel", [
+        ((10.0,), (1.0,), 1e-11),
+        ((0.5,), (1.0,), 1e-11),  # a_1 rho < 1: the series alone
+        ((10.0, 13.0), (math.cos(0.3), math.sin(0.3)), 1e-11),
+        ((10.0, 13.0), (math.cos(1e-7), math.sin(1e-7)), 1e-11),
+        ((10.0, 13.0), (math.sin(1e-7), math.cos(1e-7)), 1e-11),
+        ((10.0, 10.0), (math.sqrt(0.5), math.sqrt(0.5)), 1e-11),  # a_1 = a_2 exactly
+        ((30.0, 40.0), (math.cos(0.0525), math.sin(0.0525)), 1e-11),  # a_2 rho just over 1
+        ((8.0, 12.0, 16.0), (0.48, 0.6, 0.64), 1e-9),
+        ((8.0, 12.0, 16.0), (1e-7, 0.6, 0.8), 1e-9),
+        ((8.0, 12.0, 16.0), (1e-7, 1e-7, 1.0), 1e-9),
+        ((8.0, 8.0, 16.0), (0.6, 0.6, math.sqrt(0.28)), 1e-9),  # a_1 = a_2 exactly
+    ])
+    def test_matches_mpmath(self, t, om, s, rel):
+        a = 0.5 * np.array(t) * np.array(om)
+        got = rates._cube_radial(a[None, :], np.array([1.0]), s)[0]
+        want = mp_cube_radial(a, 1.0, s)
+        assert abs(got - want) <= rel * want
+
+    def test_matches_panel_rule_on_random_directions(self):
+        rng = np.random.default_rng(307)
+        worst = {2: 0.0, 3: 0.0}
+        for d in (2, 3):
+            for _ in range(40):
+                om = np.abs(rng.normal(size=d))
+                om /= np.linalg.norm(om)
+                t = rng.uniform(5.0, 900.0, size=d)
+                rho, s = rng.uniform(0.3, 1.5), float(rng.choice([0.5, 1.0, 2.2, 3.0, 3.5]))
+                got = rates._cube_radial(0.5 * (om * t)[None, :], np.array([rho]), s)[0]
+                want = panel_radial(Cube(d), om * t, rho, s)
+                worst[d] = max(worst[d], abs(got - want) / want)
+        assert worst[2] <= 1e-11 and worst[3] <= 1e-9
+
+
+def si_cube_radial2(t):
+    """I(t) for the unit square and radial:2,1,1 (density 1/pi on the unit
+    disk), Cartesian and independent of the package: integrating the t_2
+    factor over the chord in closed form,
+
+        I = (4/pi) int_0^(pi/2) sinc^2(t_1 sin th / 2) (2/t_2) S(t_2 cos th / 2) cos th dth,
+        S(z) = int_0^z sin^2(u)/u^2 du = Si(2z) - sin^2(z)/z."""
+    t1, t2 = t
+
+    def f(th):
+        x, z = 0.5 * t1 * math.sin(th), 0.5 * t2 * math.cos(th)
+        s_z = special.sici(2.0 * z)[0] - math.sin(z) ** 2 / z if z > 0.0 else 0.0
+        return (math.sin(x) / x if x > 0.0 else 1.0) ** 2 * (2.0 / t2) * s_z * math.cos(th)
+
+    edges = np.linspace(0.0, math.pi / 2, int(max(t) / 4) + 9)
+    return 4.0 / math.pi * sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12)[0]
+                               for a, b in zip(edges[:-1], edges[1:]))
+
+
+def sinc_moment(t, alpha, h):
+    """int_0^h sinc^2(t x / 2) x^(alpha-1) dx by QUADPACK, one period at a time;
+    the first period carries x^(alpha-1) as an algebraic weight."""
+    def f(x):
+        return (math.sin(0.5 * t * x) / (0.5 * t * x)) ** 2 if x > 0.0 else 1.0
+
+    edges = np.append(np.arange(0.0, h, 2.0 * math.pi / t), h)
+    total = integrate.quad(f, 0.0, edges[1], weight="alg", wvar=(alpha - 1.0, 0.0),
+                           epsabs=0.0, epsrel=1e-13)[0]
+    for a, b in zip(edges[1:-1], edges[2:]):
+        total += integrate.quad(lambda x: f(x) * x ** (alpha - 1.0), a, b,
+                                epsabs=0.0, epsrel=1e-13)[0]
+    return total
+
+
+class TestCubeReferences:
+    """Cube I(t) against references that share no code with the package."""
+
+    # the rungs that stopped falsely at 13.4-13.6x rel_tol under the former
+    # per-direction panel rule: perfbench ladder seed 307 p = 701.7 and
+    # seeds 31 and 32 p = 1000
+    @pytest.mark.parametrize("t", [
+        (701.7038286703829, 1370.7695355944722),
+        (1404.655315327742, 1000.0),
+        (1400.2822513391932, 1000.0),
+    ], ids=["seed307-p701.7", "seed31-p1000", "seed32-p1000"])
+    def test_radial2_within_tolerance_of_si_reference(self, t):
+        m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2)
+        got = decay_integral(Cube(2), m, list(t), rel_tol=1e-5)
+        want = si_cube_radial2(t)
+        assert abs(got - want) <= 1e-5 * want
+
+    def test_radial3_converges_at_large_t(self):
+        # the critical gamma = 3 exhausted the angular levels here before
+        m = RadialPowerMeasure.with_total_mass(3.0, 1.0, 1.0, dim=2)
+        got = decay_integral(Cube(2), m, [1000.0, 1300.0], rel_tol=1e-5)
+        tight = decay_integral(Cube(2), m, [1000.0, 1300.0], rel_tol=1e-7)
+        assert 0.0 < got < total_mass(m)
+        assert abs(got - tight) <= 1e-5 * tight
+
+    @pytest.mark.parametrize("t", [(10.0, 13.0), (100.0, 130.0), (700.0, 910.0)])
+    def test_aniso_matches_separable_product(self, t):
+        # damping and density are both products over the axes, so
+        # I(t) = c prod_k 2 int_0^(h_k) sinc^2(t_k x / 2) x^(alpha_k - 1) dx
+        m = AnisotropicPowerMeasure.with_total_mass((1.5, 0.7), (1.0, 1.0), 1.0)
+        want = m.scale * math.prod(2.0 * sinc_moment(tk, a, h)
+                                   for tk, a, h in zip(t, m.alphas, m.halfwidths))
+        assert decay_integral(Cube(2), m, list(t), rel_tol=1e-5) == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5])
+    def test_sinc_moment_large_t_constant(self, alpha):
+        # t^alpha int_0^inf sinc^2(t x / 2) x^(alpha-1) dx = 2^alpha G(alpha), with
+        # G(alpha) = int_0^inf (sin u / u)^2 u^(alpha-1) du
+        #          = -Gamma(alpha-2) cos((alpha-2) pi/2) / 2^(alpha-1)   (GR 3.823),
+        # pi/2 at alpha = 1.  Cut at h = 1 the tail takes off
+        # 2 t^(alpha-2) / (2 - alpha), up to 4 t^(alpha-3).
+        g = (math.pi / 2 if alpha == 1.0 else
+             -math.gamma(alpha - 2.0) * math.cos((alpha - 2.0) * math.pi / 2) / 2 ** (alpha - 1.0))
+        t = 1000.0
+        got = t ** alpha * sinc_moment(t, alpha, 1.0)
+        want = 2 ** alpha * g - 2.0 * t ** (alpha - 2.0) / (2.0 - alpha)
+        assert abs(got - want) <= 4.0 * t ** (alpha - 3.0)
 
 
 class TestLevelform:
