@@ -299,7 +299,6 @@ _QUARTER = math.pi / 4.0
 _FIRST_ORDER = 16
 _PANEL_ORDER = 8
 _CHUNK_PANELS = 1024  # 8192 nodes per growth step: well under 1 MB transient
-_QUERY_BLOCK = 512  # queries per block of partial cells: 4096 nodes at a time
 _TABLES: dict[tuple[str, int, float], np.ndarray] = {}
 
 # The cube kernel's smooth factor is summed as its Taylor series below
@@ -381,27 +380,22 @@ def _cumulative(kind: str, key: int, s: float, z: np.ndarray) -> np.ndarray:
     """The table's integral up to each z > 0: a table entry plus one partial cell.
 
     The partial cell is Gauss-Legendre-8 on [floor(z / (pi/4)) pi/4, z];
-    below pi/4 the whole of [0, z] is one Gauss-Jacobi-16 rule.  Queries
-    go through in blocks of _QUERY_BLOCK, which bounds the transient node
-    arrays; every value depends on its own z alone.
+    below pi/4 the whole of [0, z] is one Gauss-Jacobi-16 rule.
     """
     k = np.floor(z / _QUARTER).astype(np.int64)
     cum = _table(kind, key, s, int(np.max(k)))
     out = np.empty(z.shape)
-    for lo in range(0, z.size, _QUERY_BLOCK):
-        zb, kb = z[lo:lo + _QUERY_BLOCK], k[lo:lo + _QUERY_BLOCK]
-        ob = out[lo:lo + _QUERY_BLOCK]
-        first = kb == 0
-        if np.any(first):
-            u, w = end_power_rule(0.0, zb[first, None], _end_exponent(kind, key, s),
-                                  at_lower=True, order=_FIRST_ORDER)
-            ob[first] = np.sum(_table_integrand(kind, key, s, u) * w, axis=1)
-        rest = ~first
-        if np.any(rest):
-            kr = kb[rest]
-            u, w = end_power_rule(_QUARTER * kr[:, None], zb[rest, None], 0.0, at_lower=True,
-                                  order=_PANEL_ORDER)
-            ob[rest] = cum[kr] + np.sum(_table_integrand(kind, key, s, u) * w, axis=1)
+    first = k == 0
+    if np.any(first):
+        u, w = end_power_rule(0.0, z[first, None], _end_exponent(kind, key, s),
+                              at_lower=True, order=_FIRST_ORDER)
+        out[first] = np.sum(_table_integrand(kind, key, s, u) * w, axis=1)
+    rest = ~first
+    if np.any(rest):
+        kr = k[rest]
+        u, w = end_power_rule(_QUARTER * kr[:, None], z[rest, None], 0.0, at_lower=True,
+                              order=_PANEL_ORDER)
+        out[rest] = cum[kr] + np.sum(_table_integrand(kind, key, s, u) * w, axis=1)
     return out
 
 
@@ -464,15 +458,7 @@ def _cube_radial(a: np.ndarray, rho: np.ndarray, s: float) -> np.ndarray:
 
 
 def _refine(level_value: Callable[[int], float], levels, rel_tol: float, t: np.ndarray) -> float:
-    """First level value within rel_tol of the one before it; raises past the last level.
-
-    A rel_tol below double precision is refused at once: two levels that
-    agree to the last bit do not show an error that small.
-    """
-    if rel_tol < np.finfo(float).eps:
-        raise QuadratureBudgetError(
-            f"rel_tol={rel_tol:g} is below double precision; no refinement can confirm it"
-        )
+    """First level value within rel_tol of the one before it; raises past the last level."""
     prev = level_value(levels[0])
     for level in levels[1:]:
         cur = level_value(level)
@@ -499,30 +485,45 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
     Along each angular node the radial integral is read off a cumulative
     table, one array expression per level: c^(-s) G_s(rho c) for a ball or
     an ellipsoid, the K_{s,m} cosine sum (with the sinc^2 series for
-    factors near their axis) for the cube.  The cube's angular breaks are
-    graded toward each axis, where its sinc^2 factors form boundary layers
-    of width about 2 pi / (t_k rho).  The integrand is even in every
-    coordinate of x for all supported bodies, so only the first orthant of
-    angles is integrated.
+    factors near their axis) for the cube.  In d = 2 the cube's angular
+    breaks are graded toward each axis, where its sinc^2 factors form
+    boundary layers of width about 2 pi / (t_k rho).  The integrand is even
+    in every coordinate of x for all supported bodies, so only the first
+    orthant of angles is integrated.  A rel_tol below double precision is
+    refused at once: two levels that agree to the last bit do not show an
+    error that small.
     """
     d = m.dim
     t = as_vec(t, dim=d)
     if np.any(t <= 0):
         raise ValueError("t must be positive in every coordinate")
+    if rel_tol < np.finfo(float).eps:
+        raise QuadratureBudgetError(
+            f"rel_tol={rel_tol:g} is below double precision; no refinement can confirm it"
+        )
     s = m.radial_order
     alphas = m.angular_alphas
     is_cube = isinstance(body, Cube)
     if is_cube:
         if body.dim != d:
             raise ValueError(f"dimension mismatch: expected {body.dim}, got {d}")
+        # along any direction the largest frequency sum_k t_k omega_k is at
+        # most |t| and the support at most rho_max, so one check up front
+        # bounds every table read and the graded breaks below
+        rho_max = (m.radius if isinstance(m, RadialPowerMeasure)
+                   else math.hypot(*m.halfwidths))
+        _check_radial_panels(rho_max * float(np.linalg.norm(t)) / _QUARTER, rho_max, t)
 
         def angular_value(om_rows: np.ndarray) -> np.ndarray:
             a = 0.5 * om_rows * t[None, :]
-            rho = m.support_profile(om_rows)
-            z = rho * np.sum(2.0 * a, axis=1)  # the largest frequency times rho
-            top = int(np.argmax(z))
-            _check_radial_panels(z[top] / _QUARTER, float(rho[top]), t)
-            return m.angular_density(om_rows) * _cube_radial(a, rho, s)
+            with np.errstate(over="ignore", invalid="ignore"):
+                radial = _cube_radial(a, m.support_profile(om_rows), s)
+            if not np.all(np.isfinite(radial)):
+                # u^(s-1-2m) of the K_{s,m} table overflows at large s * log(z)
+                raise QuadratureBudgetError(
+                    f"the cube's radial kernel overflows for radial order {s:g} at t={t.tolist()}"
+                )
+            return m.angular_density(om_rows) * radial
     else:
         axes = body.semi_axes
 
@@ -539,19 +540,12 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
     if d == 1:
         return orthant_integral(alphas, angular_value, (), 0)
 
-    def layers(t_k: float) -> list[float]:
-        """Breaks graded toward an axis whose factor has dilation t_k (cube only)."""
-        if not is_cube:
-            return []
-        rho_max = (m.radius if isinstance(m, RadialPowerMeasure)
-                   else math.hypot(*m.halfwidths))
-        return _axis_graded(2.0 * math.pi / (t_k * rho_max))
-
-    # phi: omega_2 -> 0 at phi = 0, omega_1 -> 0 at phi = pi/2
-    phi_base = ({0.0, math.pi / 2} | set(layers(t[1]))
-                | {math.pi / 2 - b for b in layers(t[0])})
-
     if d == 2:
+        phi_base = {0.0, math.pi / 2}
+        if is_cube:
+            # phi: omega_2 -> 0 at phi = 0, omega_1 -> 0 at phi = pi/2
+            phi_base |= set(_axis_graded(2.0 * math.pi / (t[1] * rho_max)))
+            phi_base |= {math.pi / 2 - b for b in _axis_graded(2.0 * math.pi / (t[0] * rho_max))}
         if isinstance(m, AnisotropicPowerMeasure):
             # the support box's corner direction is a kink of the radial extent
             phi_base.add(math.atan2(m.halfwidths[1], m.halfwidths[0]))
@@ -566,19 +560,13 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
         return _refine(level_value, range(1, 7), rel_tol, t)
 
     if d == 3:
-        # theta: omega_1, omega_2 -> 0 at theta = 0, omega_3 -> 0 at theta = pi/2
-        theta_base = ({0.0, math.pi / 2} | set(layers(max(t[0], t[1])))
-                      | {math.pi / 2 - b for b in layers(t[2])})
-
-        # equal segments, the same in phi and theta, at fixed order (joined
-        # by the cube's graded breaks); adequate for the moderate |t| this
-        # path sees (the acceptance-scale sweeps are all 2-D)
+        # equal segments, the same in phi and theta, at fixed order; adequate
+        # for the moderate |t| this path sees (the acceptance-scale sweeps
+        # are all 2-D)
         def level_value(n_seg: int) -> float:
-            equal = set(np.linspace(0.0, math.pi / 2, n_seg + 1).tolist())
-            breaks = sorted(equal | phi_base)
-            theta_breaks = sorted(equal | theta_base)
+            breaks = list(np.linspace(0.0, math.pi / 2, n_seg + 1))
             return orthant_integral(alphas, angular_value, breaks, 12,
-                                    theta_breaks=lambda phi: theta_breaks)
+                                    theta_breaks=lambda phi: breaks)
 
         return _refine(level_value, (2, 4, 8, 16), rel_tol, t)
 

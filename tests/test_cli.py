@@ -128,6 +128,25 @@ class TestRatesCommand:
         assert "support 1e+150" in err and "t=[10.0, 10.0]" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dim, measure, support, t", [
+        ("3", "radial:2,1e150,1", "1e+150", "[10.0, 10.0, 10.0]"),
+        ("2", "radial:0.5,1e308,1", "1e+308", "[10.0, 10.0]"),
+    ], ids=["d3-1e150", "d2-inf-product"])
+    def test_cube_huge_support_refused_up_front(self, tmp_path, capsys, dim, measure,
+                                                support, t):
+        # the cube's angular breaks grow with t * rho, which overflows to
+        # inf for a support of 1e308; the budget refuses both cases first
+        out = tmp_path / "r.csv"
+        start = time.perf_counter()
+        rc = main(["rates", "--body", "cube", "--dim", dim, "--measure", measure,
+                   "--points", "2", "--out", str(out)])
+        assert time.perf_counter() - start < 10.0
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ergrates: numeric failure:") and err.count("\n") == 1
+        assert f"support {support}" in err and f"t={t}" in err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_identity_columns(self, tmp_path):

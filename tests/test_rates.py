@@ -190,6 +190,15 @@ class TestContinuous:
                     val = decay_integral(body, m, t, rel_tol=1e-4)
                     assert 0.0 <= val <= total_mass(m) * (1.0 + 1e-4)
 
+    @pytest.mark.parametrize("body", [Ball(1.0, dim=1), Ball(1.0), Cube(2), Cube(3)],
+                             ids=["ball-d1", "ball-d2", "cube-d2", "cube-d3"])
+    def test_rel_tol_below_double_precision_refused(self, body):
+        # two levels that agree to the last bit cannot confirm 1e-300; d = 1,
+        # which has no levels, refuses it all the same
+        m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=body.dim)
+        with pytest.raises(quadrature.QuadratureBudgetError, match="below double precision"):
+            decay_integral(body, m, [3.0] * body.dim, rel_tol=1e-300)
+
     def test_t_must_be_positive(self):
         m = RadialPowerMeasure(2.0, 1.0, 1.0, 2)
         with pytest.raises(ValueError):
@@ -437,6 +446,13 @@ class TestCubeReferences:
         want = m.scale * math.prod(2.0 * sinc_moment(tk, a, h)
                                    for tk, a, h in zip(t, m.alphas, m.halfwidths))
         assert decay_integral(Cube(2), m, list(t), rel_tol=1e-5) == pytest.approx(want, rel=1e-6)
+
+    def test_kernel_overflow_refused(self):
+        # u^(s-1-2m) in the K_{s,m} table overflows for s = 200 at |t| ~ 1e3;
+        # the route refuses it rather than carry nan through every level
+        m = RadialPowerMeasure.with_total_mass(200.0, 1.0, 1.0, dim=2)
+        with pytest.raises(quadrature.QuadratureBudgetError, match="radial order 200"):
+            decay_integral(Cube(2), m, [1000.0, 1300.0])
 
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5])
     def test_sinc_moment_large_t_constant(self, alpha):
