@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -137,8 +138,11 @@ def _merged(args, spec: dict[str, object]) -> dict:
     """Effective options: hard default < config file < command line."""
     file_cfg = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = parse_config_text(fh.read())
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                file_cfg = parse_config_text(fh.read())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {args.config!r}: {exc.strerror}") from None
     out = {}
     for key, default in spec.items():
         attr = key.replace("-", "_")
@@ -149,6 +153,10 @@ def _merged(args, spec: dict[str, object]) -> dict:
             out[key] = file_cfg[key]
         elif default is not None:
             out[key] = str(default)
+    for path in (out.get("out", "-"), out.get("plot", "-")):  # checked before any work
+        target = path if os.path.exists(path) else os.path.dirname(path) or "."
+        if path != "-" and (os.path.isdir(path) or not os.access(target, os.W_OK)):
+            raise ConfigError(f"cannot write {path!r}: a directory, or not writable")
     return out
 
 
@@ -184,12 +192,13 @@ def _cmd_fourier(args) -> int:
     dim = _num(cfg, "dim", int)
     body = parse_body(cfg["body"], dim=dim)
     direction = _vec(cfg, "direction") if "direction" in cfg else np.ones(dim)
+    if np.linalg.norm(direction) == 0.0:
+        raise ConfigError("direction must be nonzero")
     direction = direction / np.linalg.norm(direction)
     z = np.linspace(_num(cfg, "z-lo"), _num(cfg, "z-hi"), _num(cfg, "points", int))
+    xs = z[:, None] * direction[None, :]
     rows = []
-    for zi in z:
-        x = zi * direction
-        val = indicator_ft(body, x)
+    for x, val in zip(xs, indicator_ft(body, xs)):
         try:
             env = stationary_phase_ft(body, x).envelope
         except ValueError:

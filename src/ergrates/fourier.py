@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .bessel import bessel_j
 from .geometry import (
@@ -39,12 +38,10 @@ from .geometry import (
     volume,
     width,
 )
-from .quadrature import integrate_box
+from .quadrature import bracketed_maxima, bracketed_roots, integrate_box
 
 __all__ = [
     "indicator_ft",
-    "indicator_ft_ball",
-    "indicator_ft_cube",
     "scaled_indicator_ft",
     "indicator_ft_quadrature",
     "unit_ball_profile",
@@ -85,43 +82,44 @@ def unit_ball_profile(dim: int, w) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def indicator_ft_ball(radius: float, x, dim: int | None = None) -> float:
-    """F[1_{B(0,R)}](x); real by symmetry.  x is a vector (dim inferred)."""
-    x = as_vec(x, dim=dim)
-    d = x.size
-    w = radius * float(np.linalg.norm(x))
-    return float(radius ** d * unit_ball_profile(d, w))
+def indicator_ft(body: ConvexBody, x):
+    """F[1_K](x) by the closed form for the body family of K.
 
-
-def indicator_ft_cube(x) -> complex:
-    """F[1_{[0,1]^d}](x) = prod_k (e^{i x_k} - 1) / (i x_k), factor 1 at x_k = 0.
-
-    Evaluated as e^{i x_k / 2} sin(x_k/2)/(x_k/2) per axis; the direct
-    difference e^{iz} - 1 loses precision for |z| below ~1e-7.
+    x is one point (a vector; a complex number comes back) or rows of
+    points (an (N, d) array; N complex values come back).  Both take the
+    same path, so a point has the same value alone as among rows.
     """
-    x = as_vec(x)
-    out = 1.0 + 0.0j
-    for xk in x:
-        if xk == 0.0:
-            continue
-        half = 0.5 * xk
-        out *= complex(np.exp(1j * half)) * (math.sin(half) / half)
-    return complex(out)
-
-
-def indicator_ft(body: ConvexBody, x) -> complex:
-    """F[1_K](x) by the closed form for the body family of K."""
-    if isinstance(body, Ball):
-        return complex(indicator_ft_ball(body.radius, x, dim=body.dim))
-    if isinstance(body, Ellipsoid):
-        a = body.semi_axes
-        x = as_vec(x, dim=a.size)
-        # E = a o B(0,1), so F factors through the scaled argument.
-        w = float(np.linalg.norm(a * x))
-        return complex(float(np.prod(a)) * unit_ball_profile(a.size, w))
+    if not isinstance(body, (Ball, Ellipsoid, Cube)):
+        raise TypeError(f"unknown body {body!r}")
+    pts = np.asarray(x, dtype=float)
+    one = pts.ndim != 2
+    pts = as_vec(pts, dim=body.dim)[None, :] if one else pts
+    if pts.shape[1] != body.dim or not np.all(np.isfinite(pts)):
+        raise ValueError(f"expected finite rows of {body.dim}-d points, got shape {pts.shape}")
     if isinstance(body, Cube):
-        return indicator_ft_cube(as_vec(x, dim=body.dim))
-    raise TypeError(f"unknown body {body!r}")
+        # prod_k (e^{i x_k} - 1) / (i x_k) as e^{i x_k/2} sin(x_k/2) / (x_k/2), factor
+        # 1 at x_k = 0 (e^{iz} - 1 loses precision for |z| < 1e-7), multiplied out in
+        # real arithmetic as Python multiplies complex numbers (numpy's may fuse)
+        re, im = np.ones(len(pts)), np.zeros(len(pts))
+        for xk in pts.T:
+            half = 0.5 * np.where(xk == 0.0, 1.0, xk)
+            rot, sinc = np.exp(1j * half), np.sin(half) / half
+            fr, fi = rot.real * sinc, rot.imag * sinc
+            re, im = (np.where(xk == 0.0, re, re * fr - im * fi),
+                      np.where(xk == 0.0, im, re * fi + im * fr))
+        vals = re + im * 1j
+    else:
+        # E = a o B(0,1), so F factors through the scaled argument (a ball
+        # scales after the norm); the row norms go through the dot product
+        # np.linalg.norm takes for one vector, so a point keeps its bits
+        y = pts if isinstance(body, Ball) else pts * body.semi_axes
+        w = np.sqrt((y[:, None, :] @ y[:, :, None])[:, 0, 0])
+        if isinstance(body, Ball):
+            scale, w = body.radius ** body.dim, body.radius * w
+        else:
+            scale = float(np.prod(body.semi_axes))
+        vals = (scale * unit_ball_profile(body.dim, w)).astype(complex)
+    return complex(vals[0]) if one else vals
 
 
 def scaled_indicator_ft(body: ConvexBody, t, x) -> complex:
@@ -304,69 +302,42 @@ def decay_constant_estimate(body: ConvexBody, xs) -> float:
     A sampled sup, so a lower estimate; with samples through the envelope
     peaks it stabilizes near the stationary-phase coefficient.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[None, :]
-    d = xs.shape[1]
-    best = 0.0
-    for row in xs:
-        r = float(np.linalg.norm(row))
-        if r == 0.0:
-            continue
-        val = abs(indicator_ft(body, row)) * r ** ((d + 1) / 2.0)
-        best = max(best, val)
-    return best
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    r = np.linalg.norm(xs, axis=1)
+    keep = r > 0.0
+    vals = np.abs(indicator_ft(body, xs[keep])) * r[keep] ** ((xs.shape[1] + 1) / 2.0)
+    return float(np.max(vals, initial=0.0))
 
 
 # -- ray diagnostics (zero spacing, envelope peaks) --------------------------
 
 
-def _ray_fn(body: ConvexBody, eta):
+def _ray_scan(body: ConvexBody, eta, z_lo: float, z_hi: float):
+    """F[1_K](z * eta) on arrays of z, and a grid on [z_lo, z_hi] of 16 z per period."""
     eta = as_vec(eta)
     eta = eta / np.linalg.norm(eta)
 
-    def f(z: float) -> complex:
-        return indicator_ft(body, z * eta)
+    def f(z: np.ndarray) -> np.ndarray:
+        return indicator_ft(body, z[:, None] * eta[None, :])
 
-    return f, eta
+    step = 2.0 * math.pi / (width(body, eta) * 16.0)
+    return f, np.arange(z_lo, z_hi + step, step)
 
 
 def ray_zeros(body: ConvexBody, eta, z_lo: float, z_hi: float) -> np.ndarray:
     """Zeros of Re F[1_K](z * eta) on [z_lo, z_hi], by scan plus bisection."""
-    f, eta = _ray_fn(body, eta)
-    step = 2.0 * math.pi / (width(body, eta) * 16.0)
-    zs = np.arange(z_lo, z_hi + step, step)
-    vals = np.array([f(z).real for z in zs])
-    zeros = []
-    for i in range(len(zs) - 1):
-        if vals[i] == 0.0:
-            zeros.append(zs[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            zeros.append(
-                optimize.brentq(lambda z: f(z).real, zs[i], zs[i + 1], xtol=1e-12)
-            )
-    return np.asarray(zeros)
+    f, zs = _ray_scan(body, eta, z_lo, z_hi)
+    return bracketed_roots(lambda z: f(z).real, zs, xtol=1e-12)
 
 
 def ray_peaks(body: ConvexBody, eta, z_lo: float, z_hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Local maxima of |F[1_K](z * eta)| on [z_lo, z_hi].
 
     Returns (locations, values).  Grid scan at 16 samples per oscillation
-    period, each bracketed maximum polished with a bounded scalar search.
+    period; each grid maximum is polished by a golden-section search over
+    its two neighbouring cells, all of them at once.
     """
-    f, eta = _ray_fn(body, eta)
-    step = 2.0 * math.pi / (width(body, eta) * 16.0)
-    zs = np.arange(z_lo, z_hi + step, step)
-    vals = np.array([abs(f(z)) for z in zs])
-    locs, peaks = [], []
-    for i in range(1, len(zs) - 1):
-        if vals[i] >= vals[i - 1] and vals[i] > vals[i + 1]:
-            res = optimize.minimize_scalar(
-                lambda z: -abs(f(z)),
-                bounds=(zs[i - 1], zs[i + 1]),
-                method="bounded",
-                options={"xatol": 1e-10},
-            )
-            locs.append(float(res.x))
-            peaks.append(float(-res.fun))
-    return np.asarray(locs), np.asarray(peaks)
+    f, zs = _ray_scan(body, eta, z_lo, z_hi)
+    vals = np.abs(f(zs))
+    top = np.flatnonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] > vals[2:])) + 1
+    return bracketed_maxima(lambda z: np.abs(f(z)), zs[top - 1], zs[top + 1], xtol=1e-10)

@@ -1,5 +1,5 @@
-"""Gauss rules, cached read-only, the first-orthant angular integral, and an
-oscillation-aware adaptive cell rule.
+"""Gauss rules, cached read-only, the first-orthant angular integral, an
+oscillation-aware adaptive cell rule, and vectorised bracketed searches.
 
 The only place 1-D Gauss-Legendre and Gauss-Jacobi rules are built.  Three
 consumers: the Fourier-transform oracle (adaptive tensor-product rule
@@ -9,7 +9,9 @@ unit sphere (decay integrals, neighborhood masses, the outer piece of the
 singular integral), which all go through `orthant_integral`.  The guiding
 rule everywhere is that a cell may hold at most a quarter oscillation
 period per axis before the error estimate is trusted; budgets are
-enforced loudly, never silently.
+enforced loudly, never silently.  Every root and peak search (mass
+truncation kinks, ray zeros and peaks, level sets) is one of the
+bracketed searches at the end, which work on many brackets at once.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ __all__ = [
     "orthant_directions",
     "orthant_integral",
     "integrate_box",
+    "bisect",
+    "bracketed_roots",
+    "bracketed_maxima",
 ]
 
 
@@ -130,13 +135,13 @@ def refined_breaks(breaks: list[float], max_len: float) -> list[float]:
 def orthant_directions(phi, theta=None) -> np.ndarray:
     """Unit directions (rows) in the first orthant of the sphere.
 
-    d = 2: (cos phi, sin phi) for an array of phi.  d = 3: one azimuth phi
-    and an array of polar angles theta, measured from the x_3 axis.
+    d = 2: (cos phi, sin phi) for an array of phi.  d = 3: an array of polar angles
+    theta, measured from the x_3 axis, and azimuths phi that broadcast to it.
     """
     if theta is None:
         return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     st = np.sin(theta)
-    return np.stack([st * math.cos(phi), st * math.sin(phi), np.cos(theta)], axis=-1)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
 # rows of directions per call of the angular integrand in d = 3: whole phi
@@ -151,8 +156,9 @@ def orthant_integral(alphas, g, breaks, order: int, theta_breaks=None) -> float:
     its |omega_k|^(alpha_k - 1) axis factors; the alphas tell the segment
     rules which end singularities to absorb.  d = 1 is the one direction
     e_1 (breaks and order unused).  In d = 2 and 3 the azimuth phi runs
-    over `breaks`; in d = 3 the polar angle theta runs over
-    `theta_breaks(phi)` and the sin(theta) surface element is included.
+    over `breaks`; in d = 3 the polar angle theta of the i-th phi node runs
+    over `theta_breaks(phi)[i]`, where phi is the array of every phi node,
+    and the sin(theta) surface element is included.
     g is called on batches of rows (in d = 3, of whole phi lines), so it
     must treat every row on its own.
     """
@@ -167,14 +173,16 @@ def orthant_integral(alphas, g, breaks, order: int, theta_breaks=None) -> float:
     if d == 2:
         return 4.0 * float(np.sum(g(orthant_directions(phi)) * w_phi))
     # theta end behavior: sin(theta)^(a1+a2-1) at 0, cos(theta)^(a3-1) at pi/2
-    rules = [segment_rules(theta_breaks(ph), exp_lo=a1 + a2 - 1.0,
-                           exp_hi=alphas[2] - 1.0, order=order) for ph in phi]
+    rules = [segment_rules(tb, exp_lo=a1 + a2 - 1.0, exp_hi=alphas[2] - 1.0, order=order)
+             for tb in theta_breaks(phi)]
     # one call of g per batch of whole phi lines, at most _ROWS_PER_CALL rows
     per_call = max(1, _ROWS_PER_CALL // max(th.size for th, _ in rules))
     total = 0.0
     for i in range(0, len(rules), per_call):
         batch = range(i, min(i + per_call, len(rules)))
-        vals = g(np.concatenate([orthant_directions(phi[k], rules[k][0]) for k in batch]))
+        sizes = [rules[k][0].size for k in batch]
+        vals = g(orthant_directions(np.repeat(phi[batch.start:batch.stop], sizes),
+                                    np.concatenate([rules[k][0] for k in batch])))
         start = 0
         for k in batch:
             th, w_th = rules[k]
@@ -283,3 +291,61 @@ def integrate_box(
         if err <= tol:
             return sums[1], err, nodes_used
         cells = cells * 2
+
+
+# -- bracketed searches: one call of f per step, every bracket shrunk alike --
+
+
+def _steps(width, xtol: float, factor: float) -> int:
+    widest = float(np.max(width, initial=0.0))
+    return math.ceil(math.log(widest / xtol, factor)) if widest > xtol else 0
+
+
+def bisect(f, lo, hi, rising, xtol: float) -> np.ndarray:
+    """Roots of f to xtol on brackets [lo, hi] where f(lo) <= 0 < f(hi) (`rising`)
+    or f(lo) > 0 >= f(hi) (not `rising`): the midpoints of the last brackets."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    for _ in range(_steps(hi - lo, xtol, 2.0)):
+        mid = 0.5 * (lo + hi)
+        up = (f(mid) > 0.0) == rising
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def bracketed_roots(f, grid, xtol: float):
+    """Sorted zeros of f along grid, or along each row of a 2-D grid: sign
+    changes between neighbouring nodes, bisected to xtol all together, and
+    inner nodes where f is 0 next to one where it is not.  f takes arrays
+    shaped like the rows of grid, each row with its own parameters."""
+    grid = np.asarray(grid, dtype=float)
+    vals = f(grid)
+    change = vals[..., :-1] * vals[..., 1:] < 0.0
+    # each row's sign changes first, padded to the longest row with unused cells
+    cells = np.argsort(~change, axis=-1, kind="stable")[..., :np.max(change.sum(-1), initial=0)]
+    pick = functools.partial(np.take_along_axis, indices=cells, axis=-1)
+    roots = bisect(f, pick(grid[..., :-1]), pick(grid[..., 1:]), pick(vals[..., :-1]) < 0.0, xtol)
+    zero = vals == 0.0
+    zero[..., 1:-1] &= ~(zero[..., :-2] & zero[..., 2:])
+    zero[..., [0, -1]] = False
+    out = [np.sort(np.concatenate([g[z], r[c]]))
+           for g, z, r, c in zip(*map(np.atleast_2d, (grid, zero, roots, pick(change))))]
+    return out if grid.ndim == 2 else out[0]
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def bracketed_maxima(f, lo, hi, xtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section search, to xtol, for the one local maximum of f in each
+    bracket [lo, hi]: (locations, values)."""
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(_steps(b - a, xtol, 1.0 / _GOLDEN)):
+        left = fc > fd  # the maximum is in [a, d], else in [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fx = f(x)
+        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, fx, fd), np.where(left, fc, fx))
+    return np.where(fc > fd, c, d), np.maximum(fc, fd)

@@ -28,13 +28,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import theilslopes
 
 from .fourier import ratio_abs_sq, unit_ball_profile
 from .geometry import Ball, ConvexBody, Cube, as_vec, unit_ball_volume
 from .quadrature import (
     QuadratureBudgetError,
+    bisect,
+    bracketed_maxima,
+    bracketed_roots,
     end_power_rule,
     gl_edges_rule,
     orthant_integral,
@@ -51,7 +52,6 @@ from .spectral import (
     is_zero_measure,
     mass,
     singular_integral,
-    total_mass,
 )
 
 __all__ = [
@@ -566,7 +566,7 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
         def level_value(n_seg: int) -> float:
             breaks = list(np.linspace(0.0, math.pi / 2, n_seg + 1))
             return orthant_integral(alphas, angular_value, breaks, 12,
-                                    theta_breaks=lambda phi: breaks)
+                                    theta_breaks=lambda phi: [breaks] * phi.size)
 
         return _refine(level_value, (2, 4, 8, 16), rel_tol, t)
 
@@ -594,46 +594,6 @@ def decay_integral(body: ConvexBody, m: SpectralMeasure, t, rel_tol: float = 1e-
 
 
 # -- distribution-function route ---------------------------------------------
-
-
-def _profile_extrema(dim: int, z_top: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zeros, hump peaks, and peak heights of |unit ball profile| on (0, z_top]."""
-    vol = unit_ball_profile(dim, 0.0)
-
-    def prof(z):
-        return unit_ball_profile(dim, z) / vol
-
-    zs = np.arange(0.0, z_top + math.pi / 4, math.pi / 8)
-    vals = prof(zs)
-    zeros = []
-    for i in range(len(zs) - 1):
-        if vals[i] * vals[i + 1] < 0.0:
-            zeros.append(optimize.brentq(prof, zs[i], zs[i + 1], xtol=1e-13))
-    zeros = np.asarray(zeros)
-    peaks, heights = [], []
-    for lo, hi in zip(zeros[:-1], zeros[1:]):
-        res = optimize.minimize_scalar(
-            lambda z: -abs(prof(z)), bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        peaks.append(float(res.x))
-        heights.append(float(-res.fun))
-    return zeros, np.asarray(peaks), np.asarray(heights)
-
-
-def _bisect_level(prof_abs, lo, hi, u: float, increasing: bool, iters: int = 30):
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        above = prof_abs(mid) > u
-        if increasing:
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        else:
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
 
 
 def decay_integral_levelform(body: Ball, m: RadialPowerMeasure, t,
@@ -689,37 +649,33 @@ def decay_integral_levelform(body: Ball, m: RadialPowerMeasure, t,
         rho = np.minimum(z[:, None] / (big_r * u_dir[None, :]), m.radius)
         return coeff * np.sum(np.maximum(rho, 0.0) ** m.gamma * w_dir[None, :], axis=1)
 
+    # zeros, hump peaks and peak heights of the profile on (0, z_sat]
     z_sat = big_r * m.radius * float(np.max(t)) + math.pi
-    zeros, peaks, heights = _profile_extrema(d, z_sat)
-    if zeros.size == 0:
-        # dilation so small the first zero is out of range: ratio ~ 1 everywhere
-        zeros = np.array([z_sat])
-        peaks = np.array([])
-        heights = np.array([])
+    zeros = bracketed_roots(lambda z: unit_ball_profile(d, z),
+                            np.arange(0.0, z_sat + math.pi / 4, math.pi / 8), xtol=1e-13)
+    peaks, heights = bracketed_maxima(prof_abs, zeros[:-1], zeros[1:], xtol=1e-12)
+    # no zero in range: the dilation is so small that the ratio is ~1 everywhere
+    zeros = zeros if zeros.size else np.array([z_sat])
 
     # hump 0 is the central monotone segment [0, zeros[0]] with height 1
-    all_heights = np.concatenate([[1.0], heights])
-    order = np.argsort(all_heights)[::-1]
-    sorted_heights = all_heights[order]
-    piece_edges = np.concatenate([sorted_heights, [0.0]])
+    piece_edges = np.concatenate([np.sort(np.append(heights, 1.0))[::-1], [0.0]])
 
     total = 0.0
     for hi_u, lo_u in zip(piece_edges[:-1], piece_edges[1:]):
         if hi_u - lo_u <= 1e-15:
             continue
-        u_nodes, u_w = gl_edges_rule(np.array([lo_u, hi_u]), 8)
-        for u, wu in zip(u_nodes, u_w):
-            active = np.where(heights > u)[0]
-            # central segment: always active for u < 1
-            b0 = _bisect_level(prof_abs, 0.0, zeros[0], u, increasing=False)
-            levels_mass = float(mass_below(np.atleast_1d(b0))[0])
-            if active.size:
-                a = _bisect_level(prof_abs, zeros[active], peaks[active], u, increasing=True)
-                b = _bisect_level(prof_abs, peaks[active], zeros[active + 1], u, increasing=False)
-                gb = mass_below(b)
-                ga = mass_below(a)
-                levels_mass += float(np.sum(gb - ga))
-            total += 2.0 * u * levels_mass * wu
+        u, wu = gl_edges_rule(np.array([lo_u, hi_u]), 8)
+        # level sets {prof_abs > u}, one row per u: the central segment [0, b0]
+        # and the intervals [a, b] of the humps above the piece
+        up = np.flatnonzero(heights > lo_u)
+        k = up.size
+        ends = bisect(lambda z: prof_abs(z) - u[:, None],
+                      np.concatenate([[0.0], zeros[up], peaks[up]]),
+                      np.concatenate([[zeros[0]], peaks[up], zeros[up + 1]]),
+                      np.repeat([False, True, False], [1, k, k]), xtol=2e-9)
+        below = mass_below(ends.ravel()).reshape(ends.shape)
+        levels = below[:, 0] + np.sum(below[:, k + 1:] - below[:, 1:k + 1], axis=1)
+        total += float(np.sum(2.0 * u * levels * wu))
     return total
 
 
@@ -810,12 +766,14 @@ def fit_oscillatory_rate(p_values, i_values, label: str = "") -> RateFit:
     v = np.asarray(i_values, dtype=float)
     decades = _validate_ladder(p, v)
     lp, lv = np.log(p), np.log(v)
-    res = theilslopes(lv, lp)
-    resid = lv - (res.slope * lp + res.intercept)
+    dx, dy = lp[:, None] - lp[None, :], lv[:, None] - lv[None, :]
+    slope = np.median(dy[dx > 0] / dx[dx > 0])
+    intercept = np.median(lv) - slope * np.median(lp)
+    resid = lv - (slope * lp + intercept)
     return RateFit(
-        theta_hat=float(res.slope),
+        theta_hat=float(slope),
         log_power_hat=0.0,
-        intercept=float(res.intercept),
+        intercept=float(intercept),
         residual_rms=float(np.sqrt(np.mean(resid ** 2))),
         n_points=int(p.size),
         decades=decades,

@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .geometry import as_vec, unit_sphere_area
-from .quadrature import orthant_directions, orthant_integral, refined_breaks
+from .quadrature import bracketed_roots, orthant_directions, orthant_integral, refined_breaks
 
 __all__ = [
     "AtomicMeasure",
@@ -346,19 +345,8 @@ Neighborhood = EllipsoidNeighborhood | BoxNeighborhood
 # kinks are located numerically.
 
 _QUAD_ORDER = 24
-
-
-def _crossings(fn, lo: float, hi: float, n: int = 4096) -> list[float]:
-    """Sign changes of fn on (lo, hi), refined by brentq."""
-    xs = np.linspace(lo, hi, n)
-    vals = fn(xs)
-    out = []
-    for i in range(n - 1):
-        if vals[i] == 0.0:
-            out.append(float(xs[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            out.append(float(optimize.brentq(lambda x: float(fn(np.array([x]))[0]), xs[i], xs[i + 1], xtol=1e-14)))
-    return out
+_SCAN = np.linspace(1e-9, math.pi / 2 - 1e-9, 4096)
+_THETA_SCAN = np.linspace(1e-9, math.pi / 2 - 1e-9, 1024)
 
 
 def _mass_breaks(d: int, extra) -> list[float]:
@@ -402,24 +390,30 @@ def _continuous_mass(m, hood: Neighborhood) -> float:
         rho = np.minimum(hood.radial_profile(om), m.support_profile(om))
         return m.angular_density(om) * rho ** s / s
 
-    def delta(om):
-        return hood.radial_profile(om) - m.support_profile(om)
+    def delta(phi, theta=None):
+        om = orthant_directions(phi, theta)
+        rows = om.reshape(-1, d)
+        return (hood.radial_profile(rows) - m.support_profile(rows)).reshape(om.shape[:-1])
 
     boxes = [x.halfwidths for x in (hood, m)
              if isinstance(x, (BoxNeighborhood, AnisotropicPowerMeasure))]
     corners = [math.atan2(h[1], h[0]) for h in boxes]
     if d == 2:
-        crossings = _crossings(lambda phi: delta(orthant_directions(phi)), 1e-9, math.pi / 2 - 1e-9)
-        breaks = _mass_breaks(2, corners + crossings)
+        breaks = _mass_breaks(2, corners + list(bracketed_roots(delta, _SCAN, xtol=1e-14)))
         return orthant_integral(m.angular_alphas, g, breaks, _QUAD_ORDER)
 
-    def theta_breaks(phi):
-        out = _crossings(lambda theta: delta(orthant_directions(phi, theta)),
-                         1e-9, math.pi / 2 - 1e-9, n=1024)
-        return _mass_breaks(3, out + [_box_face_switch(h, phi) for h in boxes])
+    # the phi-integrand has a kink where a theta-crossing reaches the equator
+    equator = bracketed_roots(lambda phi: delta(phi, np.full_like(phi, math.pi / 2)), _SCAN, 1e-14)
 
-    return orthant_integral(m.angular_alphas, g, _mass_breaks(3, corners), _QUAD_ORDER,
-                            theta_breaks)
+    def theta_breaks(phi):
+        # the theta-crossings of all phi nodes in one search
+        grid = np.broadcast_to(_THETA_SCAN, (phi.size, _THETA_SCAN.size))
+        crossings = bracketed_roots(lambda theta: delta(phi[:, None], theta), grid, xtol=1e-14)
+        return [_mass_breaks(3, list(c) + [_box_face_switch(h, ph) for h in boxes])
+                for ph, c in zip(phi, crossings)]
+
+    return orthant_integral(m.angular_alphas, g, _mass_breaks(3, corners + list(equator)),
+                            _QUAD_ORDER, theta_breaks)
 
 
 def mass(m: SpectralMeasure, hood: Neighborhood) -> float:
@@ -538,7 +532,8 @@ def dyadic_singular_probe(m, q: float):
         return m.angular_density(om) * rad
 
     outer = orthant_integral(m.alphas, g, _mass_breaks(m.dim, [math.atan2(h[1], h[0])]),
-                             _QUAD_ORDER, lambda phi: _mass_breaks(3, [_box_face_switch(h, phi)]))
+                             _QUAD_ORDER,
+                             lambda phi: [_mass_breaks(3, [_box_face_switch(h, ph)]) for ph in phi])
     return inner + outer
 
 

@@ -261,6 +261,38 @@ class TestInputValidation:
         assert fragment in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing", "directory"])
+    def test_unreadable_config_exits_2_with_one_line(self, tmp_path, capsys, name):
+        out = tmp_path / "r.csv"
+        assert main(["rates", "--config", str(tmp_path / name), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ergrates: config error: cannot read config") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--out", "{tmp}/missing/r.csv"],
+        ["rates", "--out", "{tmp}"],
+        ["fourier", "--out", "{tmp}/f.csv", "--plot", "{tmp}/missing/f.gp"],
+    ], ids=["rates-missing-directory", "rates-directory", "fourier-plot-missing-directory"])
+    def test_unwritable_output_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before the output path was checked")
+
+        monkeypatch.setattr("ergrates.rates.decay_integral", no_work)
+        monkeypatch.setattr("ergrates.cli.indicator_ft", no_work)
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ergrates: config error: cannot write") and err.count("\n") == 1
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_zero_direction_exits_2_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert main(["fourier", "--direction", "0,0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "ergrates: config error: direction must be nonzero\n"
+        assert not out.exists()
+
 
 class TestClassifyCommand:
     def test_json_report(self, tmp_path):

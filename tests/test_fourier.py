@@ -8,14 +8,14 @@ as a cross-check and for its loud-failure contract.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from ergrates.fourier import (
     decay_constant_estimate,
     indicator_ft,
-    indicator_ft_ball,
-    indicator_ft_cube,
     indicator_ft_quadrature,
     ray_peaks,
     ray_zeros,
@@ -41,32 +41,32 @@ class TestClosedForms:
 
     def test_ball2_frozen_value(self):
         # 2 pi J_1(|x|) / |x| at |x| = 2 -> pi J_1(2), mpmath 30-digit
-        got = indicator_ft_ball(1.0, np.array([2.0, 0.0]))
+        got = indicator_ft(Ball(1.0), np.array([2.0, 0.0]))
         assert got == pytest.approx(1.8118344191919792, rel=1e-14)
 
     def test_ball3_frozen_value(self):
         # 4 pi (sin z - z cos z)/z^3 at z = 3.5, mpmath 30-digit
-        got = indicator_ft_ball(1.0, np.array([0.0, 3.5, 0.0]))
+        got = indicator_ft(Ball(1.0, dim=3), np.array([0.0, 3.5, 0.0]))
         assert got == pytest.approx(0.85782960336607112, rel=1e-13)
 
     def test_ball1_elementary(self):
-        got = indicator_ft_ball(2.0, np.array([1.3]))
+        got = indicator_ft(Ball(2.0, dim=1), np.array([1.3]))
         assert got == pytest.approx(2 * math.sin(2.0 * 1.3) / 1.3, rel=1e-14)
 
     def test_cube_frozen_value(self):
         want = complex(0.46234247632534753, 0.5826246708639599)
-        got = indicator_ft_cube(np.array([2.5, -0.7]))
+        got = indicator_ft(Cube(2), np.array([2.5, -0.7]))
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_cube_separable(self):
         x = np.array([1.7, -3.3, 0.4])
         per_axis = [(cmath.exp(1j * v) - 1) / (1j * v) for v in x]
-        assert indicator_ft_cube(x) == pytest.approx(np.prod(per_axis), rel=1e-13)
+        assert indicator_ft(Cube(3), x) == pytest.approx(np.prod(per_axis), rel=1e-13)
 
     def test_ellipsoid_reduces_to_stretched_ball(self):
         e = Ellipsoid((2.0, 1.0))
         x = np.array([0.8, -1.1])
-        want = 2.0 * indicator_ft_ball(1.0, np.array([2.0 * 0.8, -1.1]))
+        want = 2.0 * indicator_ft(Ball(1.0), np.array([2.0 * 0.8, -1.1]))
         assert indicator_ft(e, x) == pytest.approx(want, rel=1e-13)
 
     def test_modulus_bounded_by_volume(self):
@@ -74,6 +74,28 @@ class TestClosedForms:
             for _ in range(50):
                 x = RNG.uniform(-30, 30, size=2)
                 assert abs(indicator_ft(body, x)) <= volume(body) * (1 + 1e-12)
+
+
+class TestRows:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rows_equal_one_point_calls_bit_for_bit(self, d):
+        rng = np.random.default_rng(41003 + d)
+        axes = (2.0, 0.7, 1.3)[:d]
+        xs = rng.uniform(-40.0, 40.0, size=(300, d)) * 10.0 ** rng.uniform(-8, 0.5, size=(300, 1))
+        xs[::7, rng.integers(d)] = 0.0
+        xs[::50] = 0.0
+        for body in (Ball(1.3, dim=d), Ellipsoid(axes), Cube(d)):
+            rows = indicator_ft(body, xs)
+            one = np.array([indicator_ft(body, x) for x in xs])
+            assert rows.dtype == complex and one.dtype == complex
+            assert np.array_equal(rows.view(np.int64), one.view(np.int64)), body
+
+    def test_rows_are_checked(self):
+        with pytest.raises(ValueError, match="2-d points"):
+            indicator_ft(Ball(1.0), np.ones((4, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            indicator_ft(Cube(2), np.array([[1.0, np.nan]]))
+        assert indicator_ft(Cube(2), np.zeros((0, 2))).shape == (0,)
 
 
 class TestQuadratureOracle:
@@ -162,6 +184,35 @@ class TestAsymptotics:
             gaps = np.diff(zeros)
             want = 2 * math.pi / width(body, eta)
             assert np.mean(gaps) == pytest.approx(want, rel=0.01)
+
+    def test_ball_ray_zeros_are_bessel_zeros(self):
+        # F[1_B](z eta) = 2 pi J_1(z) / z in d = 2
+        want = special.jn_zeros(1, 200)
+        want = want[(want >= 50.0) & (want <= 500.0)]
+        got = ray_zeros(Ball(1.0), unit([0.3, 1.0]), 50.0, 500.0)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-11
+
+    def test_ellipsoid_ray_zeros_are_scaled_bessel_zeros(self):
+        # along e_1 the ellipsoid (2, 1) transform is 2 * 2 pi J_1(2z) / (2z)
+        want = special.jn_zeros(1, 400) / 2.0
+        want = want[(want >= 50.0) & (want <= 500.0)]
+        got = ray_zeros(Ellipsoid((2.0, 1.0)), np.array([1.0, 0.0]), 50.0, 500.0)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-11
+
+    def test_ball_ray_peaks_at_bessel_zeros_with_exact_heights(self):
+        # d/dz (J_1(z)/z) = -J_2(z)/z: the peaks of |2 pi J_1(z)/z| sit at the
+        # zeros of J_2, and their heights come from mpmath at 30 digits
+        want = special.jn_zeros(2, 200)
+        want = want[(want > 50.0) & (want < 500.0)]
+        where, heights = ray_peaks(Ball(1.0), unit([1.0, 1.0]), 50.0, 500.0)
+        assert where.shape == want.shape
+        assert np.max(np.abs(where - want)) <= 1e-6
+        with mpmath.workdps(30):
+            peaks = [mpmath.findroot(lambda z: mpmath.besselj(2, z), z0) for z0 in want]
+            exact = [float(abs(2 * mpmath.pi * mpmath.besselj(1, z) / z)) for z in peaks]
+        assert np.max(np.abs(heights / np.array(exact) - 1.0)) <= 1e-12
 
     def test_stationary_phase_matches_ball_asymptotics(self):
         # d=2 exact large-argument form: 2 sqrt(2 pi) z^{-3/2} cos(z - 3 pi/4)

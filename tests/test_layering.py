@@ -8,10 +8,17 @@ to a package module.  Dunders such as `__version__` are exempt.
 
 Input checks raise; they never assert, because `python -O` strips assert
 statements and the check with them.
+
+Root and peak searches go through the bracketing layer in `quadrature`, so
+no module imports `scipy.optimize` or `scipy.stats`; together they cost
+about a second of every command's start-up.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -170,3 +177,69 @@ def test_segment_rule_scanner_catches_each_form():
         "line 8: segment_rules",
         "line 8: sr",
     ]
+
+
+# -- no scipy.optimize or scipy.stats -----------------------------------------
+
+BANNED = ("scipy.optimize", "scipy.stats")
+
+
+def _banned(name: str) -> bool:
+    return any(name == b or name.startswith(b + ".") for b in BANNED)
+
+
+def banned_imports(source: str) -> list[str]:
+    """Every import of, or attribute path into, scipy.optimize or scipy.stats
+    in `source`, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if _banned(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if _banned(node.module):
+                found.append((node.lineno, node.module))
+            else:
+                found += [(node.lineno, f"{node.module}.{a.name}") for a in node.names
+                          if _banned(f"{node.module}.{a.name}")]
+        elif isinstance(node, ast.Attribute):
+            path = _dotted(node)
+            if path is not None and _banned(path) and not _banned(_dotted(node.value) or ""):
+                found.append((node.lineno, path))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_optimize_or_stats(path):
+    assert banned_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_banned_import_scanner_catches_each_form():
+    source = "\n".join([
+        "import scipy.optimize",
+        "import scipy.stats as st",
+        "from scipy import optimize, special",
+        "from scipy import stats as sst",
+        "from scipy.optimize import brentq",
+        "from scipy.stats._stats_py import theilslopes",
+        "import scipy",
+        "scipy.optimize.brentq(f, 0, 1)",
+        "from scipy import ndimage",
+        "from scipy.special import jv",
+        "import scipy.statsmodels_like",
+    ])
+    assert banned_imports(source) == [
+        "line 1: scipy.optimize",
+        "line 2: scipy.stats",
+        "line 3: scipy.optimize",
+        "line 4: scipy.stats",
+        "line 5: scipy.optimize",
+        "line 6: scipy.stats._stats_py",
+        "line 8: scipy.optimize",
+    ]
+
+
+def test_cli_import_leaves_scipy_optimize_and_stats_out():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", "import sys, ergrates.cli; print(*sys.modules)"],
+                         capture_output=True, text=True, check=True, env=env)
+    assert [m for m in out.stdout.split() if _banned(m)] == []

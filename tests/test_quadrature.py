@@ -9,6 +9,9 @@ import pytest
 from ergrates import quadrature
 from ergrates.quadrature import (
     QuadratureBudgetError,
+    bisect,
+    bracketed_maxima,
+    bracketed_roots,
     end_power_rule,
     gl_panel_rule,
     integrate_box,
@@ -76,7 +79,7 @@ def test_orthant_integral_matches_sphere_moments(alphas):
     for n_seg in (2, 4, 8):
         breaks = list(np.linspace(0.0, math.pi / 2, n_seg + 1))
         for order in (12, 16, 24):
-            got = orthant_integral(alphas, g, breaks, order, theta_breaks=lambda phi: breaks)
+            got = orthant_integral(alphas, g, breaks, order, theta_breaks=lambda phi: [breaks] * phi.size)
             assert type(got) is float
             assert got == pytest.approx(want, rel=1e-13), (n_seg, order)
 
@@ -125,3 +128,68 @@ def test_error_estimate_honest():
     )
     true = 1.0 - math.sin(2 * w * 2.0) / (4 * w)
     assert abs(val.real - true) <= max(err, 1e-12) * 10
+
+
+class TestBrackets:
+    def test_zero_at_grid_node_is_kept(self):
+        # (x - 1)(x - 2.25) vanishes exactly on two nodes of the quarter grid
+        grid = np.arange(17) * 0.25
+        roots = bracketed_roots(lambda x: (x - 1.0) * (x - 2.25), grid, xtol=1e-12)
+        assert roots.tolist() == [1.0, 2.25]
+
+    def test_run_of_zero_nodes_gives_its_ends(self):
+        grid = np.linspace(0.0, 4.0, 41)
+        roots = bracketed_roots(lambda x: np.maximum(x - 3.0, 0.0) - np.maximum(1.0 - x, 0.0),
+                                grid, xtol=1e-12)
+        assert roots == pytest.approx([1.0, 3.0], abs=1e-12)
+
+    def test_no_sign_change_gives_empty_result(self):
+        for grid in (np.linspace(0.0, 3.0, 50), np.linspace(0.0, 3.0, 50)[None, :].repeat(3, 0)):
+            roots = bracketed_roots(lambda x: x * x + 1.0, grid, xtol=1e-12)
+            for r in ([roots] if grid.ndim == 1 else roots):
+                assert r.size == 0
+
+    def test_roots_of_sin_to_xtol(self):
+        grid = np.linspace(0.5, 60.0, 700)
+        roots = bracketed_roots(np.sin, grid, xtol=1e-12)
+        want = np.pi * np.arange(1, 20)
+        assert roots.size == want.size
+        assert np.max(np.abs(roots - want)) <= 1e-12
+
+    def test_rows_solved_together(self):
+        # each row has its own frequency; f sees arrays shaped like the rows
+        freq = np.array([[1.0], [2.0], [3.5]])
+        grid = np.linspace(0.5, 20.0, 400)[None, :].repeat(3, 0)
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            return np.sin(freq * x)
+
+        roots = bracketed_roots(f, grid, xtol=1e-12)
+        for k, r in zip(freq[:, 0], roots):
+            want = np.pi * np.arange(1, int(20.0 * k / np.pi) + 1) / k
+            want = want[want > 0.5]
+            assert np.max(np.abs(r - want)) <= 1e-12
+        # one scan plus one call per bisection step for all rows
+        assert len(calls) == 1 + math.ceil(math.log2((grid[0, 1] - grid[0, 0]) / 1e-12))
+
+    def test_bisect_keeps_the_sign_change(self):
+        lo, hi = np.array([0.0, 4.0]), np.array([2.0, 5.0])
+        got = bisect(lambda x: np.cos(x), lo, hi, np.array([False, True]), xtol=1e-12)
+        assert got == pytest.approx([np.pi / 2, 3 * np.pi / 2], abs=1e-12)
+
+    def test_maxima_of_sin_to_xtol(self):
+        k = np.arange(10)
+        lo = 2 * np.pi * k + 0.3
+        hi = 2 * np.pi * k + 2.9
+        where, value = bracketed_maxima(np.sin, lo, hi, xtol=1e-10)
+        assert np.max(np.abs(where - (2 * np.pi * k + np.pi / 2))) <= 1e-7
+        assert np.max(np.abs(value - 1.0)) <= 1e-15
+
+    def test_maxima_of_a_sharp_peak_to_xtol(self):
+        # |x - c| has a kink at its peak, so the location is found to xtol
+        c = np.array([0.3, 1.7, 2.2])
+        where, value = bracketed_maxima(lambda x: -np.abs(x - c), c - 1.0, c + 0.5, xtol=1e-12)
+        assert np.max(np.abs(where - c)) <= 1e-12
+        assert np.all(value <= 0.0) and np.all(value >= -1e-12)

@@ -8,6 +8,7 @@ are checked against the exact radial exponent.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -235,6 +236,50 @@ class TestContinuousMass:
         want, err = integrate.dblquad(f, 0.0, 2.0 * math.pi, 0.0, math.pi)
         assert err < 1e-7
         assert mass(m, hood) == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("gamma,axes", [(3.5, (2.0, 0.5, 1.2)), (2.5, (1.5, 0.8, 0.6)),
+                                            (1.0, (0.7, 1.3, 1.1))])
+    def test_mass_3d_ellipsoid_straddling_support_vs_oracle(self, gamma, axes):
+        # the ellipsoid crosses the support sphere |x| = R = 1: along u = cos(theta)
+        # its extent r_e has r_e^-2 = A(phi) + (1/a3^2 - A(phi)) u^2, with
+        # A(phi) = cos^2 phi / a1^2 + sin^2 phi / a2^2, and r_e = R at
+        # sin^2 theta* = (1/R^2 - 1/a3^2) / (A(phi) - 1/a3^2); the inner integral
+        # of min(r_e, R)^gamma over u is a 2F1 on each side of theta*, and the
+        # outer mpmath integral is split at the kink A(phi*) = 1/R^2
+        m = RadialPowerMeasure.with_total_mass(gamma, 1.0, 1.0, dim=3)
+        with mpmath.workdps(20):
+            a1, a2, a3 = (mpmath.mpf(a) for a in axes)
+            g, b = mpmath.mpf(gamma), 1 / a3 ** 2
+
+            def inner(phi):
+                a = mpmath.cos(phi) ** 2 / a1 ** 2 + mpmath.sin(phi) ** 2 / a2 ** 2
+
+                def piece(lo, hi):
+                    if a + (b - a) * ((lo + hi) / 2) ** 2 < 1:
+                        return hi - lo
+                    return (hi * mpmath.hyp2f1(g / 2, 0.5, 1.5, -(b - a) * hi ** 2 / a)
+                            - lo * mpmath.hyp2f1(g / 2, 0.5, 1.5, -(b - a) * lo ** 2 / a)
+                            ) * a ** (-g / 2)
+
+                u2 = (1 - a) / (b - a)
+                return piece(0, 1) if not 0 < u2 < 1 else (piece(0, mpmath.sqrt(u2))
+                                                           + piece(mpmath.sqrt(u2), 1))
+
+            c2 = (1 - 1 / a2 ** 2) / (1 / a1 ** 2 - 1 / a2 ** 2)
+            cuts = [0, mpmath.acos(mpmath.sqrt(c2)), mpmath.pi / 2] if 0 < c2 < 1 else [0, mpmath.pi / 2]
+            want = float(8 * m.scale / g * mpmath.quad(inner, cuts))
+        assert mass(m, EllipsoidNeighborhood(axes)) == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("gamma,k,h", [(2.0, 1, 0.5), (3.5, 0, 0.7), (1.5, 2, 0.4)])
+    def test_mass_3d_box_cutting_one_slab_of_support(self, gamma, k, h):
+        # a box wider than the support ball except along axis k cuts the slab
+        # |x_k| < h: sigma = h^gamma + gamma h (1 - h^(gamma-1)) / (gamma - 1)
+        # of the total mass 1
+        m = RadialPowerMeasure.with_total_mass(gamma, 1.0, 1.0, dim=3)
+        halfwidths = [2.0, 1.5, 1.2]
+        halfwidths[k] = h
+        want = h ** gamma + gamma * h * (1.0 - h ** (gamma - 1.0)) / (gamma - 1.0)
+        assert mass(m, BoxNeighborhood(tuple(halfwidths))) == pytest.approx(want, abs=1e-8)
 
     def test_sum_and_dimension_mismatch(self):
         a = RadialPowerMeasure(gamma=2.0, radius=1.0, scale=1.0, dim=2)
