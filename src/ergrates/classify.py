@@ -6,16 +6,17 @@ m = max alpha_k for the box and on theta = -sum alpha_k for the ball.
 This module evaluates both tables, compares the two families along the
 diagonal, and rasterizes the d = 2 parameter plane into labeled region
 maps, with the measure-zero critical lines sampled on their own lattice
-so they survive the grid.
+so they survive the grid.  One array pass, `_classify`, holds every rule;
+a single point is a one-row call into it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import as_vec
 from .rates import PredictedRate, predicted_rate_from_mass_exponent
@@ -25,7 +26,6 @@ __all__ = [
     "RegimeLabel",
     "square_regime",
     "circle_regime",
-    "compare_along_diagonal",
     "RegionMap",
     "region_map",
 ]
@@ -35,8 +35,81 @@ __all__ = [
 # absorb float noise, not grid misalignment
 _TIE_TOL = 1e-12
 
-SQUARE_FAMILIES = ("SquareSubcritical", "SquareCritical", "SquareSupercritical")
-CIRCLE_FAMILIES = ("CircleSubcritical", "CircleCritical", "CircleSupercritical")
+# sub-, on and above the threshold, for the box and the ball
+FAMILIES = (("SquareSubcritical", "SquareCritical", "SquareSupercritical"),
+            ("CircleSubcritical", "CircleCritical", "CircleSupercritical"))
+VERDICTS = ("SquareBetter", "Equal", "CircleBetter")  # by diagonal order -1, 0, +1
+
+
+@dataclass(frozen=True)
+class RegimeLabel:
+    """Decay shape t^exponent_vector times ln^log_power for one body family."""
+
+    family: str
+    exponent_vector: tuple[float, ...]
+    log_power: int
+
+    @property
+    def diagonal_exponent(self) -> float:
+        return float(sum(self.exponent_vector))
+
+
+class _Regimes(NamedTuple):
+    """Regimes of N exponent rows; axis 1 is the body family, box then ball."""
+
+    m: np.ndarray
+    r: np.ndarray
+    theta: np.ndarray
+    family: np.ndarray  # (N, 2), index into FAMILIES[k]
+    exponents: np.ndarray  # (N, 2, d)
+    log_power: np.ndarray  # (N, 2)
+    verdict: np.ndarray  # (N,), index into VERDICTS
+
+    def label(self, i: int, k: int) -> RegimeLabel:
+        return RegimeLabel(FAMILIES[k][self.family[i, k]], tuple(self.exponents[i, k].tolist()),
+                           int(self.log_power[i, k]))
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added left to right as Python's sum adds a tuple."""
+    total = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        total = total + a[..., k]
+    return total
+
+
+def _classify(a: np.ndarray, r_mode: str) -> _Regimes:
+    """Both regime tables and the diagonal verdict for rows a (N, d) of positive exponents.
+
+    r counts zero successive differences among the sorted coordinates
+    ("successive"), or ties at the maximum ("at-max").  The box keys on
+    m = max alpha_k against 2, the ball on -theta = sum alpha_k against
+    d + 1.  Below its threshold a family decays like t^-alpha, on it with
+    log factors (r + 1 for the box, 1 for the ball), and above it like
+    t^(-threshold alpha / key), the box keeping r logs.  Along
+    t = p(1, ..., 1) the more negative exponent sum decays faster, fewer
+    logs break ties, and a full tie is 'Equal'.
+    """
+    d = a.shape[1]
+    m = a.max(axis=1)
+    star = np.sort(a, axis=1)
+    if r_mode == "at-max":
+        r = (np.abs(star - m[:, None]) <= _TIE_TOL).sum(axis=1) - 1
+    else:
+        r = (np.abs(star[:, 1:] - star[:, :-1]) <= _TIE_TOL).sum(axis=1)
+    total = _row_sum(a)
+    key = np.array([m, total]).T
+    bound = np.array([2.0, d + 1.0])
+    fam = np.where(key < bound - _TIE_TOL, 0, 2 - (np.abs(key - bound) <= _TIE_TOL))
+    exps = np.where(fam[:, :, None] == 2, -(a[:, None, :] * bound[:, None]) / key[:, :, None],
+                    -a[:, None, :])
+    # the box's log powers count its r ties above its threshold; the ball's do not
+    logs = (fam > 0) * (r[:, None] * np.array([1, 0])) + (fam == 1)
+    ds, dc = _row_sum(exps).T
+    # -1 box faster, +1 ball faster, 0 equal: exponent sums first, then logs
+    order = np.where(ds < dc - _TIE_TOL, -1, np.where(
+        dc < ds - _TIE_TOL, 1, np.sign(logs[:, 0] - logs[:, 1])))
+    return _Regimes(m, r, -total, fam, exps, logs, order + 1)
 
 
 @dataclass(frozen=True)
@@ -60,6 +133,10 @@ class PowerParams:
             raise ValueError(f"unknown r-mode {self.r_mode!r} (successive or at-max)")
         object.__setattr__(self, "alphas", tuple(float(v) for v in a))
 
+    @cached_property
+    def _regimes(self) -> _Regimes:
+        return _classify(np.array([self.alphas]), self.r_mode)
+
     @property
     def dim(self) -> int:
         return len(self.alphas)
@@ -70,94 +147,37 @@ class PowerParams:
 
     @property
     def m(self) -> float:
-        return max(self.alphas)
+        return float(self._regimes.m[0])
 
     @property
     def r(self) -> int:
-        star = self.alpha_star
-        if self.r_mode == "at-max":
-            return sum(1 for v in star if abs(v - star[-1]) <= _TIE_TOL) - 1
-        diffs = np.diff(star)
-        return int(np.sum(np.abs(diffs) <= _TIE_TOL))
+        return int(self._regimes.r[0])
 
     @property
     def theta(self) -> float:
-        return -float(sum(self.alphas))
-
-
-@dataclass(frozen=True)
-class RegimeLabel:
-    """Decay shape t^exponent_vector times ln^log_power for one body family."""
-
-    family: str
-    exponent_vector: tuple[float, ...]
-    log_power: int
-
-    @property
-    def key(self) -> tuple[str, int]:
-        """Distinct-label identity: family plus log power."""
-        return (self.family, self.log_power)
-
-    @property
-    def diagonal_exponent(self) -> float:
-        return float(sum(self.exponent_vector))
+        return float(self._regimes.theta[0])
 
 
 def square_regime(p: PowerParams) -> RegimeLabel:
     """Box-average regime: keyed on m = max alpha_k against the threshold 2."""
-    a = np.asarray(p.alphas)
-    m = p.m
-    if m < 2.0 - _TIE_TOL:
-        return RegimeLabel("SquareSubcritical", tuple(-a), 0)
-    if abs(m - 2.0) <= _TIE_TOL:
-        return RegimeLabel("SquareCritical", tuple(-a), p.r + 1)
-    return RegimeLabel("SquareSupercritical", tuple(-2.0 * a / m), p.r)
+    return p._regimes.label(0, 0)
 
 
 def circle_regime(p: PowerParams, dim: int | None = None) -> RegimeLabel:
     """Ball-average regime: keyed on theta against the critical degree -(d+1)."""
-    d = p.dim if dim is None else dim
-    if d != p.dim:
+    if dim is not None and dim != p.dim:
         raise ValueError("dimension disagrees with the exponent vector")
-    a = np.asarray(p.alphas)
-    crit = -(d + 1.0)
-    if p.theta > crit + _TIE_TOL:
-        return RegimeLabel("CircleSubcritical", tuple(-a), 0)
-    if abs(p.theta - crit) <= _TIE_TOL:
-        return RegimeLabel("CircleCritical", tuple(-a), 1)
-    return RegimeLabel("CircleSupercritical", tuple(a * (d + 1.0) / p.theta), 0)
-
-
-def compare_along_diagonal(p: PowerParams, dim: int | None = None) -> str:
-    """Which family decays faster along t = p(1, ..., 1).
-
-    The diagonal collapses t^v to p^(sum v); the more negative sum wins,
-    log factors break ties (fewer logs is faster), and a full tie is
-    'Equal'.
-    """
-    return _diagonal_verdict(square_regime(p), circle_regime(p, dim))
-
-
-def _diagonal_verdict(sq: RegimeLabel, ci: RegimeLabel) -> str:
-    ds, dc = sq.diagonal_exponent, ci.diagonal_exponent
-    if ds < dc - _TIE_TOL:
-        return "SquareBetter"
-    if dc < ds - _TIE_TOL:
-        return "CircleBetter"
-    if sq.log_power < ci.log_power:
-        return "SquareBetter"
-    if ci.log_power < sq.log_power:
-        return "CircleBetter"
-    return "Equal"
+    return p._regimes.label(0, 1)
 
 
 @dataclass(frozen=True)
 class RegionMap:
     """Labeled rasterization of the d = 2 exponent plane (0, alpha_max]^2.
 
-    rows: (alpha1, alpha2, square label, circle label, verdict), regular
-    grid in row-major order followed by the boundary lattice.  Label
-    counts are over distinct (family, log_power) pairs; connected
+    rows: one tuple of Python values per point, (alpha1, alpha2, square
+    family, square log power, circle family, circle log power, verdict),
+    regular grid in row-major order followed by the boundary lattice.
+    Label counts are over distinct (family, log_power) pairs; connected
     components are counted on the regular grid alone (8-connectivity),
     since the lattice points carry no area.
     """
@@ -175,30 +195,31 @@ class RegionMap:
 
 def _component_count(keys: np.ndarray) -> int:
     """Connected components of equal-label cells, 8-connectivity."""
+    from scipy import ndimage  # only the region maps need it; it slows every import
+
     eight = np.ones((3, 3), dtype=int)
     return int(sum(ndimage.label(keys == v, structure=eight)[1] for v in np.unique(keys)))
 
 
-def _boundary_lattice(alpha_max: float, resolution: int) -> list[tuple[float, float]]:
-    """Exact sample points on the measure-zero critical sets.
+def _boundary_lattice(alpha_max: float, resolution: int) -> np.ndarray:
+    """Exact sample points (K, 2) on the measure-zero critical sets.
 
     m = 2 is the pair of segments {alpha_i = 2, other <= 2}; theta = -3
     is the open segment alpha1 + alpha2 = 3; their meeting point with the
     diagonal, (2, 2), is included explicitly.
     """
-    pts: list[tuple[float, float]] = []
     n = resolution
+    parts = [np.empty((0, 2))]
     if alpha_max >= 2.0:
-        for v in np.linspace(2.0 / n, min(2.0, alpha_max), n):
-            pts.append((2.0, float(v)))
-            pts.append((float(v), 2.0))
-        pts.append((2.0, 2.0))
+        v = np.linspace(2.0 / n, min(2.0, alpha_max), n)
+        two = np.full(n, 2.0)
+        parts += [np.stack([two, v, v, two], axis=1).reshape(-1, 2), [[2.0, 2.0]]]
     lo = max(3.0 - alpha_max, 0.0) + 3.0 / (2 * n)
     hi = min(alpha_max, 3.0) - 3.0 / (2 * n)
     if lo < hi:
-        for s in np.linspace(lo, hi, n):
-            pts.append((float(s), float(3.0 - s)))
-    return pts
+        s = np.linspace(lo, hi, n)
+        parts.append(np.stack([s, 3.0 - s], axis=1))
+    return np.concatenate(parts)
 
 
 def region_map(alpha_max: float = 4.0, resolution: int = 201,
@@ -208,50 +229,37 @@ def region_map(alpha_max: float = 4.0, resolution: int = 201,
         raise ValueError("resolution below 8 cannot show the region structure")
     if alpha_max <= 0:
         raise ValueError("alpha_max must be positive")
-    step = alpha_max / resolution
-    values = step * np.arange(1, resolution + 1)
-
-    rows = []
-    sq_keys: dict[tuple, int] = {}
-    ci_keys: dict[tuple, int] = {}
-    sq_grid = np.empty((resolution, resolution), dtype=np.int64)
-    ci_grid = np.empty((resolution, resolution), dtype=np.int64)
-
-    def classify_point(a1: float, a2: float):
-        p = PowerParams((a1, a2), r_mode=r_mode)
-        sq = square_regime(p)
-        ci = circle_regime(p)
-        rows.append((a1, a2, sq, ci, _diagonal_verdict(sq, ci)))
-        return sq, ci
-
-    for i, a1 in enumerate(values):
-        for j, a2 in enumerate(values):
-            sq, ci = classify_point(float(a1), float(a2))
-            sq_grid[i, j] = sq_keys.setdefault(sq.key, len(sq_keys))
-            ci_grid[i, j] = ci_keys.setdefault(ci.key, len(ci_keys))
-
-    for a1, a2 in _boundary_lattice(alpha_max, resolution):
-        sq, ci = classify_point(a1, a2)
-        sq_keys.setdefault(sq.key, len(sq_keys))
-        ci_keys.setdefault(ci.key, len(ci_keys))
-
+    n = resolution
+    values = (alpha_max / n) * np.arange(1, n + 1)
+    grid = np.stack([np.repeat(values, n), np.tile(values, n)], axis=1)
+    pts = np.concatenate([grid, _boundary_lattice(alpha_max, n)])
+    reg = _classify(pts, r_mode)
+    labels, components, columns = [], [], []
+    for k, names in enumerate(FAMILIES):
+        # one code per (family, log power); log powers stay below 4 in d = 2
+        code = 4 * reg.family[:, k] + reg.log_power[:, k]
+        labels.append(tuple(sorted((names[c // 4], c % 4) for c in np.unique(code).tolist())))
+        components.append(_component_count(code[:n * n].reshape(n, n)))
+        columns += [[names[f] for f in reg.family[:, k].tolist()], reg.log_power[:, k].tolist()]
+    rows = tuple(zip(pts[:, 0].tolist(), pts[:, 1].tolist(), *columns,
+                     [VERDICTS[v] for v in reg.verdict.tolist()]))
     return RegionMap(
         alpha_max=alpha_max,
         resolution=resolution,
-        rows=tuple(rows),
-        square_label_count=len(sq_keys),
-        circle_label_count=len(ci_keys),
-        square_labels=tuple(sorted(sq_keys)),
-        circle_labels=tuple(sorted(ci_keys)),
-        square_components=_component_count(sq_grid),
-        circle_components=_component_count(ci_grid),
+        rows=rows,
+        square_label_count=len(labels[0]),
+        circle_label_count=len(labels[1]),
+        square_labels=labels[0],
+        circle_labels=labels[1],
+        square_components=components[0],
+        circle_components=components[1],
     )
 
 
-def params_report(p: PowerParams, dim: int | None = None) -> dict:
-    """JSON-ready single-point classification."""
-    sq = square_regime(p)
-    ci = circle_regime(p, dim)
+def params_report(p: PowerParams) -> dict:
+    """JSON-ready single-point classification, in Python ints, floats and strings."""
+    reg = p._regimes
+    sq, ci = reg.label(0, 0), reg.label(0, 1)
     consistency = None
     if len(set(p.alphas)) == 1:
         # radial case: the ball table must reproduce the mass-exponent rate
@@ -283,6 +291,6 @@ def params_report(p: PowerParams, dim: int | None = None) -> dict:
             "exponents": list(ci.exponent_vector),
             "log_power": ci.log_power,
         },
-        "verdict": _diagonal_verdict(sq, ci),
+        "verdict": VERDICTS[int(reg.verdict[0])],
         "radial_consistency": consistency,
     }

@@ -101,10 +101,13 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _csv_text(header: list[str], rows, cfg: dict, extra_comments=()) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _fmt_row(row) -> str:
+    return ",".join(_fmt(v) for v in row)
+
+
+def _csv_text(header: list[str], lines: list[str], cfg: dict, extra_comments=()) -> str:
+    """CSV text from already formatted data lines, with the trailing comment block."""
+    lines = [",".join(header)] + lines
     for c in extra_comments:
         lines.append(f"# {c}")
     lines.append(f"# config-hash = {config_hash(cfg)}")
@@ -183,6 +186,10 @@ def _tol(cfg: dict) -> float:
 
 # -- subcommands -------------------------------------------------------------
 
+# the most points a fourier ray or a region-map grid may have, checked before
+# any work: the largest accepted ray or map peaks below 1 GB resident
+_MAX_ROWS = 1_000_000
+
 
 def _cmd_fourier(args) -> int:
     cfg = _merged(args, {
@@ -195,17 +202,21 @@ def _cmd_fourier(args) -> int:
     if np.linalg.norm(direction) == 0.0:
         raise ConfigError("direction must be nonzero")
     direction = direction / np.linalg.norm(direction)
-    z = np.linspace(_num(cfg, "z-lo"), _num(cfg, "z-hi"), _num(cfg, "points", int))
+    points = _num(cfg, "points", int)
+    if points > _MAX_ROWS:
+        raise ConfigError(f"points must be at most {_MAX_ROWS}, got {points}")
+    z = np.linspace(_num(cfg, "z-lo"), _num(cfg, "z-hi"), points)
     xs = z[:, None] * direction[None, :]
-    rows = []
-    for x, val in zip(xs, indicator_ft(body, xs)):
-        try:
-            env = stationary_phase_ft(body, x).envelope
-        except ValueError:
-            env = math.nan
-        rows.append(list(x) + [val.real, val.imag, abs(val), env])
+    vals = indicator_ft(body, xs)
+    try:
+        env = stationary_phase_ft(body, xs).envelope
+    except ValueError:  # the cube has no two-point expansion
+        env = np.full(len(xs), math.nan)
+    # |F| through hypot, as abs() of one complex takes it (np.abs of a complex
+    # array may round differently)
+    table = np.column_stack([xs, vals.real, vals.imag, np.hypot(vals.real, vals.imag), env])
     header = [f"x_{k + 1}" for k in range(dim)] + ["re", "im", "abs", "herz_envelope"]
-    _write(cfg["out"], _csv_text(header, rows, cfg))
+    _write(cfg["out"], _csv_text(header, [_fmt_row(row) for row in table.tolist()], cfg))
     if "plot" in cfg:
         norm_expr = "sqrt(" + "+".join(f"${k + 1}*${k + 1}" for k in range(dim)) + ")"
         script = "\n".join([
@@ -241,7 +252,7 @@ def _cmd_rates(args) -> int:
         theta = math.nan
         if k + 1 >= 8 and not np.any(vals[: k + 1] <= 0):
             theta = float(rates_mod.rate_lstsq(p[: k + 1], vals[: k + 1])[0][0])
-        rows.append([pk] + list(t) + [vals[k], theta])
+        rows.append(_fmt_row([pk] + list(t) + [vals[k], theta]))
     header = ["p"] + [f"t_{k + 1}" for k in range(dim)] + ["I", "theta_fit_running"]
     _write(cfg["out"], _csv_text(header, rows, cfg))
     return 0
@@ -262,7 +273,7 @@ def _cmd_simulate(args) -> int:
         t = as_vec([float(v) for v in chunk.split(",")], dim=dim)
         norm_sq = average_norm_sq(action, body, t)
         atomic = rates_mod.decay_integral_atomic(body, measure, t)
-        rows.append(list(t) + [norm_sq, atomic, abs(norm_sq - atomic)])
+        rows.append(_fmt_row(list(t) + [norm_sq, atomic, abs(norm_sq - atomic)]))
     header = [f"t_{k + 1}" for k in range(dim)] + ["norm_sq", "i_k_atomic", "abs_diff"]
     _write(cfg["out"], _csv_text(header, rows, cfg))
     return 0
@@ -359,10 +370,12 @@ def _cmd_regionmap(args) -> int:
         raise ConfigError(f"grid must be lo:hi:resolution with numbers, got {cfg['grid']!r}") from None
     if lo != 0.0:
         raise ConfigError("grid must start at 0; the map covers the half-open square (0, hi]^2")
+    if res * res > _MAX_ROWS:
+        raise ConfigError(f"grid resolution must be at most {math.isqrt(_MAX_ROWS)}, got {res}")
     rmap = classify_mod.region_map(alpha_max=hi, resolution=res, r_mode=cfg["r-mode"])
-    rows = []
-    for a1, a2, sq, ci, verdict in rmap.rows:
-        rows.append([a1, a2, sq.family, sq.log_power, ci.family, ci.log_power, verdict])
+    # about 800 distinct alphas in a 201-grid: format each once
+    text = {a: _fmt(a) for a in {a for row in rmap.rows for a in row[:2]}}
+    rows = [f"{text[a1]},{text[a2]},{sf},{sl},{cf},{cl},{v}" for a1, a2, sf, sl, cf, cl, v in rmap.rows]
     header = ["alpha1", "alpha2", "square_family", "square_log",
               "circle_family", "circle_log", "verdict"]
     comments = [

@@ -30,10 +30,12 @@ from .geometry import (
     ConvexBody,
     Cube,
     Ellipsoid,
+    as_rows,
     as_vec,
     extremal_points,
     gaussian_curvature,
     is_strictly_convex,
+    row_norms,
     unit_ball_volume,
     volume,
     width,
@@ -91,11 +93,7 @@ def indicator_ft(body: ConvexBody, x):
     """
     if not isinstance(body, (Ball, Ellipsoid, Cube)):
         raise TypeError(f"unknown body {body!r}")
-    pts = np.asarray(x, dtype=float)
-    one = pts.ndim != 2
-    pts = as_vec(pts, dim=body.dim)[None, :] if one else pts
-    if pts.shape[1] != body.dim or not np.all(np.isfinite(pts)):
-        raise ValueError(f"expected finite rows of {body.dim}-d points, got shape {pts.shape}")
+    pts, one = as_rows(x, body.dim)
     if isinstance(body, Cube):
         # prod_k (e^{i x_k} - 1) / (i x_k) as e^{i x_k/2} sin(x_k/2) / (x_k/2), factor
         # 1 at x_k = 0 (e^{iz} - 1 loses precision for |z| < 1e-7), multiplied out in
@@ -110,10 +108,9 @@ def indicator_ft(body: ConvexBody, x):
         vals = re + im * 1j
     else:
         # E = a o B(0,1), so F factors through the scaled argument (a ball
-        # scales after the norm); the row norms go through the dot product
-        # np.linalg.norm takes for one vector, so a point keeps its bits
+        # scales after the norm)
         y = pts if isinstance(body, Ball) else pts * body.semi_axes
-        w = np.sqrt((y[:, None, :] @ y[:, :, None])[:, 0, 0])
+        w = row_norms(y)
         if isinstance(body, Ball):
             scale, w = body.radius ** body.dim, body.radius * w
         else:
@@ -250,14 +247,17 @@ def indicator_ft_quadrature(
 
 @dataclass(frozen=True)
 class StationaryPhaseFT:
-    """Two-point stationary-phase data for F[1_K](x) at large |x|."""
+    """Two-point stationary-phase data for F[1_K](x) at large |x|.
 
-    value: complex
-    envelope: float
-    amp_plus: float
-    amp_minus: float
-    phase_plus: float
-    phase_minus: float
+    Scalars for one point x; arrays of N values for rows (N, d) of points.
+    """
+
+    value: complex | np.ndarray
+    envelope: float | np.ndarray
+    amp_plus: float | np.ndarray
+    amp_minus: float | np.ndarray
+    phase_plus: float | np.ndarray
+    phase_minus: float | np.ndarray
 
 
 def stationary_phase_ft(body: ConvexBody, x) -> StationaryPhaseFT:
@@ -267,33 +267,38 @@ def stationary_phase_ft(body: ConvexBody, x) -> StationaryPhaseFT:
     (2*pi)^((d-1)/2) kappa^(-1/2) |x|^(-(d+1)/2) with phases
     (x, x+-) -+ pi(d+1)/4; `envelope` is the amplitude sum, an upper
     envelope for |value| and, asymptotically, for |F[1_K]| itself.
+
+    x is one point (scalar fields come back; x = 0 raises) or rows (N, d)
+    of points (fields of N values; a row at x = 0 reads NaN).  Both take
+    the same path, and each row uses its own direction x/|x|, so a point
+    has the same bits alone as among rows.
     """
     if not is_strictly_convex(body):
         raise ValueError("stationary-phase approximation needs a strictly convex body")
-    x = as_vec(x)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
+    pts, one = as_rows(x, body.dim)
+    r = row_norms(pts)
+    if one and r[0] == 0.0:
         raise ValueError("x = 0 has no stationary-phase expansion")
-    d = x.size
-    eta = x / r
-    xp, xm = extremal_points(body, eta)
+    keep = r > 0.0
+    pts, r, d = pts[keep], r[keep], body.dim
+    xp, xm = extremal_points(body, pts / r[:, None])
     kp = gaussian_curvature(body, xp)
     km = gaussian_curvature(body, xm)
-    coeff = (2.0 * math.pi) ** ((d - 1) / 2.0) * r ** (-(d + 1) / 2.0)
-    amp_p = coeff / math.sqrt(kp)
-    amp_m = coeff / math.sqrt(km)
+    # Python's float power, as for one point: numpy's array power may round differently
+    coeff = (2.0 * math.pi) ** ((d - 1) / 2.0) * np.array([v ** (-(d + 1) / 2.0) for v in r.tolist()])
+    amp_p = coeff / np.sqrt(kp)
+    amp_m = coeff / np.sqrt(km)
     offset = math.pi * (d + 1) / 4.0
-    ph_p = float(np.dot(x, xp)) - offset
-    ph_m = float(np.dot(x, xm)) + offset
+    ph_p = (pts[:, None, :] @ xp[:, :, None])[:, 0, 0] - offset
+    ph_m = (pts[:, None, :] @ xm[:, :, None])[:, 0, 0] + offset
     value = amp_p * np.exp(1j * ph_p) + amp_m * np.exp(1j * ph_m)
-    return StationaryPhaseFT(
-        value=complex(value),
-        envelope=amp_p + amp_m,
-        amp_plus=amp_p,
-        amp_minus=amp_m,
-        phase_plus=ph_p,
-        phase_minus=ph_m,
-    )
+    fields = np.full((5, len(keep)), math.nan)
+    fields[:, keep] = amp_p + amp_m, amp_p, amp_m, ph_p, ph_m
+    values = np.full(len(keep), math.nan, dtype=complex)
+    values[keep] = value
+    if one:
+        return StationaryPhaseFT(complex(values[0]), *(float(v) for v in fields[:, 0]))
+    return StationaryPhaseFT(values, *fields)
 
 
 def decay_constant_estimate(body: ConvexBody, xs) -> float:

@@ -24,6 +24,8 @@ __all__ = [
     "Ellipsoid",
     "ConvexBody",
     "as_vec",
+    "as_rows",
+    "row_norms",
     "unit_ball_volume",
     "volume",
     "support",
@@ -55,14 +57,36 @@ def as_vec(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def _unit(eta) -> np.ndarray:
-    eta = as_vec(eta)
-    n = float(np.linalg.norm(eta))
-    if n == 0.0:
+def as_rows(x, dim: int) -> tuple[np.ndarray, bool]:
+    """x as finite rows (N, dim) of points, and whether x was one point (a vector)."""
+    pts = np.asarray(x, dtype=float)
+    one = pts.ndim != 2
+    pts = as_vec(pts, dim=dim)[None, :] if one else pts
+    if pts.shape[1] != dim or not np.all(np.isfinite(pts)):
+        raise ValueError(f"expected finite rows of {dim}-d points, got shape {pts.shape}")
+    return pts, one
+
+
+def row_norms(pts: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of pts (N, d).
+
+    Each goes through the dot product np.linalg.norm takes for one vector,
+    so a row has the bits of its point alone (norm(pts, axis=1) rounds
+    differently).
+    """
+    return np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
+
+
+def _unit(eta, dim: int) -> np.ndarray:
+    """eta, one direction or rows (N, dim) of them, each checked to be a unit vector."""
+    rows, one = as_rows(eta, dim)
+    n = row_norms(rows)
+    if np.any(n == 0.0):
         raise ValueError("direction must be nonzero")
-    if abs(n - 1.0) > 1e-9:
-        raise ValueError(f"direction must be a unit vector (|eta| = {n:.3e})")
-    return eta
+    off = np.abs(n - 1.0) > 1e-9
+    if np.any(off):
+        raise ValueError(f"direction must be a unit vector (|eta| = {n[off][0]:.3e})")
+    return rows[0] if one else rows
 
 
 def unit_ball_volume(d: int) -> float:
@@ -163,50 +187,44 @@ def support(body: ConvexBody, eta) -> float:
         The support value.  Positively homogeneous of degree 1 when
         extended off the sphere, which is why normalization is forced here.
     """
-    eta = _unit(eta)
+    if not isinstance(body, (Ball, Ellipsoid, Cube)):
+        raise TypeError(f"unknown body {body!r}")
+    eta = _unit(as_vec(eta), body.dim)
     if isinstance(body, Ball):
-        as_vec(eta, dim=body.dim)
         return float(body.radius)
     if isinstance(body, Ellipsoid):
-        a = body.semi_axes
-        as_vec(eta, dim=a.size)
-        return float(np.linalg.norm(a * eta))
+        return float(np.linalg.norm(body.semi_axes * eta))
+    return float(np.sum(np.maximum(eta, 0.0)))
+
+
+def _strictly_convex(body: ConvexBody, what: str) -> Ball | Ellipsoid:
     if isinstance(body, Cube):
-        as_vec(eta, dim=body.dim)
-        return float(np.sum(np.maximum(eta, 0.0)))
-    raise TypeError(f"unknown body {body!r}")
+        raise ValueError(what)
+    if not isinstance(body, (Ball, Ellipsoid)):
+        raise TypeError(f"unknown body {body!r}")
+    return body
 
 
 def extremal_points(body: ConvexBody, eta) -> tuple[np.ndarray, np.ndarray]:
     """Unique boundary maximizer/minimizer (x+, x-) of (y, eta).
 
-    Only defined for strictly convex bodies; the cube has faces, so the
+    eta is one unit direction or rows (N, d) of them; x+- come back in the
+    same shape, and a row has the bits of its direction alone.  Only
+    defined for strictly convex bodies; the cube has faces, so the
     maximizer is not unique and the call is rejected.
     """
-    eta = _unit(eta)
+    body = _strictly_convex(body, "extremal points are not unique for the cube")
+    eta = _unit(eta, body.dim)
     if isinstance(body, Ball):
-        as_vec(eta, dim=body.dim)
         xp = body.radius * eta
-        return xp, -xp
-    if isinstance(body, Ellipsoid):
-        a = body.semi_axes
-        as_vec(eta, dim=a.size)
+    else:
         # Lagrange condition: boundary normal x/a^2 parallel to eta.
-        u = float(np.linalg.norm(a * eta))
-        xp = (a * a) * eta / u
-        return xp, -xp
-    if isinstance(body, Cube):
-        raise ValueError("extremal points are not unique for the cube")
-    raise TypeError(f"unknown body {body!r}")
+        a, rows = body.semi_axes, np.atleast_2d(eta)
+        xp = ((a * a) * rows / row_norms(a * rows)[:, None]).reshape(eta.shape)
+    return xp, -xp
 
 
-def _on_boundary(body: Ball | Ellipsoid, p: np.ndarray) -> bool:
-    a = body.semi_axes
-    q = float(np.sum((p / a) ** 2))
-    return abs(q - 1.0) <= BOUNDARY_RTOL
-
-
-def gaussian_curvature(body: ConvexBody, p) -> float:
+def gaussian_curvature(body: ConvexBody, p):
     """Gaussian curvature of the boundary at a boundary point p.
 
     For the ellipsoid sum (x_k/a_k)^2 = 1 the product of the d-1 principal
@@ -214,25 +232,23 @@ def gaussian_curvature(body: ConvexBody, p) -> float:
 
         kappa(p) = (prod_k a_k^2)^(-1) * (sum_k p_k^2 / a_k^4)^(-(d+1)/2),
 
-    which reduces to R^(1-d) on the ball.  p must satisfy the defining
-    equation to relative tolerance 1e-8.
+    which reduces to R^(1-d) on the ball.  p is one point (a float comes
+    back) or rows (N, d) of points (N floats); each must satisfy the
+    defining equation to relative tolerance 1e-8.
     """
-    if isinstance(body, Cube):
-        raise ValueError("cube boundary has no curvature (flat faces)")
+    body = _strictly_convex(body, "cube boundary has no curvature (flat faces)")
+    a = body.semi_axes
+    rows, one = as_rows(p, a.size)
+    if np.any(np.abs(np.sum((rows / a) ** 2, axis=1) - 1.0) > BOUNDARY_RTOL):
+        raise ValueError("point is not on the boundary")
+    d = a.size
     if isinstance(body, Ball):
-        p = as_vec(p, dim=body.dim)
-        if not _on_boundary(body, p):
-            raise ValueError("point is not on the boundary")
-        return float(body.radius) ** (1 - body.dim)
-    if isinstance(body, Ellipsoid):
-        a = body.semi_axes
-        p = as_vec(p, dim=a.size)
-        if not _on_boundary(body, p):
-            raise ValueError("point is not on the boundary")
-        d = a.size
-        s = float(np.sum(p * p / a ** 4))
-        return 1.0 / (float(np.prod(a * a)) * s ** ((d + 1) / 2.0))
-    raise TypeError(f"unknown body {body!r}")
+        kappa = np.full(len(rows), float(body.radius) ** (1 - d))
+    else:
+        s = np.sum(rows * rows / a ** 4, axis=1)
+        # Python's float power: numpy's array power may round differently
+        kappa = 1.0 / (float(np.prod(a * a)) * np.array([v ** ((d + 1) / 2.0) for v in s.tolist()]))
+    return float(kappa[0]) if one else kappa
 
 
 def width(body: ConvexBody, eta) -> float:
@@ -241,7 +257,7 @@ def width(body: ConvexBody, eta) -> float:
     Strictly convex bodies use the extremal points, (x+ - x-, eta); the
     cube falls back to the support-sum identity, which is equivalent.
     """
-    eta = _unit(eta)
+    eta = _unit(as_vec(eta), body.dim)
     if is_strictly_convex(body):
         xp, xm = extremal_points(body, eta)
         return float(np.dot(xp - xm, eta))

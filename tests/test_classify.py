@@ -2,7 +2,9 @@
 
 The worked table rows are frozen by hand from the piecewise formulas; the
 region-map counts are pinned against the label algebra (three open
-regions plus the critical lines the lattice must not lose).
+regions plus the critical lines the lattice must not lose).  A plain
+Python copy of the piecewise rules, one point at a time, is the oracle
+the array classification must match exactly.
 """
 
 import numpy as np
@@ -13,7 +15,6 @@ from ergrates.classify import (
     RegimeLabel,
     _component_count,
     circle_regime,
-    compare_along_diagonal,
     params_report,
     region_map,
     square_regime,
@@ -151,23 +152,27 @@ class TestInvariants:
             assert lab.log_power == pred.log_power
 
 
+def _verdict(alphas) -> str:
+    return params_report(PowerParams(alphas))["verdict"]
+
+
 class TestDiagonalComparison:
     def test_worked_examples(self):
-        assert compare_along_diagonal(PowerParams((1.0, 1.0))) == "Equal"
-        assert compare_along_diagonal(PowerParams((2.0, 2.0))) == "SquareBetter"
-        assert compare_along_diagonal(PowerParams((3.0, 1.0))) == "CircleBetter"
+        assert _verdict((1.0, 1.0)) == "Equal"
+        assert _verdict((2.0, 2.0)) == "SquareBetter"
+        assert _verdict((3.0, 1.0)) == "CircleBetter"
 
     def test_verdict_flips_across_critical_line(self):
         # theta = -3 separates Equal (both subcritical) from SquareBetter
-        assert compare_along_diagonal(PowerParams((1.4, 1.4))) == "Equal"
-        assert compare_along_diagonal(PowerParams((1.6, 1.6))) == "SquareBetter"
+        assert _verdict((1.4, 1.4)) == "Equal"
+        assert _verdict((1.6, 1.6)) == "SquareBetter"
 
     def test_log_factor_breaks_ties(self):
         # on theta = -3 both diagonals reach -3 but the circle carries a log
         p = PowerParams((1.5, 1.5))
         assert square_regime(p).diagonal_exponent == -3.0
         assert circle_regime(p).diagonal_exponent == -3.0
-        assert compare_along_diagonal(p) == "SquareBetter"
+        assert _verdict((1.5, 1.5)) == "SquareBetter"
 
 
 class TestRegionMap:
@@ -211,9 +216,10 @@ class TestRegionMap:
         rm = region_map(alpha_max=4.0, resolution=res)
         assert len(rm.rows) > res * res
         step = 4.0 / res
-        a1, a2, sq, ci, verdict = rm.rows[0]
+        a1, a2, sq_family, sq_log, ci_family, ci_log, verdict = rm.rows[0]
         assert (a1, a2) == (pytest.approx(step), pytest.approx(step))
-        assert sq.family == "SquareSubcritical" and ci.family == "CircleSubcritical"
+        assert (sq_family, sq_log) == ("SquareSubcritical", 0)
+        assert (ci_family, ci_log) == ("CircleSubcritical", 0)
         assert verdict == "Equal"
         # lattice rows actually sit on the critical sets
         lattice = rm.rows[res * res:]
@@ -233,6 +239,97 @@ class TestRegionMap:
         rm = region_map(alpha_max=1.0, resolution=16)
         assert rm.square_labels == (("SquareSubcritical", 0),)
         assert rm.circle_labels == (("CircleSubcritical", 0),)
+
+
+def _reference(alphas, r_mode="successive"):
+    """The piecewise rules for one point in plain Python floats: (m, r, theta,
+    square (family, exponents, log power), circle (...), verdict).
+
+    Sums run left to right, as the regime rules have always added them.
+    """
+    tol, d = 1e-12, len(alphas)
+    star = sorted(alphas)
+    m = star[-1]
+    if r_mode == "at-max":
+        r = sum(1 for v in star if abs(v - m) <= tol) - 1
+    else:
+        r = sum(1 for lo, hi in zip(star, star[1:]) if abs(hi - lo) <= tol)
+    total = 0.0
+    for v in alphas:
+        total += v
+    theta = -total
+    neg = tuple(-v for v in alphas)
+    if m < 2.0 - tol:
+        square = ("SquareSubcritical", neg, 0)
+    elif abs(m - 2.0) <= tol:
+        square = ("SquareCritical", neg, r + 1)
+    else:
+        square = ("SquareSupercritical", tuple(-2.0 * v / m for v in alphas), r)
+    crit = -(d + 1.0)
+    if theta > crit + tol:
+        circle = ("CircleSubcritical", neg, 0)
+    elif abs(theta - crit) <= tol:
+        circle = ("CircleCritical", neg, 1)
+    else:
+        circle = ("CircleSupercritical", tuple(v * (d + 1.0) / theta for v in alphas), 0)
+    diag = []
+    for _, exps, _ in (square, circle):
+        s = 0.0
+        for v in exps:
+            s += v
+        diag.append(s)
+    (ds, dc), ls, lc = diag, square[2], circle[2]
+    if ds < dc - tol:
+        verdict = "SquareBetter"
+    elif dc < ds - tol:
+        verdict = "CircleBetter"
+    elif ls < lc:
+        verdict = "SquareBetter"
+    elif lc < ls:
+        verdict = "CircleBetter"
+    else:
+        verdict = "Equal"
+    return m, r, theta, square, circle, verdict
+
+
+class TestRegimeOracle:
+    @pytest.mark.parametrize("alpha_max,resolution,r_mode", [
+        (4.0, 201, "successive"), (4.0, 64, "successive"), (3.0, 50, "at-max"),
+        (1.0, 16, "successive"), (2.0, 40, "at-max"), (3.0, 33, "successive"),
+        (3.7, 77, "successive"),
+    ])
+    def test_region_map_rows_match_the_point_rules(self, alpha_max, resolution, r_mode):
+        rm = region_map(alpha_max, resolution, r_mode)
+        for a1, a2, sq_family, sq_log, ci_family, ci_log, verdict in rm.rows:
+            _, _, _, sq, ci, want = _reference((a1, a2), r_mode)
+            assert (sq_family, sq_log, ci_family, ci_log, verdict) == (sq[0], sq[2], ci[0], ci[2], want)
+        keys = {(sq_family, sq_log) for _, _, sq_family, sq_log, *_ in rm.rows}
+        assert rm.square_labels == tuple(sorted(keys))
+        keys = {(ci_family, ci_log) for *_, ci_family, ci_log, _ in rm.rows}
+        assert rm.circle_labels == tuple(sorted(keys))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_reports_match_the_point_rules_bit_for_bit(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        rows = [rng.uniform(0.05, 4.0, dim) for _ in range(300)]
+        # eighths are exact in binary, so ties and critical sums occur
+        rows += [rng.integers(1, 33, dim) / 8.0 for _ in range(300)]
+        for a in rows:
+            for mode in ("successive", "at-max"):
+                alphas = tuple(float(v) for v in a)
+                m, r, theta, sq, ci, verdict = _reference(alphas, mode)
+                p = PowerParams(alphas, r_mode=mode)
+                rep = params_report(p)
+                assert (rep["m"], rep["r"], rep["theta"], rep["verdict"]) == (m, r, theta, verdict)
+                # JSON-ready: Python scalars only (json.dumps refuses numpy ones)
+                assert (type(rep["m"]), type(rep["r"]), type(rep["theta"])) == (float, int, float)
+                for key, want, got in (("square", sq, square_regime(p)),
+                                       ("circle", ci, circle_regime(p))):
+                    assert (got.family, got.exponent_vector, got.log_power) == want
+                    table = rep[key]
+                    assert (table["family"], tuple(table["exponents"]), table["log_power"]) == want
+                    assert type(table["log_power"]) is int
+                    assert {type(v) for v in table["exponents"]} == {float}
 
 
 class TestParamsReport:

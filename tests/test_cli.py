@@ -4,6 +4,7 @@ Everything calls main(argv) in-process; artifacts land in tmp_path and
 are reparsed as plain text or JSON.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -87,6 +88,16 @@ class TestFourierCommand:
         assert abs0 == pytest.approx(math.hypot(re0, im0), rel=1e-10)
         script = plot.read_text()
         assert str(out) in script and "envelope" in script
+
+
+    def test_envelope_column_is_nan_for_the_cube_and_at_the_origin(self, tmp_path):
+        out = tmp_path / "f.csv"
+        assert main(["fourier", "--body", "cube", "--points", "16", "--out", str(out)]) == 0
+        _, rows, _ = read_csv(out)
+        assert all(row[-1] == "nan" for row in rows)
+        assert main(["fourier", "--z-lo", "0", "--points", "16", "--out", str(out)]) == 0
+        _, rows, _ = read_csv(out)
+        assert rows[0][-1] == "nan" and all(math.isfinite(float(row[-1])) for row in rows[1:])
 
 
 class TestRatesCommand:
@@ -352,6 +363,50 @@ class TestDeterminism:
         strip = lambda p: [ln for ln in p.read_text().splitlines()
                            if not ln.startswith("# config-hash")]
         assert strip(a) == strip(b)
+
+
+class TestPinnedArtifacts:
+    """sha256 of each artifact's lines above its config hash, as the per-point
+    classification and envelope loops wrote them; the array passes must
+    reproduce every byte."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["regionmap", "--grid", "0:4:201"],
+         "e2e181b3fb8d3fe990ddd4e0db5011d34b6b0bb6bc66269baa234b006542ba61"),
+        (["fourier", "--body", "ellipsoid:2,1", "--direction", "0.3,-0.7",
+          "--z-lo", "1", "--z-hi", "300", "--points", "1000"],
+         "34c73d2f659198055062ff5bfe8a13d1ddea89b6356e59f086df26813ff168f1"),
+        (["fourier", "--body", "ball:1", "--dim", "3", "--direction", "0,0,1",
+          "--z-lo", "0", "--z-hi", "40", "--points", "333"],
+         "36156b5011faa26724383dec7e42866b3f55f47aab97a68f0a5785b3aaa95d1d"),
+        (["fourier", "--body", "cube", "--direction", "1,2",
+          "--z-lo", "1", "--z-hi", "300", "--points", "1000"],
+         "dc19955ea92c0437ff189e0507baff2fe58877a4b99d6685495daf09c2b9e1d1"),
+    ], ids=["regionmap", "fourier-ellipsoid", "fourier-ball3-origin", "fourier-cube"])
+    def test_bytes_above_the_config_hash(self, argv, digest, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", "a.csv"]) == 0
+        text = (tmp_path / "a.csv").read_bytes()
+        assert hashlib.sha256(text[:text.index(b"# config-hash")]).hexdigest() == digest
+
+
+class TestOversizedArtifacts:
+    @pytest.mark.parametrize("argv,message", [
+        (["regionmap", "--grid", "0:4:1001"], "grid resolution must be at most 1000, got 1001"),
+        (["fourier", "--points", "1000001"], "points must be at most 1000000, got 1000001"),
+        (["fourier", "--points", "1000000000"], "points must be at most 1000000, got 1000000000"),
+    ], ids=["regionmap", "fourier", "fourier-1e9"])
+    def test_refused_before_any_work(self, argv, message, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before the size was checked")
+
+        monkeypatch.setattr("ergrates.classify.region_map", no_work)
+        monkeypatch.setattr("ergrates.cli.indicator_ft", no_work)
+        monkeypatch.setattr("ergrates.cli.np.linspace", no_work)
+        out = tmp_path / "a.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"ergrates: config error: {message}\n"
+        assert not out.exists()
 
 
 class TestTopLevel:

@@ -243,6 +243,32 @@ class TestAsymptotics:
             stationary_phase_ft(Cube(2), np.array([5.0, 1.0]))
 
 
+class TestStationaryPhaseRows:
+    @pytest.mark.parametrize("body", [
+        Ball(1.0), Ball(2.5, dim=3), Ball(0.7, dim=4), Ellipsoid((2.0, 1.0)),
+        Ellipsoid((0.3, 1.7)), Ellipsoid((2.0, 1.0, 1.5)), Ellipsoid((1.0, 2.0, 3.0, 0.5)),
+    ], ids=lambda b: repr(b))
+    def test_rows_match_points_bit_for_bit(self, body):
+        d = body.dim
+        dirs = list(np.eye(d)) + [unit(RNG.normal(size=d)) for _ in range(3)]
+        xs = np.concatenate([np.linspace(0.0, 300.0, 101)[:, None] * eta[None, :] for eta in dirs])
+        rows = stationary_phase_ft(body, xs)
+        fields = ("value", "envelope", "amp_plus", "amp_minus", "phase_plus", "phase_minus")
+        for i, x in enumerate(xs):
+            if not np.any(x):
+                assert all(np.isnan(getattr(rows, f)[i]) for f in fields)
+                continue
+            one = stationary_phase_ft(body, x)
+            for f in fields:
+                assert getattr(rows, f)[i] == getattr(one, f), f
+        with pytest.raises(ValueError, match="x = 0"):
+            stationary_phase_ft(body, np.zeros(d))
+
+    def test_rows_keep_the_cube_out(self):
+        with pytest.raises(ValueError, match="strictly convex"):
+            stationary_phase_ft(Cube(2), np.ones((3, 2)))
+
+
 class TestDecayConstant:
     def test_d1_exact(self):
         # sup |2 sin z / z| * |z| = 2

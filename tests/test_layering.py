@@ -243,3 +243,5 @@ def test_cli_import_leaves_scipy_optimize_and_stats_out():
     out = subprocess.run([sys.executable, "-c", "import sys, ergrates.cli; print(*sys.modules)"],
                          capture_output=True, text=True, check=True, env=env)
     assert [m for m in out.stdout.split() if _banned(m)] == []
+    # only the region maps' component count needs scipy.ndimage; it is imported there
+    assert [m for m in out.stdout.split() if m.startswith("scipy.ndimage")] == []
