@@ -16,6 +16,7 @@ divergence-test failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -186,9 +187,20 @@ def _tol(cfg: dict) -> float:
 
 # -- subcommands -------------------------------------------------------------
 
-# the most points a fourier ray or a region-map grid may have, checked before
-# any work: the largest accepted ray or map peaks below 1 GB resident
+# the most points a fourier ray, a p-ladder or a region-map grid may have,
+# checked before any work: the largest accepted ray or map peaks below 1 GB
+# resident
 _MAX_ROWS = 1_000_000
+
+
+def _points(cfg: dict) -> int:
+    """--points, checked to be 1 to _MAX_ROWS before anything is allocated."""
+    points = _num(cfg, "points", int)
+    if points < 1:
+        raise ConfigError(f"points must be at least 1, got {points}")
+    if points > _MAX_ROWS:
+        raise ConfigError(f"points must be at most {_MAX_ROWS}, got {points}")
+    return points
 
 
 def _cmd_fourier(args) -> int:
@@ -202,10 +214,7 @@ def _cmd_fourier(args) -> int:
     if np.linalg.norm(direction) == 0.0:
         raise ConfigError("direction must be nonzero")
     direction = direction / np.linalg.norm(direction)
-    points = _num(cfg, "points", int)
-    if points > _MAX_ROWS:
-        raise ConfigError(f"points must be at most {_MAX_ROWS}, got {points}")
-    z = np.linspace(_num(cfg, "z-lo"), _num(cfg, "z-hi"), points)
+    z = np.linspace(_num(cfg, "z-lo"), _num(cfg, "z-hi"), _points(cfg))
     xs = z[:, None] * direction[None, :]
     vals = indicator_ft(body, xs)
     try:
@@ -242,7 +251,7 @@ def _cmd_rates(args) -> int:
     body = parse_body(cfg["body"], dim=dim)
     measure = parse_measure(cfg["measure"], dim=dim)
     direction = _vec(cfg, "direction") if "direction" in cfg else np.ones(dim)
-    p = np.geomspace(_num(cfg, "p-lo"), _num(cfg, "p-hi"), _num(cfg, "points", int))
+    p = np.geomspace(_num(cfg, "p-lo"), _num(cfg, "p-hi"), _points(cfg))
     grid = rates_mod.ray_grid(direction, p)
     tol = _tol(cfg)
     vals = np.array([rates_mod.decay_integral(body, measure, t, tol) for t in grid])
@@ -283,7 +292,7 @@ def _theorem_defaults(cfg: dict) -> tuple:
     dim = _num(cfg, "dim", int)
     body = parse_body(cfg["body"], dim=dim)
     measure = parse_measure(cfg["measure"], dim=dim)
-    p = np.geomspace(_num(cfg, "p-lo"), _num(cfg, "p-hi"), _num(cfg, "points", int))
+    p = np.geomspace(_num(cfg, "p-lo"), _num(cfg, "p-hi"), _points(cfg))
     return dim, body, measure, p
 
 
@@ -417,6 +426,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="ergrates",

@@ -7,16 +7,20 @@ finite measures with no atom at the origin.
 
 The two geometric quantities consumed downstream are the mass of small
 ellipsoidal / box neighborhoods of the origin and the singular integral
-int |x|^(-q) dsigma.  Masses are analytic in the symmetric cases and fall
-back to angular quadrature (radial direction integrated in closed form)
-otherwise; the singular integral is analytic for radial power laws and
-otherwise runs a dyadic-shell probe that must come down on one of three
-explicit outcomes: a value, infinity, or "undetermined" (an exception,
-never a fabricated number).
+int |x|^(-q) dsigma.  Masses are closed forms in d = 1, for a radial law on
+a ball, and for an anisotropic law on a neighbourhood inside its support
+box (in any d).  Otherwise they are angular quadratures in d <= 3 (radial
+direction in closed form); a neighbourhood strictly inside a radial law's
+support skips the search for the kinks where the two radial extents
+cross, as it has none.  The singular integral is analytic for radial
+power laws and otherwise runs a dyadic-shell probe that must come down on
+one of three explicit outcomes: a value, infinity, or "undetermined" (an
+exception, never a fabricated number).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -349,18 +353,57 @@ _SCAN = np.linspace(1e-9, math.pi / 2 - 1e-9, 4096)
 _THETA_SCAN = np.linspace(1e-9, math.pi / 2 - 1e-9, 1024)
 
 
-def _mass_breaks(d: int, extra) -> list[float]:
+def _mass_breaks(d: int, extra, singular_ends: bool) -> list[float]:
     """Breaks of one angle on [0, pi/2]: the kinks in `extra` plus pi/4 in
-    d = 3, refined to pi/32 in d = 2 and to pi/16 (phi and theta) in d = 3."""
+    d = 3, refined to pi/32 in d = 2 and to pi/16 (phi and theta) in d = 3.
+
+    With `singular_ends` (axis factors |omega_k|^(alpha_k - 1) in the
+    density) a kink closer than 1/16 of that step to an end is graded away
+    from it by factors of 4 up to the step: otherwise the plain Gauss
+    segment after the thin end rule meets the end singularity just outside
+    itself and can be off by 1e-3.
+    """
+    step = math.pi / 32 if d == 2 else math.pi / 16
     base = {0.0, math.pi / 2} if d == 2 else {0.0, math.pi / 4, math.pi / 2}
     breaks = sorted(base | {float(b) for b in extra if 0.0 < b < math.pi / 2})
-    return refined_breaks(breaks, math.pi / 32 if d == 2 else math.pi / 16)
+    graded = []
+    for gap, end, sign in ((breaks[1], 0.0, 1.0), (math.pi / 2 - breaks[-2], math.pi / 2, -1.0)):
+        if singular_ends and gap < step / 16:
+            graded += [end + sign * gap * 4.0 ** j for j in range(1, 1 + int(math.log(step / gap, 4)))]
+    return refined_breaks(sorted(set(breaks + graded)), step)
 
 
 def _box_face_switch(h, phi: float) -> float:
     """Polar angle where the extent of the 3-D box h moves from the x/y faces
     to the z face, along azimuth phi."""
     return math.atan2(1.0, max(math.cos(phi) / h[0], math.sin(phi) / h[1]) * h[2])
+
+
+def _inside_support(m, hood: Neighborhood) -> bool:
+    """Whether the neighbourhood lies inside the support of m: in the closed
+    box of an aniso measure, strictly inside the ball of a radial one (on
+    the sphere the crossing scans can see a rounding sign change, so a hood
+    that touches it keeps their route)."""
+    if isinstance(m, RadialPowerMeasure):
+        if isinstance(hood, EllipsoidNeighborhood):
+            return max(hood.semi_axes) < m.radius
+        return math.hypot(*hood.halfwidths) < m.radius
+    sizes = hood.semi_axes if isinstance(hood, EllipsoidNeighborhood) else hood.halfwidths
+    return all(x <= b for x, b in zip(sizes, m.halfwidths))
+
+
+def _aniso_mass_inside(m, hood: Neighborhood) -> float:
+    """Mass of a neighbourhood inside the support box of an aniso measure, in
+    any d: per axis 2 h^a / a on a box, and on an ellipsoid the
+    Liouville-Dirichlet integral prod delta_k^a_k Gamma(a_k/2) / Gamma(1 + s/2)."""
+    out = m.scale
+    if isinstance(hood, BoxNeighborhood):
+        for a, h in zip(m.alphas, hood.halfwidths):
+            out *= 2.0 * h ** a / a
+        return out
+    for a, dl in zip(m.alphas, hood.semi_axes):
+        out *= dl ** a * math.gamma(a / 2.0)
+    return out / math.gamma(1.0 + m.radial_order / 2.0)
 
 
 def _continuous_mass(m, hood: Neighborhood) -> float:
@@ -377,6 +420,11 @@ def _continuous_mass(m, hood: Neighborhood) -> float:
         r = min(rho_n, rho_s)
         return float(2.0 * m.angular_density(np.array([[1.0]]))[0] * r ** s / s)
 
+    inside = _inside_support(m, hood)
+    if inside and isinstance(m, AnisotropicPowerMeasure):
+        with contextlib.suppress(OverflowError):  # a Gamma factor beyond the float range
+            return _aniso_mass_inside(m, hood)
+
     # fully symmetric radial case: closed form
     if isinstance(m, RadialPowerMeasure) and isinstance(hood, EllipsoidNeighborhood):
         ax = hood.semi_axes
@@ -390,6 +438,8 @@ def _continuous_mass(m, hood: Neighborhood) -> float:
         rho = np.minimum(hood.radial_profile(om), m.support_profile(om))
         return m.angular_density(om) * rho ** s / s
 
+    # the support's edge puts kinks where the radial extents cross; a
+    # neighbourhood inside the support has none, so the scans are skipped
     def delta(phi, theta=None):
         om = orthant_directions(phi, theta)
         rows = om.reshape(-1, d)
@@ -398,21 +448,26 @@ def _continuous_mass(m, hood: Neighborhood) -> float:
     boxes = [x.halfwidths for x in (hood, m)
              if isinstance(x, (BoxNeighborhood, AnisotropicPowerMeasure))]
     corners = [math.atan2(h[1], h[0]) for h in boxes]
+    singular = isinstance(m, AnisotropicPowerMeasure)
     if d == 2:
-        breaks = _mass_breaks(2, corners + list(bracketed_roots(delta, _SCAN, xtol=1e-14)))
-        return orthant_integral(m.angular_alphas, g, breaks, _QUAD_ORDER)
+        crossings = [] if inside else list(bracketed_roots(delta, _SCAN, xtol=1e-14))
+        return orthant_integral(m.angular_alphas, g, _mass_breaks(2, corners + crossings, singular),
+                                _QUAD_ORDER)
 
     # the phi-integrand has a kink where a theta-crossing reaches the equator
-    equator = bracketed_roots(lambda phi: delta(phi, np.full_like(phi, math.pi / 2)), _SCAN, 1e-14)
+    equator = [] if inside else list(
+        bracketed_roots(lambda phi: delta(phi, np.full_like(phi, math.pi / 2)), _SCAN, 1e-14))
 
     def theta_breaks(phi):
-        # the theta-crossings of all phi nodes in one search
-        grid = np.broadcast_to(_THETA_SCAN, (phi.size, _THETA_SCAN.size))
-        crossings = bracketed_roots(lambda theta: delta(phi[:, None], theta), grid, xtol=1e-14)
-        return [_mass_breaks(3, list(c) + [_box_face_switch(h, ph) for h in boxes])
+        if inside:
+            crossings = [()] * phi.size
+        else:  # the theta-crossings of all phi nodes in one search
+            grid = np.broadcast_to(_THETA_SCAN, (phi.size, _THETA_SCAN.size))
+            crossings = bracketed_roots(lambda theta: delta(phi[:, None], theta), grid, xtol=1e-14)
+        return [_mass_breaks(3, list(c) + [_box_face_switch(h, ph) for h in boxes], singular)
                 for ph, c in zip(phi, crossings)]
 
-    return orthant_integral(m.angular_alphas, g, _mass_breaks(3, corners + list(equator)),
+    return orthant_integral(m.angular_alphas, g, _mass_breaks(3, corners + equator, singular),
                             _QUAD_ORDER, theta_breaks)
 
 
@@ -420,9 +475,16 @@ def mass(m: SpectralMeasure, hood: Neighborhood) -> float:
     """sigma(N) for an ellipsoidal or box neighborhood N of the origin.
 
     Atomic masses are exact membership sums (box membership is half-open,
-    matching {-1 < t_k x_k <= 1}); continuous families integrate the
-    radial direction in closed form and the angular part numerically when
-    no symmetric closed form applies.
+    matching {-1 < t_k x_k <= 1}).  The continuous families are closed
+    forms in d = 1, for a radial law on a ball, and for an aniso law when
+    N lies in its support box (delta_k <= b_k or h_k <= b_k): the product
+    c prod 2 h_k^alpha_k / alpha_k on a box, the Liouville-Dirichlet
+    c prod delta_k^alpha_k Gamma(alpha_k/2) / Gamma(1 + s/2) on an
+    ellipsoid.  Otherwise (d <= 3 only) the radial direction is integrated
+    in closed form and the angular part by quadrature, with breaks at the
+    box corners and faces and, unless N lies strictly inside a radial
+    law's ball (max delta_k < R or |h| < R), at the searched crossings of
+    the support's edge.  Sums add their parts.
     """
     if isinstance(m, AtomicMeasure):
         if m.dim != hood.dim:
@@ -531,9 +593,10 @@ def dyadic_singular_probe(m, q: float):
             rad = np.log(rho / r_top)
         return m.angular_density(om) * rad
 
-    outer = orthant_integral(m.alphas, g, _mass_breaks(m.dim, [math.atan2(h[1], h[0])]),
+    outer = orthant_integral(m.alphas, g, _mass_breaks(m.dim, [math.atan2(h[1], h[0])], True),
                              _QUAD_ORDER,
-                             lambda phi: [_mass_breaks(3, [_box_face_switch(h, ph)]) for ph in phi])
+                             lambda phi: [_mass_breaks(3, [_box_face_switch(h, ph)], True)
+                                          for ph in phi])
     return inner + outer
 
 

@@ -7,11 +7,16 @@ are reparsed as plain text or JSON.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import ergrates
 from ergrates.cli import (
     ConfigError,
     _json_text,
@@ -20,6 +25,9 @@ from ergrates.cli import (
     main,
     parse_config_text,
 )
+
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(ergrates.__file__)))
 
 
 def read_csv(path):
@@ -395,7 +403,16 @@ class TestOversizedArtifacts:
         (["regionmap", "--grid", "0:4:1001"], "grid resolution must be at most 1000, got 1001"),
         (["fourier", "--points", "1000001"], "points must be at most 1000000, got 1000001"),
         (["fourier", "--points", "1000000000"], "points must be at most 1000000, got 1000000000"),
-    ], ids=["regionmap", "fourier", "fourier-1e9"])
+        (["rates", "--points", "1000000000"], "points must be at most 1000000, got 1000000000"),
+        (["verify", "--theorem", "2", "--measure", "atomic:[(1,0;1)]", "--points", "1000000000"],
+         "points must be at most 1000000, got 1000000000"),
+        (["rates", "--points", "0"], "points must be at least 1, got 0"),
+        (["verify", "--theorem", "1", "--phi", "power:2", "--points", "0"],
+         "points must be at least 1, got 0"),
+        (["verify", "--theorem", "3", "--points", "-3"], "points must be at least 1, got -3"),
+        (["fourier", "--points", "0"], "points must be at least 1, got 0"),
+    ], ids=["regionmap", "fourier", "fourier-1e9", "rates-1e9", "verify-1e9", "rates-0",
+            "verify-0", "verify-negative", "fourier-0"])
     def test_refused_before_any_work(self, argv, message, tmp_path, monkeypatch, capsys):
         def no_work(*args, **kwargs):
             raise AssertionError("computed before the size was checked")
@@ -403,6 +420,7 @@ class TestOversizedArtifacts:
         monkeypatch.setattr("ergrates.classify.region_map", no_work)
         monkeypatch.setattr("ergrates.cli.indicator_ft", no_work)
         monkeypatch.setattr("ergrates.cli.np.linspace", no_work)
+        monkeypatch.setattr("ergrates.cli.np.geomspace", no_work)
         out = tmp_path / "a.csv"
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == f"ergrates: config error: {message}\n"
@@ -420,4 +438,57 @@ class TestTopLevel:
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["transmogrify"]) == 2
+        capsys.readouterr()
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no option value of one call
+    may reach the next, whatever failed or printed help in between."""
+
+    RUNS = [
+        ["fourier", "--body", "ellipsoid:2,1", "--direction", "0.3,-0.7", "--z-lo", "2",
+         "--z-hi", "50", "--points", "24", "--plot", "a.gp"],
+        ["fourier"],
+        ["rates", "--body", "cube", "--measure", "aniso:1.3,0.8;1,1;1", "--direction", "1,2",
+         "--p-lo", "5", "--p-hi", "40", "--points", "3", "--tol", "1e-4"],
+        ["rates", "--p-hi", "40", "--points", "3"],
+        ["simulate", "--action", "demo20", "--t", "10,10|40,40"],
+        ["simulate", "--action", "demo20"],
+        ["verify", "--theorem", "1", "--measure", "aniso:1.2,0.9;1,1;1", "--phi", "mono:1.2,0.9",
+         "--direction", "1,2", "--p-lo", "10", "--p-hi", "40", "--points", "3"],
+        ["verify", "--theorem", "2", "--measure", "atomic:[(1,0;1),(0,2;4)]", "--points", "4",
+         "--sector", "3", "--no-sector"],
+        ["verify", "--theorem", "2", "--measure", "atomic:[(1,0;1),(0,2;4)]", "--points", "4"],
+        ["classify", "--alpha", "2,1", "--r-mode", "at-max"],
+        ["classify", "--alpha", "1,1"],
+        ["regionmap", "--grid", "0:4:24", "--r-mode", "at-max", "--plot", "a.gp"],
+        ["regionmap", "--grid", "0:3:16"],
+    ]
+
+    @staticmethod
+    def _files(path):
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+    def test_in_process_calls_match_fresh_interpreters(self, tmp_path, monkeypatch, capsys):
+        runs = [argv + ["--out", "a.json" if argv[0] in ("verify", "classify") else "a.csv"]
+                for argv in self.RUNS]
+        code = "import sys; from ergrates.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+
+        def fresh(k):
+            (tmp_path / f"fresh{k}").mkdir()
+            return subprocess.run([sys.executable, "-c", code, *runs[k]], cwd=tmp_path / f"fresh{k}",
+                                  env=env, capture_output=True, timeout=120).returncode
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(fresh, range(len(runs)))) == [0] * len(runs)
+        for round_ in range(2):
+            for k, argv in enumerate(runs):
+                here = tmp_path / f"in{round_}-{k}"
+                here.mkdir()
+                monkeypatch.chdir(here)
+                assert main(argv) == 0
+                assert main([argv[0], "--points", "many"]) == 2
+                assert main([argv[0], "--help"]) == 0
+                assert self._files(here) == self._files(tmp_path / f"fresh{k}"), argv
         capsys.readouterr()

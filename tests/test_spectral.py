@@ -314,6 +314,89 @@ class TestContinuousMass:
             assert mid <= hi * (1.0 + 1e-9)
 
 
+class TestMassesInsideTheSupport:
+    """A neighbourhood inside the support takes a closed form (aniso) or the
+    quadrature without crossing scans (radial); one that straddles the
+    support's edge keeps the scanned quadrature."""
+
+    # (alphas, halfwidths, hood, axes, mass by the angular quadrature that the
+    # closed forms replaced), on hoods like the benchmark's
+    QUADRATURE_ANISO = [
+        ((1.691, 0.817), (1.306, 1.459), EllipsoidNeighborhood, (0.2125, 0.0557), 0.0023743084222525098),
+        ((1.691, 0.817), (1.306, 1.459), BoxNeighborhood, (0.2924, 0.0565), 0.005588538226981681),
+        ((0.887, 1.585), (1.205, 0.943), EllipsoidNeighborhood, (0.2849, 0.1509), 0.011164581045367262),
+        ((0.887, 1.585), (1.205, 0.943), BoxNeighborhood, (0.1252, 0.1954), 0.01107270992523108),
+        ((0.591, 0.908, 1.281), (0.776, 0.774, 0.772), EllipsoidNeighborhood, (0.0912, 0.0227, 0.1304),
+         0.0006795924438544638),
+        ((0.591, 0.908, 1.281), (0.776, 0.774, 0.772), BoxNeighborhood, (0.2516, 0.1183, 0.0607),
+         0.00359279151528664),
+        ((1.218, 1.742, 0.609), (0.718, 0.847, 0.674), EllipsoidNeighborhood, (0.1765, 0.0819, 0.1635),
+         0.0006025185015054703),
+        ((1.218, 1.742, 0.609), (0.718, 0.847, 0.674), BoxNeighborhood, (0.2508, 0.0413, 0.0534),
+         0.0003073634333895476),
+    ]
+    # (gamma, hood, axes, mass with the crossing scans), radius 1 and total 1
+    SCANNED_RADIAL = [
+        (1.471, EllipsoidNeighborhood, (0.2007, 0.153), 0.07687975958897196),
+        (1.471, BoxNeighborhood, (0.3275, 0.2886), 0.2095931755914264),
+        (1.327, EllipsoidNeighborhood, (0.1775, 0.1709, 0.2238), 0.1091958050551495),
+        (1.327, BoxNeighborhood, (0.1762, 0.2459, 0.0741), 0.09012553811529993),
+    ]
+
+    @pytest.mark.parametrize("alphas,halfwidths,hood,axes,value", QUADRATURE_ANISO)
+    def test_aniso_closed_forms_match_the_quadrature(self, alphas, halfwidths, hood, axes, value):
+        m = AnisotropicPowerMeasure.with_total_mass(alphas, halfwidths, 1.0)
+        assert mass(m, hood(axes)) == pytest.approx(value, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("gamma,hood,axes,value", SCANNED_RADIAL)
+    def test_radial_masses_keep_their_bits_without_the_scans(self, gamma, hood, axes, value):
+        m = RadialPowerMeasure.with_total_mass(gamma, 1.0, 1.0, dim=len(axes))
+        assert mass(m, hood(axes)) == value
+
+    @pytest.mark.parametrize("alphas,halfwidths", [
+        ((1.5, 0.7), (1.0, 0.6)), ((0.6, 0.6), (1.0, 1.0)),
+        ((1.3, 0.8, 2.1), (0.9, 1.2, 0.7)), ((2.5, 1.0, 0.5), (1.0, 1.0, 1.0)),
+    ])
+    @pytest.mark.parametrize("hood", [EllipsoidNeighborhood, BoxNeighborhood])
+    @pytest.mark.parametrize("edge_axes", ["all", "first"])
+    def test_continuous_across_the_support_edge(self, alphas, halfwidths, hood, edge_axes):
+        # delta_k = b_k lies inside the support box (closed form); b_k (1 + 1e-12)
+        # straddles its edge (quadrature, with crossings next to the axes)
+        m = AnisotropicPowerMeasure.with_total_mass(alphas, halfwidths, 1.0)
+        inner = [b if edge_axes == "all" or k == 0 else 0.5 * b for k, b in enumerate(halfwidths)]
+        outer = [inner[0] * (1.0 + 1e-12)] + [
+            b * (1.0 + 1e-12) if edge_axes == "all" else b for b in inner[1:]]
+        assert mass(m, hood(tuple(outer))) == pytest.approx(mass(m, hood(tuple(inner))), rel=1e-10)
+
+    def test_d4_constant_density_is_scale_times_volume(self):
+        m = AnisotropicPowerMeasure((1.0,) * 4, (1.0, 2.0, 1.5, 1.0), 0.8)
+        axes = (0.5, 0.3, 0.9, 0.2)
+        assert mass(m, EllipsoidNeighborhood(axes)) == pytest.approx(
+            0.8 * math.pi ** 2 / 2.0 * math.prod(axes), rel=1e-14)
+        assert mass(m, BoxNeighborhood(axes)) == pytest.approx(0.8 * 16.0 * math.prod(axes), rel=1e-14)
+        with pytest.raises(ValueError, match="d <= 3"):  # straddling: no quadrature in d = 4
+            mass(m, EllipsoidNeighborhood((1.5, 0.3, 0.9, 0.2)))
+
+    def test_contained_hoods_never_scan(self, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("crossing scan")
+
+        monkeypatch.setattr("ergrates.spectral.bracketed_roots", no_scan)
+        for d in (2, 3):
+            radial = RadialPowerMeasure.with_total_mass(2.5, 1.0, 1.0, dim=d)
+            aniso = AnisotropicPowerMeasure.with_total_mass((1.4, 0.7, 1.9)[:d], (1.0, 0.8, 1.2)[:d], 1.0)
+            atomic = AtomicMeasure(((0.05,) * d, (0.9,) * d), (1.0, 2.0), d)
+            for hood in (EllipsoidNeighborhood((0.3, 0.1, 0.2)[:d]), BoxNeighborhood((0.3, 0.1, 0.2)[:d])):
+                parts = [mass(p, hood) for p in (radial, aniso, atomic)]
+                assert all(v > 0.0 for v in parts)
+                assert mass(SumMeasure((radial, aniso, atomic)), hood) == sum(parts)
+            for m, hood in ((radial, EllipsoidNeighborhood((1.5, 0.1, 0.2)[:d])),
+                            (radial, BoxNeighborhood((0.9, 0.5, 0.2)[:d])),
+                            (aniso, BoxNeighborhood((1.5, 0.1, 0.2)[:d]))):
+                with pytest.raises(AssertionError, match="crossing scan"):
+                    mass(m, hood)
+
+
 class TestSingularIntegral:
     def test_atomic_hand_value(self):
         m = AtomicMeasure(points=((1.0, 0.0), (0.0, 2.0)), weights=(1.0, 4.0), dim=2)
