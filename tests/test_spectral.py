@@ -377,6 +377,12 @@ class TestMassesInsideTheSupport:
         with pytest.raises(ValueError, match="d <= 3"):  # straddling: no quadrature in d = 4
             mass(m, EllipsoidNeighborhood((1.5, 0.3, 0.9, 0.2)))
 
+    def test_gamma_overflow_falls_back_to_the_quadrature(self):
+        # Gamma(1 + s/2) overflows for s = 401: no OverflowError escapes
+        m = AnisotropicPowerMeasure((400.0, 1.0), (1.0, 1.0), 1.0)
+        with np.errstate(all="ignore"):
+            assert type(mass(m, EllipsoidNeighborhood((0.5, 0.5)))) is float
+
     def test_contained_hoods_never_scan(self, monkeypatch):
         def no_scan(*args, **kwargs):
             raise AssertionError("crossing scan")
