@@ -9,8 +9,7 @@ Layout rules the artifacts obey:
   - JSON is strict: a non-finite float is written as null;
   - plots are delegated to generated gnuplot scripts, never rendered here.
 
-Exit codes: 0 success, 2 configuration problem, 3 numeric budget or
-divergence-test failure.
+Exit codes: 0 success, 2 configuration problem, 3 numeric budget failure.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .fourier import indicator_ft, stationary_phase_ft
 from .geometry import as_vec, parse_body
 from .hilbert_sim import average_norm_sq, induced_measure, parse_action
 from .quadrature import QuadratureBudgetError
-from .spectral import UndeterminedDivergenceError, parse_measure
+from .spectral import parse_measure
 
 __all__ = ["main", "parse_config_text", "emit_config", "config_hash"]
 
@@ -306,6 +305,9 @@ def _cmd_verify(args) -> int:
     if "theorem" not in cfg:
         raise ConfigError("verify needs a theorem number (1, 2 or 3)")
     which = _num(cfg, "theorem", int)
+    if which == 2 and _points(cfg) < 2:
+        raise ConfigError("theorem 2 needs points >= 2: its boundedness trend is fitted "
+                          "over distinct |t|, got points = 1")
     dim, body, measure, p = _theorem_defaults(cfg)
     tol = _tol(cfg)
     direction = _vec(cfg, "direction") if "direction" in cfg else np.ones(dim)
@@ -485,7 +487,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"ergrates: config error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureBudgetError, UndeterminedDivergenceError) as exc:
+    except QuadratureBudgetError as exc:
         print(f"ergrates: numeric failure: {exc}", file=sys.stderr)
         return 3
 

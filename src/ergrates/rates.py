@@ -48,7 +48,6 @@ from .spectral import (
     RadialPowerMeasure,
     SpectralMeasure,
     SumMeasure,
-    UndeterminedDivergenceError,
     is_zero_measure,
     mass,
     singular_integral,
@@ -62,7 +61,6 @@ __all__ = [
     "Sector",
     "p_ladder",
     "ray_grid",
-    "diagonal_grid",
     "sector_grid",
     "decay_integral_atomic",
     "decay_integral",
@@ -193,10 +191,6 @@ def ray_grid(direction, p_values) -> np.ndarray:
         raise ValueError("ray direction must be positive in every coordinate")
     p = np.asarray(p_values, dtype=float)
     return p[:, None] * s[None, :]
-
-
-def diagonal_grid(dim: int, p_values) -> np.ndarray:
-    return ray_grid(np.ones(dim), p_values)
 
 
 def sector_grid(bound: float, dim: int, p_values, n_dir: int = 5) -> np.ndarray:
@@ -540,37 +534,30 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
     if d == 1:
         return orthant_integral(alphas, angular_value, (), 0)
 
-    if d == 2:
-        phi_base = {0.0, math.pi / 2}
-        if is_cube:
-            # phi: omega_2 -> 0 at phi = 0, omega_1 -> 0 at phi = pi/2
-            phi_base |= set(_axis_graded(2.0 * math.pi / (t[1] * rho_max)))
-            phi_base |= {math.pi / 2 - b for b in _axis_graded(2.0 * math.pi / (t[0] * rho_max))}
-        if isinstance(m, AnisotropicPowerMeasure):
-            # the support box's corner direction is a kink of the radial extent
-            phi_base.add(math.atan2(m.halfwidths[1], m.halfwidths[0]))
+    if d > 3:
+        raise ValueError(f"continuous decay integrals support d <= 3, got d = {d}")
+    phi_base = {0.0, math.pi / 2}
+    if d == 2 and is_cube:
+        # phi: omega_2 -> 0 at phi = 0, omega_1 -> 0 at phi = pi/2
+        phi_base |= set(_axis_graded(2.0 * math.pi / (t[1] * rho_max)))
+        phi_base |= {math.pi / 2 - b for b in _axis_graded(2.0 * math.pi / (t[0] * rho_max))}
+    if d == 2 and isinstance(m, AnisotropicPowerMeasure):
+        # the support box's corner direction is a kink of the radial extent
+        phi_base.add(math.atan2(m.halfwidths[1], m.halfwidths[0]))
+    # d = 3 bisects phi and theta alike into 2 to 16 equal segments at a
+    # fixed order; adequate for the moderate |t| this path sees (the
+    # acceptance-scale sweeps are all 2-D)
+    order, levels = (16, range(1, 7)) if d == 2 else (12, range(1, 5))
 
-        def level_value(splits: int) -> float:
-            breaks = sorted(phi_base)
-            for _ in range(splits):
-                mids = [(a + b) / 2 for a, b in zip(breaks[:-1], breaks[1:])]
-                breaks = sorted(set(breaks) | set(mids))
-            return orthant_integral(alphas, angular_value, breaks, 16)
+    def level_value(splits: int) -> float:
+        breaks = sorted(phi_base)
+        for _ in range(splits):
+            mids = [(a + b) / 2 for a, b in zip(breaks[:-1], breaks[1:])]
+            breaks = sorted(set(breaks) | set(mids))
+        return orthant_integral(alphas, angular_value, breaks, order,
+                                theta_breaks=lambda phi: [breaks] * phi.size)
 
-        return _refine(level_value, range(1, 7), rel_tol, t)
-
-    if d == 3:
-        # equal segments, the same in phi and theta, at fixed order; adequate
-        # for the moderate |t| this path sees (the acceptance-scale sweeps
-        # are all 2-D)
-        def level_value(n_seg: int) -> float:
-            breaks = list(np.linspace(0.0, math.pi / 2, n_seg + 1))
-            return orthant_integral(alphas, angular_value, breaks, 12,
-                                    theta_breaks=lambda phi: [breaks] * phi.size)
-
-        return _refine(level_value, (2, 4, 8, 16), rel_tol, t)
-
-    raise ValueError(f"continuous decay integrals support d <= 3, got d = {d}")
+    return _refine(level_value, levels, rel_tol, t)
 
 
 def decay_integral(body: ConvexBody, m: SpectralMeasure, t, rel_tol: float = 1e-5) -> float:
@@ -900,19 +887,11 @@ def check_critical_rate(body: ConvexBody, m: SpectralMeasure, sector_bound: floa
     ratios = p ** (d + 1) * i_vals
     v = bounded_verdict(p, ratios)
 
-    singular_state: str
-    try:
-        sing = singular_integral(m, d + 1)
-        singular_state = "finite" if math.isfinite(sing) else "infinite"
-    except UndeterminedDivergenceError:
-        sing = math.nan
-        singular_state = "undetermined"
+    sing = singular_integral(m, d + 1)
+    singular_state = "finite" if math.isfinite(sing) else "infinite"
 
     if not in_sector:
         verdict = "no claim (grid leaves the sector); exploratory data only"
-        consistent = None
-    elif singular_state == "undetermined":
-        verdict = "inconclusive: singular integral undetermined"
         consistent = None
     else:
         consistent = v.bounded == (singular_state == "finite")
@@ -936,7 +915,7 @@ def check_critical_rate(body: ConvexBody, m: SpectralMeasure, sector_bound: floa
         "ratios_bounded": v.bounded,
         "last_over_median": v.last_over_median,
         "trend_slope": v.trend_slope,
-        "singular_integral": None if math.isnan(sing) else sing,
+        "singular_integral": sing,
         "singular_state": singular_state,
     }
 

@@ -12,10 +12,10 @@ a ball, and for an anisotropic law on a neighbourhood inside its support
 box (in any d).  Otherwise they are angular quadratures in d <= 3 (radial
 direction in closed form); a neighbourhood strictly inside a radial law's
 support skips the search for the kinks where the two radial extents
-cross, as it has none.  The singular integral is analytic for radial
-power laws and otherwise runs a dyadic-shell probe that must come down on
-one of three explicit outcomes: a value, infinity, or "undetermined" (an
-exception, never a fabricated number).
+cross, as it has none.  The singular integral is a closed form for
+atomic sums and both power families (finite iff the radial order exceeds
+q), plus, for a box support in d >= 2, the angular quadrature of the
+piece outside the inscribed ball.
 """
 
 from __future__ import annotations
@@ -38,20 +38,14 @@ __all__ = [
     "EllipsoidNeighborhood",
     "BoxNeighborhood",
     "Neighborhood",
-    "UndeterminedDivergenceError",
     "mass",
     "singular_integral",
-    "dyadic_singular_probe",
     "density_at",
     "total_mass",
     "parse_measure",
     "format_measure",
     "split_top",
 ]
-
-
-class UndeterminedDivergenceError(RuntimeError):
-    """The dyadic divergence probe could not classify the integral."""
 
 
 # -- measures ----------------------------------------------------------------
@@ -502,37 +496,6 @@ def mass(m: SpectralMeasure, hood: Neighborhood) -> float:
 
 # -- singular integral -------------------------------------------------------
 
-_DYADIC_SHELLS = 40
-_DIVERGENCE_CAP = 1e12
-_GEOMETRIC_RATIO = 0.95
-
-
-def _dyadic_detect(term, j_max: int = _DYADIC_SHELLS):
-    """Classify sum_j term(j) over shrinking dyadic shells j = 1, 2, ...
-
-    Returns ("divergent", None) once partial sums pass the cap,
-    ("convergent", total_with_tail) when the last ten ratios stay below
-    the geometric threshold (tail extrapolated geometrically), and
-    ("undetermined", None) otherwise.
-    """
-    terms = []
-    partial = 0.0
-    for j in range(1, j_max + 1):
-        t = term(j)
-        terms.append(t)
-        partial += t
-        if partial > _DIVERGENCE_CAP:
-            return "divergent", None
-    ratios = [
-        terms[i + 1] / terms[i] if terms[i] > 0 else np.inf
-        for i in range(len(terms) - 11, len(terms) - 1)
-    ]
-    if all(r < _GEOMETRIC_RATIO for r in ratios):
-        r_last = ratios[-1]
-        tail = terms[-1] * r_last / (1.0 - r_last) if terms[-1] > 0 else 0.0
-        return "convergent", partial + tail
-    return "undetermined", None
-
 
 def _angular_total(m) -> float:
     """int over the sphere of the angular density factor A(omega)."""
@@ -545,67 +508,15 @@ def _angular_total(m) -> float:
     return out / math.gamma(sum(al) / 2.0)
 
 
-def dyadic_singular_probe(m, q: float):
-    """Dyadic-shell classification of int |x|^(-q) dsigma for one power family.
-
-    The shells r_top 2^(-j) <= |x| < r_top 2^(-j+1) sit inside the support,
-    so shell masses are exact; the region outside the inscribed ball is a
-    finite angular integral added to a convergent total.
-    """
-    if not isinstance(m, (RadialPowerMeasure, AnisotropicPowerMeasure)):
-        raise TypeError("probe applies to the continuous power families")
-    s = m.radial_order - q
-    a_tot = _angular_total(m)
-    if isinstance(m, RadialPowerMeasure):
-        r_top = m.radius
-    else:
-        r_top = min(m.halfwidths)
-
-    def shell_term(j: int) -> float:
-        hi = r_top * 2.0 ** (-j + 1)
-        lo = r_top * 2.0 ** (-j)
-        if s != 0.0:
-            return a_tot * (hi ** s - lo ** s) / s
-        return a_tot * math.log(2.0)
-
-    verdict, inner = _dyadic_detect(shell_term)
-    if verdict == "divergent":
-        return math.inf
-    if verdict == "undetermined":
-        raise UndeterminedDivergenceError(
-            f"dyadic probe inconclusive for exponent s = {s:.4g} "
-            f"(neither geometric decay nor blow-up within {_DYADIC_SHELLS} shells)"
-        )
-
-    if isinstance(m, RadialPowerMeasure) or m.dim == 1:
-        # the support is the ball of radius r_top (or the interval
-        # [-r_top, r_top]): nothing outside
-        return inner
-
-    # outer piece: box minus inscribed ball, finite for every s
-    h = m.halfwidths
-
-    def g(om):
-        rho = m.support_profile(om)
-        if s != 0.0:
-            rad = (rho ** s - r_top ** s) / s
-        else:
-            rad = np.log(rho / r_top)
-        return m.angular_density(om) * rad
-
-    outer = orthant_integral(m.alphas, g, _mass_breaks(m.dim, [math.atan2(h[1], h[0])], True),
-                             _QUAD_ORDER,
-                             lambda phi: [_mass_breaks(3, [_box_face_switch(h, ph)], True)
-                                          for ph in phi])
-    return inner + outer
-
-
 def singular_integral(m: SpectralMeasure, q: float) -> float:
     """int |x|^(-q) dsigma(x); returns math.inf when it diverges.
 
-    Atomic sums and radial power laws are analytic; anisotropic families
-    go through the dyadic-shell probe, which raises
-    UndeterminedDivergenceError rather than guess in the gray zone.
+    Atomic measures are exact sums.  Along each ray a power family has
+    density A(omega) r^(s + q - 1) with s = radial order - q, so the
+    integral is finite iff s > 0, and over the inscribed ball (radius R,
+    or min b_k for a box) it is the closed form int A * R^s / s.  A box in
+    d >= 2 adds the angular quadrature of A (rho^s - R^s) / s over the
+    directions, rho being the box's extent.  Sums add their parts.
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -614,31 +525,30 @@ def singular_integral(m: SpectralMeasure, q: float) -> float:
             return 0.0
         r = np.linalg.norm(m.locations, axis=1)
         return float(np.sum(m.weight_array * r ** (-q)))
-    if isinstance(m, RadialPowerMeasure):
-        if m.gamma > q:
-            return (
-                m.scale
-                * unit_sphere_area(m.dim)
-                * m.radius ** (m.gamma - q)
-                / (m.gamma - q)
-            )
-        return math.inf
-    if isinstance(m, AnisotropicPowerMeasure):
-        return dyadic_singular_probe(m, q)
     if isinstance(m, SumMeasure):
-        parts = []
-        undetermined = None
-        for p in m.parts:
-            try:
-                parts.append(singular_integral(p, q))
-            except UndeterminedDivergenceError as exc:
-                undetermined = exc
-        if any(math.isinf(v) for v in parts):
-            return math.inf
-        if undetermined is not None:
-            raise undetermined
-        return float(sum(parts))
-    raise TypeError(f"unknown measure {m!r}")
+        return float(sum(singular_integral(p, q) for p in m.parts))
+    if not isinstance(m, (RadialPowerMeasure, AnisotropicPowerMeasure)):
+        raise TypeError(f"unknown measure {m!r}")
+    s = m.radial_order - q
+    if s <= 0:
+        return math.inf
+    radial = isinstance(m, RadialPowerMeasure)
+    r_in = m.radius if radial else min(m.halfwidths)
+    inner = _angular_total(m) * r_in ** s / s
+    if radial or m.dim == 1:
+        return inner
+
+    # outer piece: the box minus its inscribed ball
+    h = m.halfwidths
+
+    def g(om):
+        return m.angular_density(om) * ((m.support_profile(om) ** s - r_in ** s) / s)
+
+    outer = orthant_integral(m.alphas, g, _mass_breaks(m.dim, [math.atan2(h[1], h[0])], True),
+                             _QUAD_ORDER,
+                             lambda phi: [_mass_breaks(3, [_box_face_switch(h, ph)], True)
+                                          for ph in phi])
+    return inner + outer
 
 
 # -- densities ---------------------------------------------------------------

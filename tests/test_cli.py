@@ -219,6 +219,22 @@ class TestVerifyCommand:
         assert rep["evidence"]["singular_state"] == "infinite"
         assert rep["evidence"]["singular_integral"] is None
 
+    def test_theorem2_aniso_finite_at_large_total_mass(self, tmp_path):
+        # sum(alpha) = 4 > d + 1: finite at every total mass, here 2.34e12
+        out = tmp_path / "v.json"
+        assert main(["verify", "--theorem", "2", "--measure", "aniso:2,2;1,1;1e12",
+                     "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["verdict"] == "consistent with equivalence"
+        assert rep["evidence"]["singular_state"] == "finite"
+        assert rep["evidence"]["singular_integral"] == pytest.approx(2.343145750507e12, rel=1e-12)
+
+    def test_theorem2_two_points_run_with_clean_stderr(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        assert main(["verify", "--theorem", "2", "--points", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(json.loads(out.read_text())["evidence"]["p"]) == 10
+
     def test_json_writer_maps_non_finite_floats_to_null(self):
         report = {"a": math.inf, "b": [1.5, -math.inf, (math.nan, 2.0)],
                   "c": {"d": np.float64(math.inf), "e": 0.25}}
@@ -411,8 +427,11 @@ class TestOversizedArtifacts:
          "points must be at least 1, got 0"),
         (["verify", "--theorem", "3", "--points", "-3"], "points must be at least 1, got -3"),
         (["fourier", "--points", "0"], "points must be at least 1, got 0"),
+        (["verify", "--theorem", "2", "--points", "1"],
+         "theorem 2 needs points >= 2: its boundedness trend is fitted over distinct |t|, "
+         "got points = 1"),
     ], ids=["regionmap", "fourier", "fourier-1e9", "rates-1e9", "verify-1e9", "rates-0",
-            "verify-0", "verify-negative", "fourier-0"])
+            "verify-0", "verify-negative", "fourier-0", "verify2-one-point"])
     def test_refused_before_any_work(self, argv, message, tmp_path, monkeypatch, capsys):
         def no_work(*args, **kwargs):
             raise AssertionError("computed before the size was checked")

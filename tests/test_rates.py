@@ -33,7 +33,6 @@ from ergrates.rates import (
     decay_integral,
     decay_integral_atomic,
     decay_integral_levelform,
-    diagonal_grid,
     equivalence_bounds,
     fit_oscillatory_rate,
     fit_rate,
@@ -644,7 +643,7 @@ class TestGrids:
     def test_ray_and_diagonal(self):
         g = ray_grid([1.0, 2.0], [1.0, 10.0])
         np.testing.assert_allclose(g, [[1.0, 2.0], [10.0, 20.0]])
-        d = diagonal_grid(3, [2.0])
+        d = ray_grid(np.ones(3), [2.0])
         np.testing.assert_allclose(d, [[2.0, 2.0, 2.0]])
         with pytest.raises(ValueError):
             ray_grid([1.0, 0.0], [1.0])
@@ -665,7 +664,8 @@ class TestEquivalenceChecker:
     def test_matched_rate_is_consistent_bounded(self):
         body = Ball(1.0)
         m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2)
-        res = check_rate_equivalence(body, m, power_phi(2.0), diagonal_grid(2, p_ladder(2.0, 300.0)))
+        res = check_rate_equivalence(body, m, power_phi(2.0),
+                                     ray_grid(np.ones(2), p_ladder(2.0, 300.0)))
         assert res["consistent"]
         assert res["decay_bounded"] and res["mass_bounded"]
         assert res["verdict"] == "consistent with equivalence"
@@ -673,7 +673,8 @@ class TestEquivalenceChecker:
     def test_too_slow_phi_is_consistent_unbounded(self):
         body = Ball(1.0)
         m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2)
-        res = check_rate_equivalence(body, m, power_phi(2.5), diagonal_grid(2, p_ladder(2.0, 1000.0)))
+        res = check_rate_equivalence(body, m, power_phi(2.5),
+                                     ray_grid(np.ones(2), p_ladder(2.0, 1000.0)))
         assert res["consistent"]
         assert not res["decay_bounded"]
         assert not res["mass_bounded"]
@@ -681,7 +682,8 @@ class TestEquivalenceChecker:
     def test_atomic_measure_fast_path(self):
         body = Ball(1.0)
         m = AtomicMeasure(points=((1.0, 0.3), (0.4, -1.1)), weights=(1.0, 2.0), dim=2)
-        res = check_rate_equivalence(body, m, power_phi(2.0), diagonal_grid(2, p_ladder(2.0, 300.0)))
+        res = check_rate_equivalence(body, m, power_phi(2.0),
+                                     ray_grid(np.ones(2), p_ladder(2.0, 300.0)))
         # atoms leave every shrinking neighborhood: mass ratio is eventually 0
         assert res["consistent"]
 
@@ -691,7 +693,7 @@ class TestEquivalenceChecker:
                 Ball(1.0),
                 AtomicMeasure(points=((1.0, 0.0),), weights=(1.0,), dim=2),
                 power_phi(3.5),
-                diagonal_grid(2, p_ladder(2.0, 300.0)),
+                ray_grid(np.ones(2), p_ladder(2.0, 300.0)),
             )
 
 
@@ -707,7 +709,7 @@ class TestCriticalChecker:
     def test_infinite_singular_integral_unbounded_ratios(self):
         body = Ball(1.0)
         m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2)
-        res = check_critical_rate(body, m, 1.0, diagonal_grid(2, p_ladder(2.0, 1000.0)))
+        res = check_critical_rate(body, m, 1.0, ray_grid(np.ones(2), p_ladder(2.0, 1000.0)))
         assert res["singular_state"] == "infinite"
         assert not res["ratios_bounded"]
         assert res["consistent"]

@@ -21,9 +21,7 @@ from ergrates.spectral import (
     EllipsoidNeighborhood,
     RadialPowerMeasure,
     SumMeasure,
-    UndeterminedDivergenceError,
     density_at,
-    dyadic_singular_probe,
     format_measure,
     mass,
     parse_measure,
@@ -434,14 +432,30 @@ class TestSingularIntegral:
                 else:
                     assert math.isinf(val)
 
-    def test_aniso_probe_vs_dblquad(self):
+    def test_radial_bits_pinned(self):
+        # c S_d R^(gamma - q) / (gamma - q), evaluated left to right: pins
+        # every bit of the radial values in the artifacts
+        rng = np.random.default_rng(8113)
+        for _ in range(200):
+            m = RadialPowerMeasure.with_total_mass(float(rng.uniform(0.3, 6.0)),
+                                                   float(rng.uniform(0.3, 3.0)),
+                                                   float(10.0 ** rng.uniform(-3, 12)),
+                                                   int(rng.integers(1, 5)))
+            q = float(rng.uniform(0.2, 5.0))
+            want = (m.scale * unit_sphere_area(m.dim) * m.radius ** (m.gamma - q) / (m.gamma - q)
+                    if m.gamma > q else math.inf)
+            assert singular_integral(m, q) == want
+
+    def test_aniso_vs_dblquad(self):
+        # the integrand x y / |x| is bounded and smooth off the origin
         m = AnisotropicPowerMeasure(alphas=(2.0, 2.0), halfwidths=(1.0, 1.0), scale=1.0)
         got = singular_integral(m, 1.0)
         want, err = integrate.dblquad(
-            lambda y, x: 4.0 * x * y / math.hypot(x, y), 0.0, 1.0, 0.0, 1.0
+            lambda y, x: 4.0 * x * y / math.hypot(x, y), 0.0, 1.0, 0.0, 1.0,
+            epsabs=1e-13, epsrel=1e-13,
         )
-        assert err < 1e-7
-        assert got == pytest.approx(want, rel=1e-6)
+        assert err < 1e-12
+        assert got == pytest.approx(want, rel=1e-9)
 
     def test_aniso_constant_density_vs_dblquad(self):
         m = AnisotropicPowerMeasure(alphas=(1.0, 1.0), halfwidths=(1.0, 2.0), scale=0.5)
@@ -451,18 +465,45 @@ class TestSingularIntegral:
         )
         assert err < 1e-6
         assert got == pytest.approx(want, rel=1e-6)
+        # the 1/|x| singularity keeps QUADPACK at 1e-7; over [0, a] x [0, b]
+        # the integral of 1/|x| is a asinh(b/a) + b asinh(a/b)
+        assert got == pytest.approx(2.0 * (math.asinh(2.0) + 2.0 * math.asinh(0.5)), rel=1e-12)
 
     def test_aniso_divergent(self):
         m = AnisotropicPowerMeasure(alphas=(0.5, 0.5), halfwidths=(1.0, 1.0), scale=1.0)
         assert math.isinf(singular_integral(m, 2.0))
 
-    def test_aniso_borderline_raises(self):
-        # sum(alpha) = q is the logarithmic borderline: must refuse, not guess
+    def test_aniso_borderline_is_infinite(self):
+        # sum(alpha) = q: along each ray the density is A r^-1, a log divergence
         m = AnisotropicPowerMeasure(alphas=(0.5, 0.5), halfwidths=(1.0, 1.0), scale=1.0)
-        with pytest.raises(UndeterminedDivergenceError):
-            singular_integral(m, 1.0)
-        with pytest.raises(UndeterminedDivergenceError):
-            dyadic_singular_probe(m, 1.0)
+        assert singular_integral(m, 1.0) == math.inf
+        assert singular_integral(AnisotropicPowerMeasure((1.5,), (2.0,), 1e-9), 1.5) == math.inf
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_aniso_finite_iff_order_exceeds_q_at_every_mass(self, dim):
+        # A = 2 c prod Gamma(alpha_k/2) / Gamma(sum alpha / 2) is the angular
+        # total; the support box lies between the balls of radius min b and |b|
+        rng = np.random.default_rng([4417, dim])
+        q = dim + 1.0
+        for _ in range(40):
+            alphas = tuple(rng.dirichlet(np.ones(dim)) * rng.uniform(q - 1.5, q + 0.5))
+            halfwidths = tuple(rng.uniform(0.3, 2.0, size=dim))
+            unit = singular_integral(
+                AnisotropicPowerMeasure.with_total_mass(alphas, halfwidths, 1.0), q)
+            s = sum(alphas) - q
+            assert math.isfinite(unit) == (s > 0)
+            for total in (1e3, 1e6, 1e12):
+                m = AnisotropicPowerMeasure.with_total_mass(alphas, halfwidths, total)
+                val = singular_integral(m, q)
+                assert math.isfinite(val) == (s > 0)
+                if s > 0:
+                    assert val == pytest.approx(total * unit, rel=1e-14)
+            if s > 0:
+                a_tot = 2.0 * m.scale * math.prod(math.gamma(a / 2.0) for a in alphas) \
+                    / math.gamma(sum(alphas) / 2.0)
+                lo = a_tot * min(halfwidths) ** s / s
+                hi = a_tot * math.hypot(*halfwidths) ** s / s
+                assert lo * (1.0 - 1e-14) <= val <= hi * (1.0 + 1e-14)
 
     def test_sum_semantics(self):
         fin = RadialPowerMeasure(gamma=4.0, radius=1.0, scale=1.0, dim=2)
@@ -472,10 +513,9 @@ class TestSingularIntegral:
         two = SumMeasure(parts=(fin, fin))
         assert singular_integral(two, q) == pytest.approx(2 * singular_integral(fin, q), rel=1e-12)
         assert math.isinf(singular_integral(SumMeasure(parts=(fin, div)), q))
-        # a certain infinity beats an undetermined part
         assert math.isinf(singular_integral(SumMeasure(parts=(border, div)), q))
-        with pytest.raises(UndeterminedDivergenceError):
-            singular_integral(SumMeasure(parts=(fin, border)), q)
+        # the borderline part diverges, so one finite part does not rescue the sum
+        assert math.isinf(singular_integral(SumMeasure(parts=(fin, border)), q))
 
     def test_q_must_be_positive(self):
         m = RadialPowerMeasure(gamma=2.0, radius=1.0, scale=1.0, dim=2)
