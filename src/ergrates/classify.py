@@ -163,10 +163,8 @@ def square_regime(p: PowerParams) -> RegimeLabel:
     return p._regimes.label(0, 0)
 
 
-def circle_regime(p: PowerParams, dim: int | None = None) -> RegimeLabel:
+def circle_regime(p: PowerParams) -> RegimeLabel:
     """Ball-average regime: keyed on theta against the critical degree -(d+1)."""
-    if dim is not None and dim != p.dim:
-        raise ValueError("dimension disagrees with the exponent vector")
     return p._regimes.label(0, 1)
 
 

@@ -9,7 +9,8 @@ Layout rules the artifacts obey:
   - JSON is strict: a non-finite float is written as null;
   - plots are delegated to generated gnuplot scripts, never rendered here.
 
-Exit codes: 0 success, 2 configuration problem, 3 numeric budget failure.
+Exit codes: 0 success, 2 configuration problem, 3 numeric budget or
+floating-point failure.
 """
 
 from __future__ import annotations
@@ -330,7 +331,7 @@ def _cmd_verify(args) -> int:
         bound = _num(cfg, "sector")
         explore = cfg.get("no-sector") == "True"
         grid_bound = 100.0 if explore else bound
-        grid = rates_mod.sector_grid(grid_bound, dim, p, n_dir=5)
+        grid = rates_mod.sector_grid(grid_bound, dim, p)
         report = rates_mod.check_critical_rate(
             body, measure, bound, grid, rel_tol=tol, enforce_sector=not explore)
         sup_ratios = {"scaled_decay": max(report["scaled_ratios"])}
@@ -483,11 +484,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _COMMANDS[args.command](args)
+        # a floating-point fault becomes one line and exit 3, not a warning
+        # and a silent inf or nan; the package's local errstate blocks still win
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return _COMMANDS[args.command](args)
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"ergrates: config error: {exc}", file=sys.stderr)
         return 2
-    except QuadratureBudgetError as exc:
+    except (QuadratureBudgetError, FloatingPointError) as exc:
         print(f"ergrates: numeric failure: {exc}", file=sys.stderr)
         return 3
 

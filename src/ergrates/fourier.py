@@ -1,7 +1,6 @@
 """Fourier transforms of convex-body indicators, F[1_K](x) = int_K e^{i(y,x)} dy.
 
-Closed forms for ball, ellipsoid, and unit cube; an independent adaptive
-quadrature oracle for checking them; and the large-|x| two-point
+Closed forms for ball, ellipsoid, and unit cube, and the large-|x| two-point
 stationary-phase approximation for strictly convex bodies, whose amplitude
 coefficient and phase offsets were calibrated once against the exact ball
 transform and are frozen below:
@@ -37,20 +36,17 @@ from .geometry import (
     is_strictly_convex,
     row_norms,
     unit_ball_volume,
-    volume,
     width,
 )
-from .quadrature import bracketed_maxima, bracketed_roots, integrate_box
+from .quadrature import bracketed_maxima, bracketed_roots
 
 __all__ = [
     "indicator_ft",
     "scaled_indicator_ft",
-    "indicator_ft_quadrature",
     "unit_ball_profile",
     "ratio_abs_sq",
     "StationaryPhaseFT",
     "stationary_phase_ft",
-    "decay_constant_estimate",
     "ray_zeros",
     "ray_peaks",
 ]
@@ -158,90 +154,6 @@ def ratio_abs_sq(body: ConvexBody, pts: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown body {body!r}")
 
 
-# -- quadrature oracle -------------------------------------------------------
-
-
-def indicator_ft_quadrature(
-    body: ConvexBody,
-    x,
-    tol: float = 1e-8,
-    max_nodes: int = 20_000_000,
-) -> complex:
-    """F[1_K](x) by adaptive tensor-product Gauss-Legendre quadrature.
-
-    Independent of the closed forms: the body is integrated in a smooth
-    parametrization (cartesian for the cube, polar/spherical for ball and
-    ellipsoid) with cells refined to at most a quarter oscillation period
-    per axis.  tol is absolute; an unreachable tolerance within max_nodes
-    raises QuadratureBudgetError.  Dimensions above 3 are not supported.
-    """
-    x = as_vec(x)
-    d = x.size
-    if d > 3:
-        raise ValueError("quadrature oracle supports d <= 3 only")
-    if isinstance(body, Cube):
-        if body.dim != d:
-            raise ValueError("dimension mismatch between body and x")
-
-        def f_cube(pts):
-            return np.exp(1j * (pts @ x))
-
-        val, _, _ = integrate_box(
-            f_cube, np.zeros(d), np.ones(d), np.abs(x), tol, max_nodes
-        )
-        return val
-
-    if not isinstance(body, (Ball, Ellipsoid)):
-        raise TypeError(f"unknown body {body!r}")
-    a = body.semi_axes
-    if a.size != d:
-        raise ValueError("dimension mismatch between body and x")
-    xa = x * a
-    big_w = float(np.linalg.norm(xa))
-
-    if d == 1:
-
-        def f1(pts):
-            return np.exp(1j * x[0] * pts[:, 0])
-
-        val, _, _ = integrate_box(
-            f1, [-a[0]], [a[0]], [abs(x[0])], tol, max_nodes
-        )
-        return val
-
-    if d == 2:
-
-        def f2(pts):
-            r, phi = pts[:, 0], pts[:, 1]
-            phase = r * (xa[0] * np.cos(phi) + xa[1] * np.sin(phi))
-            return np.prod(a) * r * np.exp(1j * phase)
-
-        val, _, _ = integrate_box(
-            f2, [0.0, 0.0], [1.0, 2.0 * math.pi], [big_w, big_w], tol, max_nodes
-        )
-        return val
-
-    # The stretched integrand exp(i (u, x*a)) over the unit ball is
-    # rotationally symmetric about x*a, so take the polar axis along it;
-    # the azimuth integrates to an exact 2*pi and the problem stays 2-D.
-    if big_w == 0.0:
-        return complex(np.prod(a) * volume(Ball(1.0, dim=3)))
-
-    def f3(pts):
-        r, th = pts[:, 0], pts[:, 1]
-        return r * r * np.sin(th) * np.exp(1j * big_w * r * np.cos(th))
-
-    val, _, _ = integrate_box(
-        f3,
-        [0.0, 0.0],
-        [1.0, math.pi],
-        [big_w, big_w],
-        tol,
-        max_nodes,
-    )
-    return 2.0 * math.pi * np.prod(a) * val
-
-
 # -- stationary-phase approximation ------------------------------------------
 
 
@@ -299,19 +211,6 @@ def stationary_phase_ft(body: ConvexBody, x) -> StationaryPhaseFT:
     if one:
         return StationaryPhaseFT(complex(values[0]), *(float(v) for v in fields[:, 0]))
     return StationaryPhaseFT(values, *fields)
-
-
-def decay_constant_estimate(body: ConvexBody, xs) -> float:
-    """max over samples of |F[1_K](x)| |x|^((d+1)/2), the decay-bound constant.
-
-    A sampled sup, so a lower estimate; with samples through the envelope
-    peaks it stabilizes near the stationary-phase coefficient.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    r = np.linalg.norm(xs, axis=1)
-    keep = r > 0.0
-    vals = np.abs(indicator_ft(body, xs[keep])) * r[keep] ** ((xs.shape[1] + 1) / 2.0)
-    return float(np.max(vals, initial=0.0))
 
 
 # -- ray diagnostics (zero spacing, envelope peaks) --------------------------

@@ -14,6 +14,7 @@ exactly the bug class this module exists to prevent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ __all__ = [
     "format_body",
 ]
 
-# Closed forms below are only trusted for d <= 4; quadrature oracles
-# elsewhere stop at d <= 3.
+# Closed forms below are only trusted for d <= 4; the angular quadratures
+# (quadrature.orthant_integral) stop at d <= 3.
 MAX_DIM = 4
 
 # Relative tolerance for "p lies on the boundary" in the defining equation.
@@ -104,6 +105,18 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {d}")
 
 
+def _check_axes(axes: tuple[float, ...]) -> None:
+    """Refuse semi-axes whose fourth powers or squared product leave the normal
+    float range: the curvature divides by both."""
+    try:
+        powers = [a ** 4 for a in axes] + [math.prod(axes) ** 2]
+    except OverflowError:
+        powers = [math.inf]
+    if not all(sys.float_info.min <= v <= sys.float_info.max for v in powers):
+        raise ValueError(f"semi-axes {axes} put a fourth power or the squared product "
+                         "outside the normal floating-point range")
+
+
 @dataclass(frozen=True)
 class Ball:
     """Centered Euclidean ball of radius R in R^d."""
@@ -115,6 +128,7 @@ class Ball:
         _check_dim(self.dim)
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be positive, got {self.radius}")
+        _check_axes((float(self.radius),) * self.dim)
 
     @property
     def semi_axes(self) -> np.ndarray:
@@ -132,6 +146,7 @@ class Ellipsoid:
         _check_dim(len(axes))
         if any(not (np.isfinite(a) and a > 0) for a in axes):
             raise ValueError(f"semi-axes must be positive, got {axes}")
+        _check_axes(axes)
         object.__setattr__(self, "axes", axes)
 
     @property

@@ -22,7 +22,6 @@ from .fourier import scaled_indicator_ft
 
 __all__ = [
     "AtomicAction",
-    "apply_flow",
     "average_norm_sq",
     "induced_measure",
     "parse_action",
@@ -52,28 +51,11 @@ class AtomicAction:
         object.__setattr__(self, "coefficients", coefs)
 
     @property
-    def frequency_array(self) -> np.ndarray:
-        if not self.frequencies:
-            return np.zeros((0, self.dim))
-        return np.asarray(self.frequencies, dtype=float)
-
-    @property
     def coefficient_array(self) -> np.ndarray:
         return np.asarray(self.coefficients, dtype=complex)
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.coefficient_array) ** 2))
-
-
-def apply_flow(action: AtomicAction, s) -> AtomicAction:
-    """U_s applied to the state: coefficients pick up phases e^{i(s, x_j)}."""
-    s = as_vec(s, dim=action.dim)
-    phases = np.exp(1j * (action.frequency_array @ s))
-    return AtomicAction(
-        frequencies=action.frequencies,
-        coefficients=tuple(action.coefficient_array * phases),
-        dim=action.dim,
-    )
 
 
 def _spectral_fibers(action: AtomicAction) -> dict[tuple[float, ...], complex]:

@@ -1,14 +1,11 @@
-"""Gauss rules, cached read-only, the first-orthant angular integral, an
-oscillation-aware adaptive cell rule, and vectorised bracketed searches.
+"""Gauss rules, cached read-only, the first-orthant angular integral, and
+vectorised bracketed searches.
 
-The only place 1-D Gauss-Legendre and Gauss-Jacobi rules are built.  Three
-consumers: the Fourier-transform oracle (adaptive tensor-product rule
-over a parameter box), the radial integrals in the rates machinery (panel
-and singular-end segment rules), and every angular integral over the
-unit sphere (decay integrals, neighborhood masses, the outer piece of the
-singular integral), which all go through `orthant_integral`.  The guiding
-rule everywhere is that a cell may hold at most a quarter oscillation
-period per axis before the error estimate is trusted; budgets are
+The only place 1-D Gauss-Legendre and Gauss-Jacobi rules are built.  Two
+consumers: the radial integrals in the rates machinery (panel and
+singular-end segment rules), and every angular integral over the unit
+sphere (decay integrals, neighborhood masses, the outer piece of the
+singular integral), which all go through `orthant_integral`.  Budgets are
 enforced loudly, never silently.  Every root and peak search (mass
 truncation kinks, ray zeros and peaks, level sets) is one of the
 bracketed searches at the end, which work on many brackets at once.
@@ -24,14 +21,12 @@ from scipy import special
 
 __all__ = [
     "QuadratureBudgetError",
-    "gl_panel_rule",
     "gl_edges_rule",
     "end_power_rule",
     "segment_rules",
     "refined_breaks",
     "orthant_directions",
     "orthant_integral",
-    "integrate_box",
     "bisect",
     "bracketed_roots",
     "bracketed_maxima",
@@ -69,15 +64,6 @@ def gl_edges_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
-
-
-def gl_panel_rule(a: float, b: float, n_panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for n_panels equal Gauss-Legendre panels on [a, b]."""
-    if b <= a:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    if n_panels < 1 or order < 1:
-        raise ValueError("need n_panels >= 1 and order >= 1")
-    return gl_edges_rule(np.linspace(a, b, n_panels + 1), order)
 
 
 def end_power_rule(a: float, b: float, exponent: float, at_lower: bool, order: int):
@@ -189,108 +175,6 @@ def orthant_integral(alphas, g, breaks, order: int, theta_breaks=None) -> float:
             total += w_phi[k] * float(np.sum(vals[start:start + th.size] * np.sin(th) * w_th))
             start += th.size
     return 8.0 * float(total)
-
-
-def panels_for_frequency(length: float, freq: float, quarter: int = 4) -> int:
-    """Panel count so each panel spans <= 1/quarter of a 2*pi/freq period."""
-    if freq <= 0.0:
-        return 1
-    return max(1, int(math.ceil(length * freq * quarter / (2.0 * math.pi))))
-
-
-def _tensor_sum(f, axis_nodes, axis_weights, chunk: int = 1 << 21) -> complex:
-    """Sum f over the tensor grid, chunked along the first axis for memory."""
-    d = len(axis_nodes)
-    n0 = axis_nodes[0].size
-    rest = 1
-    for k in range(1, d):
-        rest *= axis_nodes[k].size
-    step = max(1, chunk // max(rest, 1))
-    total = 0.0 + 0.0j
-    for start in range(0, n0, step):
-        stop = min(n0, start + step)
-        grids = np.meshgrid(
-            axis_nodes[0][start:stop], *axis_nodes[1:], indexing="ij"
-        )
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrids = np.meshgrid(
-            axis_weights[0][start:stop], *axis_weights[1:], indexing="ij"
-        )
-        wts = wgrids[0].ravel()
-        for k in range(1, d):
-            wts = wts * wgrids[k].ravel()
-        total += np.sum(f(pts) * wts)
-    return complex(total)
-
-
-def integrate_box(
-    f,
-    lo,
-    hi,
-    freqs,
-    tol: float,
-    max_nodes: int = 20_000_000,
-    order_lo: int = 4,
-    order_hi: int = 6,
-) -> tuple[complex, float, int]:
-    """Adaptive tensor-product Gauss-Legendre integral over a box.
-
-    Parameters
-    ----------
-    f : callable
-        Takes an (N, d) array of points, returns N complex values.
-    lo, hi : array_like
-        Box bounds.
-    freqs : array_like
-        Per-axis bound on |d(phase)/d(axis)| of the integrand, in radians
-        per unit length.  The initial grid puts at most a quarter period
-        in each cell along each axis; refinement doubles the cell counts.
-    tol : float
-        Absolute tolerance on the integral.  The error estimate is the
-        difference between the order-4 and order-6 composite rules.
-    max_nodes : int
-        Hard budget on total evaluation points; exceeding it raises
-        QuadratureBudgetError instead of degrading accuracy silently.
-
-    Returns
-    -------
-    (value, err_estimate, nodes_used)
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    freqs = np.asarray(freqs, dtype=float)
-    d = lo.size
-    if hi.size != d or freqs.size != d:
-        raise ValueError("lo, hi, freqs must share one dimension")
-    if np.any(hi <= lo):
-        raise ValueError("box must have positive extent on every axis")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-    cells = np.array(
-        [panels_for_frequency(hi[k] - lo[k], freqs[k]) for k in range(d)], dtype=int
-    )
-    nodes_used = 0
-    while True:
-        need = int(np.prod(cells * order_lo) + np.prod(cells * order_hi))
-        if nodes_used + need > max_nodes:
-            raise QuadratureBudgetError(
-                f"node budget exceeded: need {need} more nodes "
-                f"({nodes_used} used, budget {max_nodes}, cells {cells.tolist()})"
-            )
-        sums = []
-        for order in (order_lo, order_hi):
-            axis_nodes, axis_weights = [], []
-            for k in range(d):
-                n, w = gl_panel_rule(lo[k], hi[k], int(cells[k]), order)
-                axis_nodes.append(n)
-                axis_weights.append(w)
-            sums.append(_tensor_sum(f, axis_nodes, axis_weights))
-        nodes_used += need
-        err = abs(sums[1] - sums[0])
-        if err <= tol:
-            return sums[1], err, nodes_used
-        cells = cells * 2
 
 
 # -- bracketed searches: one call of f per step, every bracket shrunk alike --

@@ -76,7 +76,6 @@ __all__ = [
     "check_supercritical_rate",
     "PredictedRate",
     "predicted_rate_from_mass_exponent",
-    "equivalence_bounds",
 ]
 
 
@@ -156,31 +155,12 @@ class Sector:
             return False
         return float(np.max(t)) <= self.bound * float(np.min(t)) * (1.0 + 1e-12)
 
-    def sphere_sample(self, dim: int, n_per_axis: int = 64) -> np.ndarray:
-        """Unit directions covering the sector's sphere patch, corners included.
 
-        Directions are normalized grid points of [1, B]^d, which maps onto
-        the patch: any unit t in X_B equals t / min(t) scaled, with
-        t / min(t) in [1, B]^d.
-        """
-        axes = [np.linspace(1.0, self.bound, n_per_axis)] * dim
-        grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        return grid / np.linalg.norm(grid, axis=1, keepdims=True)
-
-    def random_points(self, rng: np.random.Generator, n: int, dim: int,
-                      radius_range=(1e-2, 1e3)) -> np.ndarray:
-        raw = rng.uniform(1.0, self.bound, size=(n, dim))
-        dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        lo, hi = radius_range
-        radii = np.exp(rng.uniform(math.log(lo), math.log(hi), size=n))
-        return dirs * radii[:, None]
-
-
-def p_ladder(p_lo: float, p_hi: float, ratio: float = math.sqrt(2.0)) -> np.ndarray:
-    """Geometric ladder from p_lo to p_hi with step close to `ratio`."""
+def p_ladder(p_lo: float, p_hi: float) -> np.ndarray:
+    """Geometric ladder from p_lo to p_hi with step close to sqrt(2)."""
     if not (p_hi > p_lo > 0):
         raise ValueError("need 0 < p_lo < p_hi")
-    n = max(2, round(math.log(p_hi / p_lo) / math.log(ratio)) + 1)
+    n = max(2, round(math.log(p_hi / p_lo) / math.log(math.sqrt(2.0))) + 1)
     return np.geomspace(p_lo, p_hi, n)
 
 
@@ -193,10 +173,10 @@ def ray_grid(direction, p_values) -> np.ndarray:
     return p[:, None] * s[None, :]
 
 
-def sector_grid(bound: float, dim: int, p_values, n_dir: int = 5) -> np.ndarray:
-    """Ladder points along several directions spanning the sector X_B."""
+def sector_grid(bound: float, dim: int, p_values) -> np.ndarray:
+    """Ladder points along five directions spanning the sector X_B."""
     sec = Sector(bound)
-    fracs = np.linspace(0.0, 1.0, n_dir)
+    fracs = np.linspace(0.0, 1.0, 5)
     dirs = []
     for f in fracs:
         # sweep one coordinate from 1 to B and back through the diagonal
@@ -583,8 +563,7 @@ def decay_integral(body: ConvexBody, m: SpectralMeasure, t, rel_tol: float = 1e-
 # -- distribution-function route ---------------------------------------------
 
 
-def decay_integral_levelform(body: Ball, m: RadialPowerMeasure, t,
-                             n_angular: int = 64) -> float:
+def decay_integral_levelform(body: Ball, m: RadialPowerMeasure, t) -> float:
     """I(t) via the distribution function of the damping factor.
 
     I(t) = 2 int_0^1 u * sigma({x : |ratio(x o t)| > u}) du; level sets of
@@ -613,15 +592,13 @@ def decay_integral_levelform(body: Ball, m: RadialPowerMeasure, t,
         u_dir = np.array([t[0]])
         w_dir = np.array([2.0])
     elif d == 2:
-        n_seg = max(1, n_angular // 8)
-        phi, w_phi = segment_rules(list(np.linspace(0, math.pi / 2, n_seg + 1)), 0.0, 0.0, order=8)
+        phi, w_phi = segment_rules(list(np.linspace(0, math.pi / 2, 9)), 0.0, 0.0, order=8)
         om = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
         u_dir = np.linalg.norm(om * t[None, :], axis=1)
         w_dir = 4.0 * w_phi
     else:
-        n_seg = max(1, n_angular // 16)
-        th, w_th = segment_rules(list(np.linspace(0, math.pi / 2, n_seg + 1)), 0.0, 0.0, order=8)
-        ph, w_ph = segment_rules(list(np.linspace(0, math.pi / 2, n_seg + 1)), 0.0, 0.0, order=8)
+        th, w_th = segment_rules(list(np.linspace(0, math.pi / 2, 5)), 0.0, 0.0, order=8)
+        ph, w_ph = segment_rules(list(np.linspace(0, math.pi / 2, 5)), 0.0, 0.0, order=8)
         TH, PH = np.meshgrid(th, ph, indexing="ij")
         om = np.stack(
             [np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1
@@ -700,38 +677,36 @@ def _validate_ladder(p: np.ndarray, v: np.ndarray) -> float:
     return decades
 
 
-def rate_lstsq(p: np.ndarray, v: np.ndarray, with_log: bool = True):
+def rate_lstsq(p: np.ndarray, v: np.ndarray):
     """Coefficients and residuals of the least-squares fit of log v on
-    [log p, log log p, 1] ([log p, 1] when with_log=False); no validation."""
+    [log p, log log p, 1]; no validation."""
     lp = np.log(p)
-    cols = [lp, np.log(lp), np.ones_like(lp)] if with_log else [lp, np.ones_like(lp)]
-    design = np.stack(cols, axis=-1)
+    design = np.stack([lp, np.log(lp), np.ones_like(lp)], axis=-1)
     lv = np.log(v)
     coef, *_ = np.linalg.lstsq(design, lv, rcond=None)
     return coef, lv - design @ coef
 
 
-def fit_rate(p_values, i_values, label: str = "", with_log: bool = True) -> RateFit:
+def fit_rate(p_values, i_values, label: str = "") -> RateFit:
     """Fit the rate model along a geometric ladder.
 
     Requires at least 8 strictly increasing sample points spanning at
     least two decades, with strictly positive values; anything else is a
     design error worth failing loudly on, not patching over.
 
-    with_log=False pins beta = 0 (pure power law).  Over a 2-decade
-    window log log p is nearly collinear with (1, log p), so on
-    oscillatory data the three-parameter fit can trade tenths of theta
-    against beta; checkers that only care about the power trend use the
-    constrained model.
+    Over a 2-decade window log log p is nearly collinear with (1, log p),
+    so on oscillatory data the three-parameter fit can trade tenths of
+    theta against beta; checkers that only care about the power trend use
+    fit_oscillatory_rate, which pins beta = 0.
     """
     p = np.asarray(p_values, dtype=float)
     v = np.asarray(i_values, dtype=float)
     decades = _validate_ladder(p, v)
-    coef, resid = rate_lstsq(p, v, with_log)
+    coef, resid = rate_lstsq(p, v)
     return RateFit(
         theta_hat=float(coef[0]),
-        log_power_hat=float(coef[1]) if with_log else 0.0,
-        intercept=float(coef[-1]),
+        log_power_hat=float(coef[1]),
+        intercept=float(coef[2]),
         residual_rms=float(np.sqrt(np.mean(resid ** 2))),
         n_points=int(p.size),
         decades=decades,
@@ -991,28 +966,3 @@ def predicted_rate_from_mass_exponent(gamma: float, dim: int) -> PredictedRate:
     if gamma == crit:
         return PredictedRate(theta=-float(crit), log_power=1)
     return PredictedRate(theta=-float(crit), log_power=0)
-
-
-def equivalence_bounds(phi: HomogeneousFunction, sector: Sector, dim: int,
-                       n_samples: int = 2048, safety: float = 1e-9) -> tuple[float, float]:
-    """Constants E, F with E |t|^theta <= phi(t) <= F |t|^theta on the sector.
-
-    E and F are the sampled extrema of phi on the sector's sphere patch,
-    widened by the largest difference between adjacent samples: within a
-    grid cell a continuous phi cannot stray much further than it does
-    between neighboring nodes, so the widened bounds cover the gaps.
-    """
-    per_axis = max(8, int(math.ceil(n_samples ** (1.0 / dim))))
-    dirs = sector.sphere_sample(dim, n_per_axis=per_axis)
-    vals = np.array([phi.sphere_fn(w) for w in dirs], dtype=float)
-    if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
-        raise ValueError("phi must be positive and finite on the sector sphere patch")
-    grid_vals = vals.reshape((per_axis,) * dim)
-    gap = 0.0
-    for ax in range(dim):
-        if grid_vals.shape[ax] > 1:
-            gap = max(gap, float(np.max(np.abs(np.diff(grid_vals, axis=ax)))))
-    lo, hi = float(np.min(vals)), float(np.max(vals))
-    lo = max(lo - gap, 0.1 * lo)
-    hi = hi + gap
-    return lo * (1.0 - safety), hi * (1.0 + safety)

@@ -20,14 +20,19 @@ piece outside the inscribed ball.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import as_vec, unit_sphere_area
-from .quadrature import bracketed_roots, orthant_directions, orthant_integral, refined_breaks
+from .quadrature import (
+    QuadratureBudgetError,
+    bracketed_roots,
+    orthant_directions,
+    orthant_integral,
+    refined_breaks,
+)
 
 __all__ = [
     "AtomicMeasure",
@@ -40,7 +45,6 @@ __all__ = [
     "Neighborhood",
     "mass",
     "singular_integral",
-    "density_at",
     "total_mass",
     "parse_measure",
     "format_measure",
@@ -395,9 +399,15 @@ def _aniso_mass_inside(m, hood: Neighborhood) -> float:
         for a, h in zip(m.alphas, hood.halfwidths):
             out *= 2.0 * h ** a / a
         return out
-    for a, dl in zip(m.alphas, hood.semi_axes):
-        out *= dl ** a * math.gamma(a / 2.0)
-    return out / math.gamma(1.0 + m.radial_order / 2.0)
+    try:
+        for a, dl in zip(m.alphas, hood.semi_axes):
+            out *= dl ** a * math.gamma(a / 2.0)
+        return out / math.gamma(1.0 + m.radial_order / 2.0)
+    except OverflowError:  # a Gamma factor beyond the float range: the same product in logs
+        if m.scale == 0.0:
+            return 0.0
+        log = sum(a * math.log(dl) + math.lgamma(a / 2.0) for a, dl in zip(m.alphas, hood.semi_axes))
+        return math.exp(math.log(m.scale) + log - math.lgamma(1.0 + m.radial_order / 2.0))
 
 
 def _continuous_mass(m, hood: Neighborhood) -> float:
@@ -416,8 +426,7 @@ def _continuous_mass(m, hood: Neighborhood) -> float:
 
     inside = _inside_support(m, hood)
     if inside and isinstance(m, AnisotropicPowerMeasure):
-        with contextlib.suppress(OverflowError):  # a Gamma factor beyond the float range
-            return _aniso_mass_inside(m, hood)
+        return _aniso_mass_inside(m, hood)
 
     # fully symmetric radial case: closed form
     if isinstance(m, RadialPowerMeasure) and isinstance(hood, EllipsoidNeighborhood):
@@ -474,11 +483,13 @@ def mass(m: SpectralMeasure, hood: Neighborhood) -> float:
     N lies in its support box (delta_k <= b_k or h_k <= b_k): the product
     c prod 2 h_k^alpha_k / alpha_k on a box, the Liouville-Dirichlet
     c prod delta_k^alpha_k Gamma(alpha_k/2) / Gamma(1 + s/2) on an
-    ellipsoid.  Otherwise (d <= 3 only) the radial direction is integrated
-    in closed form and the angular part by quadrature, with breaks at the
-    box corners and faces and, unless N lies strictly inside a radial
-    law's ball (max delta_k < R or |h| < R), at the searched crossings of
-    the support's edge.  Sums add their parts.
+    ellipsoid (in logs when a Gamma factor overflows).  Otherwise (d <= 3
+    only) the radial direction is integrated in closed form and the
+    angular part by quadrature, with breaks at the box corners and faces
+    and, unless N lies strictly inside a radial law's ball (max delta_k < R
+    or |h| < R), at the searched crossings of the support's edge.  A
+    continuous mass that comes out non-finite raises QuadratureBudgetError.
+    Sums add their parts.
     """
     if isinstance(m, AtomicMeasure):
         if m.dim != hood.dim:
@@ -490,7 +501,11 @@ def mass(m: SpectralMeasure, hood: Neighborhood) -> float:
     if isinstance(m, SumMeasure):
         return float(sum(mass(p, hood) for p in m.parts))
     if isinstance(m, (RadialPowerMeasure, AnisotropicPowerMeasure)):
-        return _continuous_mass(m, hood)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+            value = _continuous_mass(m, hood)
+        if not math.isfinite(value):
+            raise QuadratureBudgetError(f"the mass of {m!r} on {hood!r} is not finite")
+        return value
     raise TypeError(f"unknown measure {m!r}")
 
 
@@ -549,35 +564,6 @@ def singular_integral(m: SpectralMeasure, q: float) -> float:
                              lambda phi: [_mass_breaks(3, [_box_face_switch(h, ph)], True)
                                           for ph in phi])
     return inner + outer
-
-
-# -- densities ---------------------------------------------------------------
-
-
-def density_at(m: SpectralMeasure, x) -> float:
-    """Lebesgue density at x for the continuous families; atomic raises."""
-    x = as_vec(x)
-    if isinstance(m, AtomicMeasure):
-        raise ValueError("atomic measures have no density")
-    if isinstance(m, RadialPowerMeasure):
-        as_vec(x, dim=m.dim)
-        r = float(np.linalg.norm(x))
-        if r == 0.0 or r > m.radius:
-            return 0.0
-        return m.scale * r ** (m.gamma - m.dim)
-    if isinstance(m, AnisotropicPowerMeasure):
-        as_vec(x, dim=m.dim)
-        h = np.asarray(m.halfwidths)
-        if np.any(np.abs(x) > h):
-            return 0.0
-        al = np.asarray(m.alphas)
-        with np.errstate(divide="ignore"):
-            factors = np.abs(x) ** (al - 1.0)
-        out = m.scale * float(np.prod(factors))
-        return out
-    if isinstance(m, SumMeasure):
-        return float(sum(density_at(p, x) for p in m.parts))
-    raise TypeError(f"unknown measure {m!r}")
 
 
 # -- measure spec strings ----------------------------------------------------

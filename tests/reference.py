@@ -1,0 +1,111 @@
+"""Test-side references, independent of the package code they check.
+
+`indicator_ft` integrates a body's indicator transform by a tensor
+Gauss-Legendre rule in a smooth parametrisation, never through the closed
+forms; `equivalence_bounds` and the sector samplers give the sandwich
+constants of a homogeneous comparison function on a sector.
+"""
+
+import functools
+import math
+
+import numpy as np
+
+from ergrates.geometry import Cube
+
+# orders double from the first until two agree to this absolute difference
+_FIRST_ORDER = 8
+_LAST_ORDER = 1024
+_AGREE = 1e-12
+
+
+def _tensor_sum(f, bounds, order: int) -> complex:
+    """One tensor Gauss-Legendre rule of the given order per axis of the box `bounds`."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    nodes = [lo + (hi - lo) * (x + 1.0) / 2.0 for lo, hi in bounds]
+    weights = functools.reduce(np.multiply.outer, [(hi - lo) / 2.0 * w for lo, hi in bounds])
+    return complex(np.sum(f(*np.meshgrid(*nodes, indexing="ij")) * weights))
+
+
+def indicator_ft(body, x) -> complex:
+    """F[1_K](x) = int_K e^{i(y,x)} dy by quadrature.
+
+    The cube is integrated per axis over [0, 1]^d.  A ball or an ellipsoid
+    a o B(0,1) is prod a times the unit-ball integral at x o a: the
+    interval in d = 1, polar (r, phi) in d = 2, and in d = 3 the
+    azimuth-free (r, theta) form with the polar axis along x o a.
+    """
+    x = np.asarray(x, dtype=float)
+    d = x.size
+    if isinstance(body, Cube):
+        scale, bounds = 1.0, [(0.0, 1.0)] * d
+
+        def f(*y):
+            return np.exp(1j * sum(xk * yk for xk, yk in zip(x, y)))
+    else:
+        a = body.semi_axes
+        xa, scale = x * a, float(np.prod(a))
+        if d == 1:
+            bounds = [(-1.0, 1.0)]
+
+            def f(u):
+                return np.exp(1j * xa[0] * u)
+        elif d == 2:
+            bounds = [(0.0, 1.0), (0.0, 2.0 * math.pi)]
+
+            def f(r, phi):
+                return r * np.exp(1j * r * (xa[0] * np.cos(phi) + xa[1] * np.sin(phi)))
+        else:
+            big_w = float(np.linalg.norm(xa))
+            bounds = [(0.0, 1.0), (0.0, math.pi)]
+
+            def f(r, theta):
+                return 2.0 * math.pi * r * r * np.sin(theta) * np.exp(1j * big_w * r * np.cos(theta))
+    order, prev = _FIRST_ORDER, None
+    while order <= _LAST_ORDER:
+        val = scale * _tensor_sum(f, bounds, order)
+        if prev is not None and abs(val - prev) <= _AGREE:
+            return val
+        prev, order = val, 2 * order
+    raise RuntimeError(f"orders up to {_LAST_ORDER} do not agree to {_AGREE} at x = {x}")
+
+
+# -- sector sandwich constants -------------------------------------------------
+
+
+def sphere_sample(sector, dim: int, n_per_axis: int = 64) -> np.ndarray:
+    """Unit directions covering the sector's sphere patch, corners included.
+
+    Directions are normalized grid points of [1, B]^d, which maps onto the
+    patch: any unit t in X_B equals t / min(t) scaled, with t / min(t) in
+    [1, B]^d.
+    """
+    axes = [np.linspace(1.0, sector.bound, n_per_axis)] * dim
+    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return grid / np.linalg.norm(grid, axis=1, keepdims=True)
+
+
+def random_points(sector, rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """n points of the sector, log-uniform in radius on [1e-2, 1e3]."""
+    raw = rng.uniform(1.0, sector.bound, size=(n, dim))
+    dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    radii = np.exp(rng.uniform(math.log(1e-2), math.log(1e3), size=n))
+    return dirs * radii[:, None]
+
+
+def equivalence_bounds(phi, sector, dim: int, n_samples: int = 2048) -> tuple[float, float]:
+    """Constants E, F with E |t|^theta <= phi(t) <= F |t|^theta on the sector.
+
+    E and F are the sampled extrema of phi on the sector's sphere patch,
+    widened by the largest difference between adjacent samples: within a
+    grid cell a continuous phi cannot stray much further than it does
+    between neighboring nodes, so the widened bounds cover the gaps.
+    """
+    per_axis = max(8, int(math.ceil(n_samples ** (1.0 / dim))))
+    vals = np.array([phi.sphere_fn(w) for w in sphere_sample(sector, dim, per_axis)])
+    if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
+        raise ValueError("phi must be positive and finite on the sector sphere patch")
+    grid_vals = vals.reshape((per_axis,) * dim)
+    gap = max(float(np.max(np.abs(np.diff(grid_vals, axis=ax)))) for ax in range(dim))
+    lo, hi = float(np.min(vals)), float(np.max(vals))
+    return max(lo - gap, 0.1 * lo) * (1.0 - 1e-9), (hi + gap) * (1.0 + 1e-9)

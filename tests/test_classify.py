@@ -106,10 +106,6 @@ class TestCircleTable:
         assert lab.exponent_vector == pytest.approx((-9.0 / 4.0, -3.0 / 4.0))
         assert lab.log_power == 0
 
-    def test_dimension_argument_must_agree(self):
-        with pytest.raises(ValueError, match="dimension"):
-            circle_regime(PowerParams((1.0, 1.0)), dim=3)
-
     def test_d3_critical_threshold(self):
         assert circle_regime(PowerParams((2.0, 1.0, 1.0))).family == "CircleCritical"
         assert circle_regime(PowerParams((1.0, 1.0, 1.0))).family == "CircleSubcritical"

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -284,16 +285,34 @@ class TestInputValidation:
         (["rates", "--measure", "aniso:2,2;1e200,1;1"], "floating-point range"),
         (["rates", "--measure", "radial:2,1e-200,1"], "floating-point range"),
         (["rates", "--measure", "aniso:2,2;1e-200,1;1"], "floating-point range"),
+        (["fourier", "--body", "ellipsoid:1e-300,1", "--z-lo", "1", "--z-hi", "2"],
+         "floating-point range"),
     ], ids=["atomic-nan-weight", "atomic-inf-coordinate", "radial-inf-radius",
             "aniso-inf-halfwidth", "tol-zero", "tol-nan", "verify-tol-inf",
             "radial-huge-radius", "radial-huge-gamma", "aniso-huge-halfwidth",
-            "radial-tiny-radius", "aniso-tiny-halfwidth"])
+            "radial-tiny-radius", "aniso-tiny-halfwidth", "ellipsoid-tiny-axis"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, fragment):
         out = tmp_path / "out.txt"
         assert main(argv + ["--points", "2", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ergrates: config error:") and err.count("\n") == 1
         assert fragment in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--body", "ball:1", "--measure", "radial:2,1,1",
+         "--p-lo", "1e300", "--p-hi", "1e308"],
+        ["verify", "--theorem", "2", "--measure", "aniso:400,400;1,1;1"],
+    ], ids=["rates-huge-p", "verify-huge-order"])
+    def test_floating_point_fault_exits_3_with_one_line(self, tmp_path, capsys, argv):
+        # numpy's overflow reaches the user as one numeric-failure line, not a warning
+        out = tmp_path / "out.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--out", str(out)]) == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("ergrates: numeric failure:") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing", "directory"])

@@ -14,7 +14,6 @@ import pytest
 from ergrates.geometry import Ball, Cube, Ellipsoid
 from ergrates.hilbert_sim import (
     AtomicAction,
-    apply_flow,
     average_norm_sq,
     demo_action,
     induced_measure,
@@ -37,29 +36,6 @@ def random_action(n, dim, rng, duplicates=False):
         coefficients=tuple(coefs),
         dim=dim,
     )
-
-
-class TestFlow:
-    def test_group_law(self):
-        a = demo_action(n=10, dim=2)
-        for _ in range(5):
-            s1, s2 = RNG.uniform(-4.0, 4.0, size=(2, 2))
-            one = apply_flow(apply_flow(a, s1), s2)
-            both = apply_flow(a, s1 + s2)
-            np.testing.assert_allclose(
-                one.coefficient_array, both.coefficient_array, atol=1e-12
-            )
-
-    def test_unitarity(self):
-        a = demo_action(n=15, dim=3)
-        for _ in range(5):
-            s = RNG.uniform(-10.0, 10.0, size=3)
-            assert apply_flow(a, s).norm_sq() == pytest.approx(a.norm_sq(), rel=1e-12)
-
-    def test_identity_element(self):
-        a = demo_action(n=5, dim=2)
-        b = apply_flow(a, [0.0, 0.0])
-        np.testing.assert_allclose(b.coefficient_array, a.coefficient_array, atol=0)
 
 
 class TestInducedMeasure:

@@ -12,6 +12,10 @@ statements and the check with them.
 Root and peak searches go through the bracketing layer in `quadrature`, so
 no module imports `scipy.optimize` or `scipy.stats`; together they cost
 about a second of every command's start-up.
+
+No public name is kept only for tests: each is used by package code or
+allowlisted with its reason.  Test-only references live in
+`tests/reference.py`.
 """
 
 import ast
@@ -245,3 +249,73 @@ def test_cli_import_leaves_scipy_optimize_and_stats_out():
     assert [m for m in out.stdout.split() if _banned(m)] == []
     # only the region maps' component count needs scipy.ndimage; it is imported there
     assert [m for m in out.stdout.split() if m.startswith("scipy.ndimage")] == []
+
+
+# -- no public name kept only for tests ---------------------------------------
+
+# public names no package code uses, each with the reason it stays
+PUBLIC_ALLOWLIST = {
+    "format_body": "inverse of parse_body: round trips of the body spec grammar",
+    "format_measure": "inverse of parse_measure: round trips of the measure spec grammar",
+    "p_ladder": "the sqrt(2)-step ladder the rate sweeps are specified on",
+    "square_regime": "the paper's box regime table at one point",
+    "circle_regime": "the paper's ball regime table at one point",
+    "ray_zeros": "the zero-spacing diagnostic of acceptance criterion C03",
+    "ray_peaks": "the envelope-peak diagnostic of acceptance criteria C03 and C04",
+    "decay_integral_levelform": "perfbench's independent reference for I(t) at p <= 30",
+}
+
+
+def unused_public_names(sources) -> list[str]:
+    """Public functions, classes, methods and properties defined at the top of
+    the module texts `sources`, or in their top-level classes, that no code
+    outside their own bodies refers to by name, sorted."""
+    trees = [ast.parse(text) for text in sources]
+    bodies: dict[str, set[int]] = {}
+    for tree in trees:
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *members]:
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_"):
+                    bodies.setdefault(d.name, set()).update(map(id, ast.walk(d)))
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else node.attr
+                    if isinstance(node, ast.Attribute) else node.name
+                    if isinstance(node, ast.alias) else None)
+            if name in bodies and id(node) not in bodies[name]:
+                used.add(name)
+    return sorted(set(bodies) - used)
+
+
+def test_every_public_name_is_used_or_allowlisted():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert unused_public_names(sources) == sorted(PUBLIC_ALLOWLIST)
+
+
+def test_public_name_scanner_flags_test_only_names():
+    # stand-ins for the test-only names the package once held: a recursive
+    # call or an unused method still flags, a method used elsewhere does not
+    stand_ins = "\n".join([
+        "def apply_flow(action, s):",
+        "    return AtomicAction(action.frequencies, action.coefficients, action.dim)",
+        "def decay_constant_estimate(body, xs):",
+        "    return indicator_ft(body, xs)",
+        "def density_at(m, x):",
+        "    return sum(density_at(p, x) for p in m.parts)",
+        "def equivalence_bounds(phi, sector, dim):",
+        "    return sector.sphere_sample(dim)",
+        "def indicator_ft_quadrature(body, x):",
+        "    return integrate_box(body, x)",
+        "class SectorSamples:",
+        "    def sphere_sample(self, dim):",
+        "        return self.bound",
+        "    @property",
+        "    def random_points(self):",
+        "        return self.bound",
+    ])
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert unused_public_names(sources + [stand_ins]) == sorted([
+        *PUBLIC_ALLOWLIST, "SectorSamples", "apply_flow", "decay_constant_estimate",
+        "density_at", "equivalence_bounds", "indicator_ft_quadrature", "random_points"])

@@ -1,4 +1,4 @@
-"""Panel quadrature: exactness, oscillation handling, budget behavior."""
+"""Panel and end rules, orthant integrals, and the bracketed searches."""
 
 import math
 
@@ -8,28 +8,25 @@ import pytest
 
 from ergrates import quadrature
 from ergrates.quadrature import (
-    QuadratureBudgetError,
     bisect,
     bracketed_maxima,
     bracketed_roots,
     end_power_rule,
-    gl_panel_rule,
-    integrate_box,
+    gl_edges_rule,
     orthant_integral,
-    panels_for_frequency,
 )
 
 
 def test_polynomial_exactness():
     # GL order n is exact through degree 2n-1 per panel
-    nodes, weights = gl_panel_rule(0.0, 2.0, n_panels=3, order=4)
+    nodes, weights = gl_edges_rule(np.linspace(0.0, 2.0, 4), order=4)
     for k in range(8):
         got = float(np.sum(weights * nodes**k))
         assert got == pytest.approx(2.0 ** (k + 1) / (k + 1), rel=1e-13)
 
 
-def test_gl_panel_rule_smooth():
-    nodes, weights = gl_panel_rule(0.0, 1.0, n_panels=4, order=8)
+def test_gl_edges_rule_smooth():
+    nodes, weights = gl_edges_rule(np.linspace(0.0, 1.0, 5), order=8)
     assert float(np.sum(np.exp(nodes) * weights)) == pytest.approx(math.e - 1.0, rel=1e-12)
 
 
@@ -82,52 +79,6 @@ def test_orthant_integral_matches_sphere_moments(alphas):
             got = orthant_integral(alphas, g, breaks, order, theta_breaks=lambda phi: [breaks] * phi.size)
             assert type(got) is float
             assert got == pytest.approx(want, rel=1e-13), (n_seg, order)
-
-
-def test_quarter_period_panel_count():
-    # length L at frequency f needs ceil(4 L f / (2 pi)) panels
-    assert panels_for_frequency(2 * math.pi, 1.0) == 4
-    assert panels_for_frequency(1.0, 0.0) == 1
-    assert panels_for_frequency(10.0, 50.0) == math.ceil(10 * 50 * 4 / (2 * math.pi))
-
-
-def test_oscillatory_1d():
-    w = 37.0
-    val, err, nodes = integrate_box(
-        lambda pts: np.cos(w * pts[:, 0]), lo=[0.0], hi=[1.0], freqs=[w], tol=1e-12
-    )
-    assert val.real == pytest.approx(math.sin(w) / w, abs=1e-12)
-    assert err < 1e-10
-
-
-def test_oscillatory_2d_separable():
-    wx, wy = 11.0, 23.0
-    val, err, _ = integrate_box(
-        lambda pts: np.exp(1j * (wx * pts[:, 0] + wy * pts[:, 1])),
-        lo=[0.0, 0.0], hi=[1.0, 1.0], freqs=[wx, wy], tol=1e-11,
-    )
-    want = ((np.exp(1j * wx) - 1) / (1j * wx)) * ((np.exp(1j * wy) - 1) / (1j * wy))
-    assert abs(val - want) < 1e-10
-
-
-def test_budget_is_loud():
-    with pytest.raises(QuadratureBudgetError):
-        integrate_box(
-            lambda pts: np.cos(1e5 * pts[:, 0]) * np.cos(1e5 * pts[:, 1]),
-            lo=[0.0, 0.0], hi=[1.0, 1.0], freqs=[1e5, 1e5], tol=1e-14,
-            max_nodes=10_000,
-        )
-
-
-def test_error_estimate_honest():
-    # reported error must bound the true error on a resolved integrand
-    w = 9.0
-    val, err, _ = integrate_box(
-        lambda pts: np.sin(w * pts[:, 0]) ** 2, lo=[0.0], hi=[2.0], freqs=[2 * w],
-        tol=1e-10,
-    )
-    true = 1.0 - math.sin(2 * w * 2.0) / (4 * w)
-    assert abs(val.real - true) <= max(err, 1e-12) * 10
 
 
 class TestBrackets:

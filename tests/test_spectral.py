@@ -14,6 +14,7 @@ import pytest
 from scipy import integrate
 
 from ergrates.geometry import unit_sphere_area
+from ergrates.quadrature import QuadratureBudgetError
 from ergrates.spectral import (
     AnisotropicPowerMeasure,
     AtomicMeasure,
@@ -21,7 +22,6 @@ from ergrates.spectral import (
     EllipsoidNeighborhood,
     RadialPowerMeasure,
     SumMeasure,
-    density_at,
     format_measure,
     mass,
     parse_measure,
@@ -375,11 +375,23 @@ class TestMassesInsideTheSupport:
         with pytest.raises(ValueError, match="d <= 3"):  # straddling: no quadrature in d = 4
             mass(m, EllipsoidNeighborhood((1.5, 0.3, 0.9, 0.2)))
 
-    def test_gamma_overflow_falls_back_to_the_quadrature(self):
-        # Gamma(1 + s/2) overflows for s = 401: no OverflowError escapes
+    def test_gamma_overflow_is_summed_in_logs(self):
+        # Gamma(1 + s/2) overflows for s = 401; each lgamma near 200 carries
+        # about 1e-13 absolute error
         m = AnisotropicPowerMeasure((400.0, 1.0), (1.0, 1.0), 1.0)
-        with np.errstate(all="ignore"):
-            assert type(mass(m, EllipsoidNeighborhood((0.5, 0.5)))) is float
+        got = mass(m, EllipsoidNeighborhood((0.5, 0.5)))
+        with mpmath.workdps(40):
+            half = mpmath.mpf(1) / 2
+            want = (half ** 400 * mpmath.gamma(200) * half * mpmath.gamma(half)
+                    / mpmath.gamma(1 + mpmath.mpf(401) / 2))
+        assert type(got) is float
+        assert got == pytest.approx(float(want), rel=1e-12)
+
+    def test_a_mass_that_is_not_finite_raises(self):
+        # straddling hood: the quadrature's end rule for alpha = 400 is not finite
+        m = AnisotropicPowerMeasure((400.0, 1.0), (1.0, 1.0), 1.0)
+        with pytest.raises(QuadratureBudgetError, match=r"EllipsoidNeighborhood\(semi_axes=\(2.0, 0.5\)\)"):
+            mass(m, EllipsoidNeighborhood((2.0, 0.5)))
 
     def test_contained_hoods_never_scan(self, monkeypatch):
         def no_scan(*args, **kwargs):
@@ -521,26 +533,6 @@ class TestSingularIntegral:
         m = RadialPowerMeasure(gamma=2.0, radius=1.0, scale=1.0, dim=2)
         with pytest.raises(ValueError):
             singular_integral(m, 0.0)
-
-
-class TestDensity:
-    def test_radial(self):
-        m = RadialPowerMeasure(gamma=3.0, radius=1.0, scale=2.0, dim=2)
-        assert density_at(m, [0.5, 0.0]) == pytest.approx(2.0 * 0.5, rel=1e-14)
-        assert density_at(m, [2.0, 0.0]) == 0.0
-
-    def test_aniso(self):
-        m = AnisotropicPowerMeasure(alphas=(2.0, 1.0), halfwidths=(1.0, 1.0), scale=3.0)
-        assert density_at(m, [0.5, 0.5]) == pytest.approx(1.5, rel=1e-14)
-        assert density_at(m, [1.5, 0.0]) == 0.0
-
-    def test_atomic_raises_and_sum_adds(self):
-        atom = AtomicMeasure(points=((1.0, 0.0),), weights=(1.0,), dim=2)
-        with pytest.raises(ValueError):
-            density_at(atom, [1.0, 0.0])
-        a = RadialPowerMeasure(gamma=2.0, radius=1.0, scale=1.0, dim=2)
-        b = AnisotropicPowerMeasure(alphas=(1.0, 1.0), halfwidths=(1.0, 1.0), scale=2.0)
-        assert density_at(SumMeasure(parts=(a, b)), [0.2, 0.2]) == pytest.approx(3.0, rel=1e-14)
 
 
 class TestSpecStrings:
