@@ -38,6 +38,43 @@ def random_action(n, dim, rng, duplicates=False):
     )
 
 
+def flowed(action, s):
+    """U_s applied to the state: each coefficient picks up the phase e^{i(s, x_j)}."""
+    phases = np.exp(1j * (np.asarray(action.frequencies) @ np.asarray(s, dtype=float)))
+    return AtomicAction(
+        frequencies=action.frequencies,
+        coefficients=tuple(action.coefficient_array * phases),
+        dim=action.dim,
+    )
+
+
+class TestFlow:
+    def test_unitarity(self):
+        a = demo_action(n=15, dim=3)
+        for _ in range(5):
+            s = RNG.uniform(-10.0, 10.0, size=3)
+            assert flowed(a, s).norm_sq() == pytest.approx(a.norm_sq(), rel=1e-12)
+
+    def test_average_commutes_with_the_flow(self):
+        # the average over K o t commutes with U_s, so its norm is flow-invariant,
+        # also when coefficients share a frequency
+        a = random_action(8, 2, RNG, duplicates=True)
+        t = (1.3, 0.8)
+        for body in (Ball(1.0), Cube(2), Ellipsoid((1.0, 0.4))):
+            want = average_norm_sq(a, body, t)
+            for _ in range(3):
+                s = RNG.uniform(-4.0, 4.0, size=2)
+                assert average_norm_sq(flowed(a, s), body, t) == pytest.approx(want, rel=1e-12)
+
+    def test_induced_measure_is_flow_invariant(self):
+        a = random_action(6, 2, RNG, duplicates=True)
+        m = induced_measure(a)
+        for _ in range(3):
+            got = induced_measure(flowed(a, RNG.uniform(-4.0, 4.0, size=2)))
+            assert got.points == m.points
+            np.testing.assert_allclose(got.weights, m.weights, rtol=1e-12)
+
+
 class TestInducedMeasure:
     def test_weights_are_squared_moduli(self):
         a = AtomicAction(

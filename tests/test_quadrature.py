@@ -14,6 +14,8 @@ from ergrates.quadrature import (
     end_power_rule,
     gl_edges_rule,
     orthant_integral,
+    refined_breaks,
+    segment_rules,
 )
 
 
@@ -28,6 +30,32 @@ def test_polynomial_exactness():
 def test_gl_edges_rule_smooth():
     nodes, weights = gl_edges_rule(np.linspace(0.0, 1.0, 5), order=8)
     assert float(np.sum(np.exp(nodes) * weights)) == pytest.approx(math.e - 1.0, rel=1e-12)
+
+
+def test_oscillatory_at_quarter_period_panels():
+    # a few panels per quarter period resolve cos(w x) to round-off
+    w = 37.0
+    n_panels = math.ceil(4.0 * w / (2.0 * math.pi))
+    nodes, weights = gl_edges_rule(np.linspace(0.0, 1.0, n_panels + 1), order=16)
+    assert float(np.sum(np.cos(w * nodes) * weights)) == pytest.approx(math.sin(w) / w, abs=1e-13)
+
+
+def test_refined_breaks_keep_every_break():
+    out = refined_breaks([0.0, 0.1, 1.0, 1.05], max_len=0.25)
+    assert {0.0, 0.1, 1.0, 1.05} <= set(out)
+    assert out == sorted(out)
+    assert max(np.diff(out)) <= 0.25 + 1e-15
+    assert len(out) == 1 + 1 + 4 + 1
+
+
+def test_segment_rules_absorb_both_singular_ends():
+    # x^-0.4 (1 - x)^0.7 on [0, 1] split at two inner breaks: the Jacobi ends
+    # make it exact, the Beta function B(0.6, 1.7)
+    nodes, weights = segment_rules([0.0, 0.3, 0.6, 1.0], exp_lo=-0.4, exp_hi=0.7, order=10)
+    got = float(np.sum(weights * nodes ** -0.4 * (1.0 - nodes) ** 0.7))
+    want = math.gamma(0.6) * math.gamma(1.7) / math.gamma(2.3)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert nodes.size == 3 * 10 and np.all((nodes > 0.0) & (nodes < 1.0))
 
 
 @pytest.mark.parametrize("cached", [lambda: quadrature._gl(8),

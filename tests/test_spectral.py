@@ -535,6 +535,40 @@ class TestSingularIntegral:
             singular_integral(m, 0.0)
 
 
+class TestDensity:
+    # the quadratures see a density only through its polar form: at x = r omega
+    # it is angular_density(omega) * r^(radial_order - d) while r <= support_profile(omega)
+
+    @staticmethod
+    def density(m, x):
+        x = np.asarray(x, dtype=float)
+        r = float(np.linalg.norm(x))
+        om = (x / r)[None, :]
+        if r > float(m.support_profile(om)[0]):
+            return 0.0
+        return float(m.angular_density(om)[0]) * r ** (m.radial_order - x.size)
+
+    def test_radial(self):
+        m = RadialPowerMeasure(gamma=3.0, radius=1.0, scale=2.0, dim=2)
+        assert self.density(m, [0.5, 0.0]) == pytest.approx(2.0 * 0.5, rel=1e-14)
+        assert self.density(m, [0.3, -0.4]) == pytest.approx(2.0 * 0.5, rel=1e-14)
+        assert self.density(m, [2.0, 0.0]) == 0.0
+
+    def test_aniso(self):
+        m = AnisotropicPowerMeasure(alphas=(2.0, 1.0), halfwidths=(1.0, 1.0), scale=3.0)
+        assert self.density(m, [0.5, 0.5]) == pytest.approx(1.5, rel=1e-14)
+        assert self.density(m, [-0.5, 0.25]) == pytest.approx(1.5, rel=1e-14)
+        assert self.density(m, [1.5, 0.0]) == 0.0
+
+    def test_aniso_d3_box_corner(self):
+        # c prod |x_k|^(alpha_k - 1) up to the corner of the box, and 0 past a face
+        m = AnisotropicPowerMeasure(alphas=(0.5, 1.5, 2.0), halfwidths=(1.0, 2.0, 0.5), scale=0.7)
+        x = [1.0, -2.0, 0.5]
+        want = 0.7 * 1.0 ** -0.5 * 2.0 ** 0.5 * 0.5 ** 1.0
+        assert self.density(m, x) == pytest.approx(want, rel=1e-13)
+        assert self.density(m, [0.2, 0.3, 0.51]) == 0.0
+
+
 class TestSpecStrings:
     def test_radial_round_trip(self):
         m = parse_measure("radial:2,1,1", dim=2)
