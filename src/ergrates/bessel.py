@@ -5,12 +5,15 @@ and 2 (odd d use elementary forms in `fourier.unit_ball_profile`).  Both
 are delegated to scipy, which already meets the 1e-12 absolute accuracy
 this package requires up to arguments of 1e4.  The test suite pins that
 contract against an mpmath oracle and the first zero of J_1.
+
+`scipy.special` is imported on the first call, not with the module: it
+takes more than half of a bare `import ergrates`, and only balls and
+ellipsoids in even dimension ever need a Bessel value.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 __all__ = ["bessel_j", "J1_FIRST_ZERO"]
 
@@ -24,6 +27,8 @@ def bessel_j(nu: float, x) -> np.ndarray | float:
     Absolute accuracy 1e-12 for |x| <= 1e4 at the orders used here
     (nu in {1, 2}); see tests for the oracle comparison.
     """
+    from scipy import special  # imported on first use; see the module docstring
+
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xv = np.atleast_1d(x)

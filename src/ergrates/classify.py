@@ -12,6 +12,7 @@ a single point is a one-row call into it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -225,8 +226,8 @@ def region_map(alpha_max: float = 4.0, resolution: int = 201,
     """Classify (0, alpha_max]^2 on a regular grid plus the boundary lattice."""
     if resolution < 8:
         raise ValueError("resolution below 8 cannot show the region structure")
-    if alpha_max <= 0:
-        raise ValueError("alpha_max must be positive")
+    if not (math.isfinite(alpha_max) and alpha_max > 0):
+        raise ValueError(f"alpha_max must be a finite number > 0, got {alpha_max!r}")
     n = resolution
     values = (alpha_max / n) * np.arange(1, n + 1)
     grid = np.stack([np.repeat(values, n), np.tile(values, n)], axis=1)

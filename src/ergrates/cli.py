@@ -382,6 +382,8 @@ def _cmd_regionmap(args) -> int:
         raise ConfigError(f"grid must be lo:hi:resolution with numbers, got {cfg['grid']!r}") from None
     if lo != 0.0:
         raise ConfigError("grid must start at 0; the map covers the half-open square (0, hi]^2")
+    if not (math.isfinite(hi) and hi > 0):
+        raise ConfigError(f"grid hi must be a finite number > 0, got {parts[1]!r}")
     if res * res > _MAX_ROWS:
         raise ConfigError(f"grid resolution must be at most {math.isqrt(_MAX_ROWS)}, got {res}")
     rmap = classify_mod.region_map(alpha_max=hi, resolution=res, r_mode=cfg["r-mode"])

@@ -9,6 +9,12 @@ singular integral), which all go through `orthant_integral`.  Budgets are
 enforced loudly, never silently.  Every root and peak search (mass
 truncation kinks, ray zeros and peaks, level sets) is one of the
 bracketed searches at the end, which work on many brackets at once.
+
+Gauss-Legendre rules come from numpy.  Gauss-Jacobi rules (the
+singular-end segments) come from `scipy.special.roots_jacobi`, imported
+when the first such rule is built and cached with it: the import takes
+more than half of a bare `import ergrates`, and commands that build no
+singular-end rule never pay it.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "QuadratureBudgetError",
@@ -52,6 +57,8 @@ def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _jacobi(order: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi rule for the weight (1-x)^alpha (1+x)^beta on [-1, 1]."""
+    from scipy import special  # only singular-end rules need it; it slows every import
+
     return _read_only(*special.roots_jacobi(order, alpha, beta))
 
 

@@ -3,13 +3,15 @@
 `indicator_ft` integrates a body's indicator transform by a tensor
 Gauss-Legendre rule in a smooth parametrisation, never through the closed
 forms; `equivalence_bounds` and the sector samplers give the sandwich
-constants of a homogeneous comparison function on a sector.
+constants of a homogeneous comparison function on a sector.  `decimals`
+draws the short decimal values the spec-grammar round trips are built from.
 """
 
 import functools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ergrates.geometry import Cube
 
@@ -109,3 +111,9 @@ def equivalence_bounds(phi, sector, dim: int, n_samples: int = 2048) -> tuple[fl
     gap = max(float(np.max(np.abs(np.diff(grid_vals, axis=ax)))) for ax in range(dim))
     lo, hi = float(np.min(vals)), float(np.max(vals))
     return max(lo - gap, 0.1 * lo) * (1.0 - 1e-9), (hi + gap) * (1.0 + 1e-9)
+
+
+def decimals(lo: int, hi: int):
+    """Positive floats of at most 12 significant digits in [10**lo, 10**hi)."""
+    return st.builds(lambda m, e: float(f"{m}e{e - len(str(m))}"),
+                     st.integers(1, 10**12 - 1), st.integers(lo + 1, hi))

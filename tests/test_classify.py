@@ -227,8 +227,9 @@ class TestRegionMap:
     def test_validation(self):
         with pytest.raises(ValueError, match="resolution"):
             region_map(resolution=7)
-        with pytest.raises(ValueError, match="alpha_max"):
-            region_map(alpha_max=0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha_max"):
+                region_map(alpha_max=bad)
 
     def test_small_window_misses_critical_labels(self):
         # below both thresholds everything is subcritical

@@ -380,11 +380,14 @@ class TestRegionmapCommand:
         assert "# circle-labels = 3" in comments
         assert "multiplot" in plot.read_text()
 
-    def test_bad_grid_exits_2(self, tmp_path):
-        out = str(tmp_path / "m.csv")
-        assert main(["regionmap", "--grid", "1:4:24", "--out", out]) == 2
-        assert main(["regionmap", "--grid", "0:4", "--out", out]) == 2
-        assert main(["regionmap", "--grid", "0:4:7", "--out", out]) == 2
+    def test_bad_grid_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        # a nan hi once wrote nan rows with exit 0, an inf hi exited 3
+        for grid in ["1:4:24", "0:4", "0:4:7", "0:nan:20", "0:inf:20", "0:-1:20"]:
+            assert main(["regionmap", "--grid", grid, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("ergrates: config error:") and err.count("\n") == 1
+            assert not out.exists()
 
 
 class TestDeterminism:

@@ -9,7 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from ergrates.geometry import (
     Ball,
     Cube,
@@ -214,6 +217,15 @@ class TestValidationAndParsing:
         body = parse_body(spec, dim=2)
         assert body == want
         assert parse_body(format_body(body), dim=2) == body
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.one_of(
+        st.builds(Ball, reference.decimals(-20, 20), st.integers(1, 4)),
+        st.builds(Ellipsoid, st.lists(reference.decimals(-20, 20), min_size=2, max_size=4)
+                  .map(tuple)),
+    ))
+    def test_format_then_parse_is_identity(self, body):
+        assert parse_body(format_body(body), dim=body.dim) == body
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):

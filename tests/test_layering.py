@@ -11,11 +11,16 @@ statements and the check with them.
 
 Root and peak searches go through the bracketing layer in `quadrature`, so
 no module imports `scipy.optimize` or `scipy.stats`; together they cost
-about a second of every command's start-up.
+about a second of every command's start-up.  The scipy modules the
+package does use (`special` for Jacobi rules and Bessel values, `ndimage`
+for region-map components) are imported inside the functions that need
+them, never at module level, so `import ergrates.cli` and the `classify`
+command load no scipy at all.
 
 No public name is kept only for tests: each is used by package code or
-allowlisted with its reason.  Test-only references live in
-`tests/reference.py`.
+allowlisted with its reason.  A method or property counts as used only
+through an attribute access, never through a bare name of the same
+spelling.  Test-only references live in `tests/reference.py`.
 """
 
 import ast
@@ -242,13 +247,90 @@ def test_banned_import_scanner_catches_each_form():
     ]
 
 
-def test_cli_import_leaves_scipy_optimize_and_stats_out():
+def _scipy(name: str) -> bool:
+    return name == "scipy" or name.startswith("scipy.")
+
+
+def _scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running `code`."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    out = subprocess.run([sys.executable, "-c", "import sys, ergrates.cli; print(*sys.modules)"],
+    out = subprocess.run([sys.executable, "-c", code + "\nimport sys; print(*sys.modules)"],
                          capture_output=True, text=True, check=True, env=env)
-    assert [m for m in out.stdout.split() if _banned(m)] == []
-    # only the region maps' component count needs scipy.ndimage; it is imported there
-    assert [m for m in out.stdout.split() if m.startswith("scipy.ndimage")] == []
+    return [m for m in out.stdout.split() if _scipy(m)]
+
+
+def test_cli_import_leaves_scipy_optimize_and_stats_out():
+    # nor any other scipy module: each is imported where it is first needed
+    assert _scipy_modules_after("import ergrates, ergrates.cli") == []
+
+
+def test_classify_command_loads_no_scipy(tmp_path):
+    out = tmp_path / "c.json"
+    code = ("from ergrates.cli import main\n"
+            f"assert main(['classify', '--alpha', '2,1', '--out', {str(out)!r}]) == 0")
+    assert _scipy_modules_after(code) == []
+    assert out.exists()
+
+
+# -- scipy is imported inside the functions that use it ------------------------
+
+
+def module_level_scipy_imports(source: str) -> list[str]:
+    """Every import of scipy, or of a scipy module, in `source` that runs when
+    the module is imported (anywhere but inside a function), in line order."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, a.name) for a in node.names if _scipy(a.name))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and _scipy(node.module or ""):
+            found.append((node.lineno, node.module))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    assert module_level_scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_module_level_scipy_scanner_catches_each_form():
+    source = "\n".join([
+        "import scipy",
+        "import scipy.special as sp, numpy",
+        "from scipy import special",
+        "from scipy.special import roots_jacobi",
+        "try:",
+        "    from scipy import ndimage",
+        "except ImportError:",
+        "    pass",
+        "class Rules:",
+        "    import scipy.linalg",
+        "    def build(self):",
+        "        from scipy import special",
+        "def bessel_j(nu, x):",
+        "    from scipy import special",
+        "    import scipy.special",
+        "    def inner():",
+        "        import scipy",
+        "async def later():",
+        "    import scipy",
+        "import scipyish",
+        "from .scipy import special",
+    ])
+    assert module_level_scipy_imports(source) == [
+        "line 1: scipy",
+        "line 2: scipy.special",
+        "line 3: scipy",
+        "line 4: scipy.special",
+        "line 6: scipy",
+        "line 10: scipy.linalg",
+    ]
 
 
 # -- no public name kept only for tests ---------------------------------------
@@ -263,30 +345,38 @@ PUBLIC_ALLOWLIST = {
     "ray_zeros": "the zero-spacing diagnostic of acceptance criterion C03",
     "ray_peaks": "the envelope-peak diagnostic of acceptance criteria C03 and C04",
     "decay_integral_levelform": "perfbench's independent reference for I(t) at p <= 30",
+    "norm_sq": "perfbench's simulate check reads the demo action's squared norm",
 }
 
 
 def unused_public_names(sources) -> list[str]:
     """Public functions, classes, methods and properties defined at the top of
     the module texts `sources`, or in their top-level classes, that no code
-    outside their own bodies refers to by name, sorted."""
+    outside their own bodies refers to, sorted.  A top-level name is used by
+    any reference to it; a method or property only by an attribute access,
+    since a bare name of the same spelling is some other binding."""
     trees = [ast.parse(text) for text in sources]
-    bodies: dict[str, set[int]] = {}
+    # (name, is a class member) -> the nodes of its own bodies
+    bodies: dict[tuple[str, bool], set[int]] = {}
     for tree in trees:
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else []
-            for d in [node, *members]:
+            for d, member in [(node, False), *((m, True) for m in members)]:
                 if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_"):
-                    bodies.setdefault(d.name, set()).update(map(id, ast.walk(d)))
+                    bodies.setdefault((d.name, member), set()).update(map(id, ast.walk(d)))
     used = set()
     for tree in trees:
         for node in ast.walk(tree):
-            name = (node.id if isinstance(node, ast.Name) else node.attr
-                    if isinstance(node, ast.Attribute) else node.name
-                    if isinstance(node, ast.alias) else None)
-            if name in bodies and id(node) not in bodies[name]:
-                used.add(name)
-    return sorted(set(bodies) - used)
+            if isinstance(node, ast.Attribute):
+                keys = [(node.attr, False), (node.attr, True)]
+            elif isinstance(node, ast.Name):
+                keys = [(node.id, False)]
+            elif isinstance(node, ast.alias):
+                keys = [(node.name, False)]
+            else:
+                continue
+            used.update(k for k in keys if k in bodies and id(node) not in bodies[k])
+    return sorted({name for name, _ in set(bodies) - used})
 
 
 def test_every_public_name_is_used_or_allowlisted():
@@ -314,8 +404,16 @@ def test_public_name_scanner_flags_test_only_names():
         "    @property",
         "    def random_points(self):",
         "        return self.bound",
+        # a local of a method's spelling is no call of the method
+        "class FlowAction:",
+        "    def energy(self):",
+        "        return self.frequencies",
+        "def run_flow(action):",
+        "    energy = abs(action.frequencies)",
+        "    return energy",
     ])
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert unused_public_names(sources + [stand_ins]) == sorted([
-        *PUBLIC_ALLOWLIST, "SectorSamples", "apply_flow", "decay_constant_estimate",
-        "density_at", "equivalence_bounds", "indicator_ft_quadrature", "random_points"])
+        *PUBLIC_ALLOWLIST, "FlowAction", "SectorSamples", "apply_flow",
+        "decay_constant_estimate", "density_at", "energy", "equivalence_bounds",
+        "indicator_ft_quadrature", "random_points", "run_flow"])

@@ -11,7 +11,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+
+import reference
 
 from ergrates.geometry import unit_sphere_area
 from ergrates.quadrature import QuadratureBudgetError
@@ -569,6 +573,23 @@ class TestDensity:
         assert self.density(m, [0.2, 0.3, 0.51]) == 0.0
 
 
+def spec_strings(dim: int):
+    """Spec strings of every family at one dimension, sums of them included, each
+    value written as `format_measure` writes it."""
+    num = lambda lo, hi: reference.decimals(lo, hi).map("{:.12g}".format)
+    nums = lambda lo, hi: st.lists(num(lo, hi), min_size=dim, max_size=dim).map(",".join)
+    coordinate = st.one_of(st.just("0"), num(-3, 3), num(-3, 3).map("-".__add__))
+    point = st.lists(coordinate, min_size=dim, max_size=dim).filter(
+        lambda xs: any(x != "0" for x in xs)).map(",".join)
+    radial = st.builds("radial:{},{},{}".format, num(-2, 1), num(-3, 3), num(-6, 6))
+    aniso = st.builds("aniso:{};{};{}".format, nums(-2, 1), nums(-3, 3), num(-6, 6))
+    atomic = st.lists(st.builds("({};{})".format, point, num(-6, 6)), min_size=1, max_size=4
+                      ).map(lambda atoms: "atomic:[" + ",".join(atoms) + "]")
+    one = st.one_of(radial, aniso, atomic)
+    return st.one_of(one, st.lists(one, min_size=1, max_size=3).map(
+        lambda parts: "sum:[" + "|".join(parts) + "]"))
+
+
 class TestSpecStrings:
     def test_radial_round_trip(self):
         m = parse_measure("radial:2,1,1", dim=2)
@@ -591,6 +612,14 @@ class TestSpecStrings:
         assert isinstance(s, SumMeasure)
         assert total_mass(s) == pytest.approx(3.0, rel=1e-12)
         assert parse_measure(format_measure(s)) == s
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.one_of(*(st.tuples(st.just(d), spec_strings(d)) for d in (2, 3))))
+    def test_formatted_specs_are_fixed_points(self, dim_spec):
+        # a total mass is read into a density scale and recomputed from it;
+        # written to 12 digits it must come back as the very same text
+        dim, spec = dim_spec
+        assert format_measure(parse_measure(spec, dim=dim)) == spec
 
     def test_split_top_ignores_nested_separators(self):
         assert split_top("(1,2),[3,(4,5)],6", ",") == ["(1,2)", "[3,(4,5)]", "6"]
