@@ -32,7 +32,7 @@ from .fourier import indicator_ft, stationary_phase_ft
 from .geometry import as_vec, parse_body
 from .hilbert_sim import average_norm_sq, induced_measure, parse_action
 from .quadrature import QuadratureBudgetError
-from .spectral import parse_measure
+from .spectral import is_zero_measure, parse_measure
 
 __all__ = ["main", "parse_config_text", "emit_config", "config_hash"]
 
@@ -310,6 +310,8 @@ def _cmd_verify(args) -> int:
         raise ConfigError("theorem 2 needs points >= 2: its boundedness trend is fitted "
                           "over distinct |t|, got points = 1")
     dim, body, measure, p = _theorem_defaults(cfg)
+    if which == 3 and p.size < 8 and not is_zero_measure(measure):
+        raise ConfigError(f"theorem 3 needs points >= 8 for its rate fit, got points = {p.size}")
     tol = _tol(cfg)
     direction = _vec(cfg, "direction") if "direction" in cfg else np.ones(dim)
 

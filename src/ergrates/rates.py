@@ -260,7 +260,8 @@ def _check_radial_panels(panels: float, rho: float, t: np.ndarray) -> None:
 # factors are expanded instead in the series
 # sinc^2(x) = sum_n C_n x^(2n), C_n = (-1)^n 2^(2n+1) / (2n+2)!; a term of
 # total order N over the small factors shifts s to s + 2N on the m' others
-# (one table call per order), or is rho^(s+2N) / (s+2N) when m' = 0.
+# (all orders in one table call, sharing its nodes and cosine remainders),
+# or is rho^(s+2N) / (s+2N) when m' = 0.
 #
 # Each table holds its integral at the quarter periods k pi/4 of g^2 (and
 # eighth periods of cos): Gauss-Jacobi-16 on the first panel absorbs the
@@ -320,11 +321,16 @@ def _cosine_remainder(n: int, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _table_integrand(kind: str, key: int, s: float, u: np.ndarray) -> np.ndarray:
+def _smooth_factor(kind: str, key: int, n: int, u: np.ndarray) -> np.ndarray:
+    """The kernel over its power u^e: g^2 for a ball, the cosine remainder of order n."""
     if kind == "ball":
         g = unit_ball_profile(key, u) / unit_ball_volume(key)
-        return g * g * u ** (s - 1.0)
-    return u ** _end_exponent(kind, key, s) * _cosine_remainder(_taylor_order(key, s), u)
+        return g * g
+    return _cosine_remainder(n, u)
+
+
+def _table_integrand(kind: str, key: int, s: float, u: np.ndarray) -> np.ndarray:
+    return u ** _end_exponent(kind, key, s) * _smooth_factor(kind, key, _taylor_order(key, s), u)
 
 
 def _table(kind: str, key: int, s: float, k_top: int) -> np.ndarray:
@@ -350,26 +356,32 @@ def _table(kind: str, key: int, s: float, k_top: int) -> np.ndarray:
     return cum
 
 
-def _cumulative(kind: str, key: int, s: float, z: np.ndarray) -> np.ndarray:
-    """The table's integral up to each z > 0: a table entry plus one partial cell.
+def _cumulative(kind: str, key: int, orders, z: np.ndarray) -> np.ndarray:
+    """Each order's table integral up to each z > 0, a row per s in orders:
+    a table entry plus one partial cell.
 
-    The partial cell is Gauss-Legendre-8 on [floor(z / (pi/4)) pi/4, z];
-    below pi/4 the whole of [0, z] is one Gauss-Jacobi-16 rule.
+    The partial cell is Gauss-Legendre-8 on [floor(z / (pi/4)) pi/4, z],
+    shared by all orders; below pi/4 the whole of [0, z] is one
+    Gauss-Jacobi-16 rule per order.
     """
     k = np.floor(z / _QUARTER).astype(np.int64)
-    cum = _table(kind, key, s, int(np.max(k)))
-    out = np.empty(z.shape)
+    k_top = int(np.max(k))
+    out = np.empty((len(orders), z.size))
     first = k == 0
-    if np.any(first):
-        u, w = end_power_rule(0.0, z[first, None], _end_exponent(kind, key, s),
-                              at_lower=True, order=_FIRST_ORDER)
-        out[first] = np.sum(_table_integrand(kind, key, s, u) * w, axis=1)
     rest = ~first
-    if np.any(rest):
-        kr = k[rest]
-        u, w = end_power_rule(_QUARTER * kr[:, None], z[rest, None], 0.0, at_lower=True,
-                              order=_PANEL_ORDER)
-        out[rest] = cum[kr] + np.sum(_table_integrand(kind, key, s, u) * w, axis=1)
+    kr = k[rest]
+    u, w = end_power_rule(_QUARTER * kr[:, None], z[rest, None], 0.0, at_lower=True,
+                          order=_PANEL_ORDER)
+    factors = {n: _smooth_factor(kind, key, n, u) for n in {_taylor_order(key, s) for s in orders}}
+    for i, s in enumerate(orders):
+        if kr.size < z.size:
+            uf, wf = end_power_rule(0.0, z[first, None], _end_exponent(kind, key, s),
+                                    at_lower=True, order=_FIRST_ORDER)
+            out[i, first] = np.sum(_table_integrand(kind, key, s, uf) * wf, axis=1)
+        if kr.size:
+            rem = factors[_taylor_order(key, s)]
+            cell = np.sum(u ** _end_exponent(kind, key, s) * rem * w, axis=1)
+            out[i, rest] = _table(kind, key, s, k_top)[kr] + cell
     return out
 
 
@@ -383,36 +395,42 @@ def _cosine_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
     return sigma, coef
 
 
-def _cosine_sum_radial(a: np.ndarray, rho: np.ndarray, s: float) -> np.ndarray:
-    """int_0^rho prod_k sinc^2(a_k r) r^(s-1) dr by the K_{s,m} identity, rows of a > 0."""
+def _cosine_sum_radial(a: np.ndarray, rho: np.ndarray, orders) -> np.ndarray:
+    """int_0^rho prod_k sinc^2(a_k r) r^(s-1) dr by the K_{s,m} identity, a row per s."""
     m = a.shape[1]
     sigma, coef = _cosine_terms(m)
     w = np.abs((2.0 * a) @ sigma.T)
     z = w * rho[:, None]
     # the constant 1 of the product, and any term with w = 0, integrates
     # r^(s-1-2m) when nothing is subtracted (n = -1), else it cancels
-    flat = rho ** (s - 2 * m) / (s - 2 * m) if _taylor_order(m, s) < 0 else 0.0 * rho
-    terms = np.repeat(flat[:, None], z.shape[1], axis=1)
+    flat = np.array([rho ** (s - 2 * m) / (s - 2 * m) if _taylor_order(m, s) < 0
+                     else 0.0 * rho for s in orders])
+    terms = np.repeat(flat[:, :, None], z.shape[1], axis=2)
     pos = z > 0.0
     if np.any(pos):
-        terms[pos] = w[pos] ** (2 * m - s) * _cumulative("cube", m, s, z[pos])
-    return (terms @ coef + flat) / np.prod(2.0 * a * a, axis=1)
+        wp = w[pos]
+        terms[:, pos] = (np.array([wp ** (2 * m - s) for s in orders])
+                         * _cumulative("cube", m, orders, z[pos]))
+    # summed per row: a BLAS product's rounding would depend on the batch
+    return (np.sum(terms * coef, axis=2) + flat) / np.prod(2.0 * a * a, axis=1)
 
 
 def _cube_radial(a: np.ndarray, rho: np.ndarray, s: float) -> np.ndarray:
     """int_0^rho prod_k sinc^2(a_k r) r^(s-1) dr for rows of a > 0 and rho.
 
     Directions are grouped by which factors are near their axis
-    (a_k rho < 1); those take the sinc^2 series, grouped by total order.
+    (a_k rho < 1); those take the sinc^2 series, all of its orders together.
     """
     small = a * rho[:, None] < _SMALL_AXIS
+    code = small @ (1 << np.arange(a.shape[1]))
     out = np.empty(rho.shape)
-    for mask in np.unique(small, axis=0):
-        rows = np.all(small == mask, axis=1)
+    for c in np.flatnonzero(np.bincount(code)):
+        rows = code == c
+        mask = small[np.argmax(rows)]
         ar, rr = a[rows], rho[rows]
         full = ar[:, ~mask]
         if not mask.any():
-            out[rows] = _cosine_sum_radial(full, rr, s)
+            out[rows] = _cosine_sum_radial(full, rr, [s])[0]
             continue
         # series coefficients of prod over the small factors, by total order
         coef = np.zeros((rr.size, _SINC2_ORDERS))
@@ -421,12 +439,12 @@ def _cube_radial(a: np.ndarray, rho: np.ndarray, s: float) -> np.ndarray:
             powers = _SINC2_SERIES[None, :] * x2[:, None] ** np.arange(_SINC2_ORDERS)
             coef = np.stack([np.sum(coef[:, :j + 1] * powers[:, j::-1], axis=1)
                              for j in range(_SINC2_ORDERS)], axis=1)
+        orders = [s + 2.0 * order for order in range(_SINC2_ORDERS)]
+        rest = ([rr ** s_n / s_n for s_n in orders] if full.shape[1] == 0
+                else _cosine_sum_radial(full, rr, orders))
         total = np.zeros(rr.size)
         for order in range(_SINC2_ORDERS):
-            s_n = s + 2.0 * order
-            rest = (rr ** s_n / s_n if full.shape[1] == 0
-                    else _cosine_sum_radial(full, rr, s_n))
-            total += coef[:, order] * rest
+            total += coef[:, order] * rest[order]
         out[rows] = total
     return out
 
@@ -509,7 +527,7 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
             z = rho * c
             top = int(np.argmax(z))
             _check_radial_panels(z[top] / _QUARTER, float(rho[top]), t)
-            return m.angular_density(om_rows) * c ** (-s) * _cumulative("ball", d, s, z)
+            return m.angular_density(om_rows) * c ** (-s) * _cumulative("ball", d, [s], z)[0]
 
     if d == 1:
         return orthant_integral(alphas, angular_value, (), 0)

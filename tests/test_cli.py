@@ -260,6 +260,24 @@ class TestVerifyCommand:
         assert "trivially" in rep["verdict"]
         assert rep["sup_ratios"]["scaled_decay"] == 0.0
 
+    def test_theorem3_too_few_points_refused_before_any_integral(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a decay integral ran before the points were checked")
+
+        monkeypatch.setattr("ergrates.rates.decay_integral", no_work)
+        out = tmp_path / "v.json"
+        assert main(["verify", "--theorem", "3", "--points", "7", "--p-hi", "1e4",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "ergrates: config error: theorem 3 needs points >= 8 for its rate fit, "
+            "got points = 7\n")
+        assert not out.exists()
+        # the zero measure fits nothing, so its report needs no minimum
+        assert main(["verify", "--theorem", "3", "--measure", "atomic:[]", "--points", "3",
+                     "--out", str(out)]) == 0
+        assert "trivially" in json.loads(out.read_text())["verdict"]
+
     def test_config_problems_exit_2(self, tmp_path, capsys):
         out = str(tmp_path / "v.json")
         assert main(["verify", "--out", out]) == 2

@@ -278,7 +278,7 @@ class TestCumulativeProfile:
                 t = rng.uniform(1.0, 50.0, size=d)
                 v = om * t
                 c = float(np.linalg.norm(body.semi_axes * v))
-                table = c ** (-s) * rates._cumulative("ball", d, s, zs)
+                table = c ** (-s) * rates._cumulative("ball", d, [s], zs)[0]
                 for z, got in zip(zs, table):
                     want = panel_radial(body, v, z / c, s)
                     worst = max(worst, abs(got - want) / want)
@@ -288,16 +288,16 @@ class TestCumulativeProfile:
         zs = np.array([0.3, 0.9, 7.5, 100.25, 2000.0])
         for kind, key in (("ball", 2), ("cube", 2)):
             monkeypatch.setattr(rates, "_TABLES", {})
-            before = rates._cumulative(kind, key, 2.5, zs)
+            before = rates._cumulative(kind, key, [2.5], zs)
             small_table = rates._TABLES[(kind, key, 2.5)].copy()
-            rates._cumulative(kind, key, 2.5, np.array([3.0e5]))
+            rates._cumulative(kind, key, [2.5], np.array([3.0e5]))
             grown = rates._TABLES[(kind, key, 2.5)]
             assert grown.size > 100 * small_table.size
             assert np.array_equal(grown[:small_table.size], small_table)
-            assert np.array_equal(rates._cumulative(kind, key, 2.5, zs), before)
+            assert np.array_equal(rates._cumulative(kind, key, [2.5], zs), before)
             # and a table built large in one go holds the same entries
             monkeypatch.setattr(rates, "_TABLES", {})
-            rates._cumulative(kind, key, 2.5, np.array([3.0e5]))
+            rates._cumulative(kind, key, [2.5], np.array([3.0e5]))
             assert np.array_equal(rates._TABLES[(kind, key, 2.5)], grown)
 
     def test_decay_integral_independent_of_history_and_process(self, monkeypatch):
@@ -377,6 +377,56 @@ class TestCubeKernel:
                 want = panel_radial(Cube(d), om * t, rho, s)
                 worst[d] = max(worst[d], abs(got - want) / want)
         assert worst[2] <= 1e-11 and worst[3] <= 1e-9
+
+    @pytest.mark.parametrize("s", [0.5, 2.0, 3.5])
+    def test_orders_in_one_call_match_one_call_each(self, s):
+        # below pi/4 (a Jacobi rule per order), on a quarter period, and beyond
+        zs = np.array([0.02, 0.5, math.pi / 4, 1.0, 3.7, 42.0, 613.5])
+        orders = [s + 2.0 * n for n in range(rates._SINC2_ORDERS)]
+        for key in (1, 2):
+            together = rates._cumulative("cube", key, orders, zs)
+            for row, s_n in zip(together, orders):
+                assert np.array_equal(row, rates._cumulative("cube", key, [s_n], zs)[0])
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 3.5])
+    def test_rows_independent_of_their_batch(self, s):
+        # every row group, and a factor exactly at the series threshold
+        edge = rates._SMALL_AXIS
+        rows = {2: [(40.0, 70.0), (3.0, 5.0), (8.0, 300.0), (0.3, 70.0), (0.002, 9.0),
+                    (70.0, 0.4), (25.0, 1e-4), (edge, 37.0), (37.0, edge), (0.5, 0.7)],
+                3: [(40.0, 70.0, 9.0), (3.0, 5.0, 2.0), (0.3, 70.0, 9.0), (40.0, 1e-4, 9.0),
+                    (40.0, 70.0, 0.6), (0.3, 0.2, 9.0), (1e-4, 70.0, 0.5), (0.3, 0.2, 0.6),
+                    (1e-4, 1e-3, 0.9), (edge, 5.0, 0.2)]}
+        rng = np.random.default_rng(42)
+        for d, base in rows.items():
+            # a_k rho per row, several rows per group so that no group is a single row
+            x = np.array(base * 5)[rng.permutation(5 * len(base))]
+            x = np.where(x == edge, edge, x * rng.uniform(0.9, 1.1, x.shape))
+            # powers of two keep a_k rho exactly at the threshold
+            rho = rng.choice([0.5, 1.0, 2.0], size=x.shape[0])
+            a = x / rho[:, None]
+            assert np.count_nonzero(a * rho[:, None] == edge) == 5 * sum(r.count(edge) for r in base)
+            batch = rates._cube_radial(a, rho, s)
+            single = [rates._cube_radial(a[i:i + 1], rho[i:i + 1], s)[0] for i in range(rho.size)]
+            assert np.array_equal(batch, single)
+
+    def test_one_table_call_per_row_group(self, monkeypatch):
+        # a level's 13 series orders share one table call, so a d = 2 level
+        # makes at most 3: full rows and rows near either axis
+        calls = {"level": 0, "table": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(rates, "_cube_radial", counted("level", rates._cube_radial))
+        monkeypatch.setattr(rates, "_cumulative", counted("table", rates._cumulative))
+        m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2)
+        decay_integral(Cube(2), m, [100.0, 130.0], rel_tol=1e-5)
+        assert calls["level"] >= 2
+        assert calls["table"] <= 3 * calls["level"]
 
 
 def si_cube_radial2(t):
