@@ -43,10 +43,19 @@ class ConfigError(ValueError):
 
 # -- config files ------------------------------------------------------------
 
-_KNOWN_KEYS = {
-    "body", "measure", "action", "phi", "theorem", "t", "alpha", "grid",
-    "direction", "p-lo", "p-hi", "points", "sector", "degree", "tol",
-    "r-mode", "dim", "z-lo", "z-hi", "out", "plot", "no-sector",
+# argparse settings of each option --key that is more than a plain string;
+# which command takes which option, and its default, is set in _COMMANDS
+_ARGPARSE = {
+    **{key: {"type": int} for key in ("dim", "points", "theorem")},
+    **{key: {"type": float}
+       for key in ("z-lo", "z-hi", "p-lo", "p-hi", "tol", "sector", "degree")},
+    "r-mode": {"choices": ["successive", "at-max"]},
+    "no-sector": {"action": "store_true",
+                  "help": "exploratory sweep outside the sector; no claim made"},
+    "t": {"help": "dilation vector; '|'-separated list for several rows"},
+    "grid": {"help": "lo:hi:resolution, lo must be 0"},
+    "out": {"help": "output path, '-' for stdout"},
+    "config": {"help": "key = value config file; command line wins"},
 }
 
 
@@ -71,6 +80,10 @@ def parse_config_text(text: str) -> dict:
             continue
         if key in cfg:
             errors.append(f"line {lineno}: duplicate key {key!r}")
+            continue
+        # the spelling a flag writes into the config hash, and no other
+        if _ARGPARSE.get(key, {}).get("action") == "store_true" and value not in ("True", "False"):
+            errors.append(f"line {lineno}: {key} must be True or False, got {value!r}")
             continue
         cfg[key] = value
     if errors:
@@ -138,17 +151,17 @@ def _json_text(report: dict, cfg: dict) -> str:
 # -- option merging ----------------------------------------------------------
 
 
-def _merged(args, spec: dict[str, object]) -> dict:
+def _merged(args, options: dict[str, object]) -> dict:
     """Effective options: hard default < config file < command line."""
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_cfg = parse_config_text(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc.strerror}") from None
     out = {}
-    for key, default in spec.items():
+    for key, default in options.items():
         attr = key.replace("-", "_")
         cli_val = getattr(args, attr, None)
         if cli_val is not None and cli_val is not False:
@@ -164,11 +177,11 @@ def _merged(args, spec: dict[str, object]) -> dict:
     return out
 
 
-def _vec(cfg: dict, key: str) -> np.ndarray:
+def _vec(key: str, text: str) -> np.ndarray:
     try:
-        return as_vec([float(v) for v in cfg[key].split(",")])
+        return as_vec([float(v) for v in text.split(",")])
     except ValueError:
-        raise ConfigError(f"{key} must be a comma-separated number list, got {cfg[key]!r}") from None
+        raise ConfigError(f"{key} must be a comma-separated number list, got {text!r}") from None
 
 
 def _num(cfg: dict, key: str, kind=float):
@@ -176,13 +189,6 @@ def _num(cfg: dict, key: str, kind=float):
         return kind(cfg[key])
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
-
-
-def _tol(cfg: dict) -> float:
-    tol = _num(cfg, "tol")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"tol must be a finite number > 0, got {cfg['tol']!r}")
-    return tol
 
 
 # -- subcommands -------------------------------------------------------------
@@ -203,14 +209,10 @@ def _points(cfg: dict) -> int:
     return points
 
 
-def _cmd_fourier(args) -> int:
-    cfg = _merged(args, {
-        "body": "ball:1", "dim": 2, "direction": None, "z-lo": 1.0,
-        "z-hi": 100.0, "points": 400, "out": "-", "plot": None,
-    })
+def _cmd_fourier(cfg: dict) -> int:
     dim = _num(cfg, "dim", int)
     body = parse_body(cfg["body"], dim=dim)
-    direction = _vec(cfg, "direction") if "direction" in cfg else np.ones(dim)
+    direction = _vec("direction", cfg["direction"]) if "direction" in cfg else np.ones(dim)
     if np.linalg.norm(direction) == 0.0:
         raise ConfigError("direction must be nonzero")
     direction = direction / np.linalg.norm(direction)
@@ -241,19 +243,22 @@ def _cmd_fourier(args) -> int:
     return 0
 
 
-def _cmd_rates(args) -> int:
-    cfg = _merged(args, {
-        "body": "ball:1", "measure": "radial:2,1,1", "dim": 2,
-        "direction": None, "p-lo": 10.0, "p-hi": 1000.0, "points": 14,
-        "tol": 1e-5, "out": "-",
-    })
+def _ladder(cfg: dict) -> tuple:
+    """dim, body, measure, p-ladder, direction and tol, as rates and verify read them."""
     dim = _num(cfg, "dim", int)
     body = parse_body(cfg["body"], dim=dim)
     measure = parse_measure(cfg["measure"], dim=dim)
-    direction = _vec(cfg, "direction") if "direction" in cfg else np.ones(dim)
+    direction = _vec("direction", cfg["direction"]) if "direction" in cfg else np.ones(dim)
     p = np.geomspace(_num(cfg, "p-lo"), _num(cfg, "p-hi"), _points(cfg))
+    tol = _num(cfg, "tol")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tol must be a finite number > 0, got {cfg['tol']!r}")
+    return dim, body, measure, p, direction, tol
+
+
+def _cmd_rates(cfg: dict) -> int:
+    dim, body, measure, p, direction, tol = _ladder(cfg)
     grid = rates_mod.ray_grid(direction, p)
-    tol = _tol(cfg)
     vals = np.array([rates_mod.decay_integral(body, measure, t, tol) for t in grid])
     rows = []
     for k, (pk, t) in enumerate(zip(p, grid)):
@@ -267,19 +272,16 @@ def _cmd_rates(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _merged(args, {
-        "action": None, "body": "ball:1", "dim": 2, "t": "10,10", "out": "-",
-    })
+def _cmd_simulate(cfg: dict) -> int:
     if "action" not in cfg:
         raise ConfigError("simulate needs an action spec (try action = demo20)")
     dim = _num(cfg, "dim", int)
     body = parse_body(cfg["body"], dim=dim)
+    ts = [as_vec(_vec("t", chunk), dim=dim) for chunk in cfg["t"].split("|")]
     action = parse_action(cfg["action"], dim=dim)
     measure = induced_measure(action)
     rows = []
-    for chunk in cfg["t"].split("|"):
-        t = as_vec([float(v) for v in chunk.split(",")], dim=dim)
+    for t in ts:
         norm_sq = average_norm_sq(action, body, t)
         atomic = rates_mod.decay_integral_atomic(body, measure, t)
         rows.append(_fmt_row(list(t) + [norm_sq, atomic, abs(norm_sq - atomic)]))
@@ -288,32 +290,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _theorem_defaults(cfg: dict) -> tuple:
-    dim = _num(cfg, "dim", int)
-    body = parse_body(cfg["body"], dim=dim)
-    measure = parse_measure(cfg["measure"], dim=dim)
-    p = np.geomspace(_num(cfg, "p-lo"), _num(cfg, "p-hi"), _points(cfg))
-    return dim, body, measure, p
-
-
-def _cmd_verify(args) -> int:
-    cfg = _merged(args, {
-        "theorem": None, "body": "ball:1", "measure": "radial:2,1,1",
-        "phi": None, "dim": 2, "direction": None, "p-lo": 10.0,
-        "p-hi": 1000.0, "points": 14, "sector": 2.0, "degree": None,
-        "tol": 1e-4, "out": "-", "no-sector": None,
-    })
+def _cmd_verify(cfg: dict) -> int:
     if "theorem" not in cfg:
         raise ConfigError("verify needs a theorem number (1, 2 or 3)")
     which = _num(cfg, "theorem", int)
     if which == 2 and _points(cfg) < 2:
         raise ConfigError("theorem 2 needs points >= 2: its boundedness trend is fitted "
                           "over distinct |t|, got points = 1")
-    dim, body, measure, p = _theorem_defaults(cfg)
+    dim, body, measure, p, direction, tol = _ladder(cfg)
     if which == 3 and p.size < 8 and not is_zero_measure(measure):
         raise ConfigError(f"theorem 3 needs points >= 8 for its rate fit, got points = {p.size}")
-    tol = _tol(cfg)
-    direction = _vec(cfg, "direction") if "direction" in cfg else np.ones(dim)
 
     if which == 1:
         if "phi" not in cfg:
@@ -361,20 +347,16 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    cfg = _merged(args, {"alpha": None, "r-mode": "successive", "out": "-"})
+def _cmd_classify(cfg: dict) -> int:
     if "alpha" not in cfg:
         raise ConfigError("classify needs an alpha vector (e.g. --alpha 2,1)")
-    alpha = _vec(cfg, "alpha")
+    alpha = _vec("alpha", cfg["alpha"])
     params = classify_mod.PowerParams(tuple(alpha), r_mode=cfg["r-mode"])
     _write(cfg["out"], _json_text(classify_mod.params_report(params), cfg))
     return 0
 
 
-def _cmd_regionmap(args) -> int:
-    cfg = _merged(args, {
-        "grid": "0:4:201", "r-mode": "successive", "out": "-", "plot": None,
-    })
+def _cmd_regionmap(cfg: dict) -> int:
     parts = cfg["grid"].split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be lo:hi:resolution, got {cfg['grid']!r}")
@@ -423,14 +405,34 @@ def _cmd_regionmap(args) -> int:
     return 0
 
 
+# name -> (help, runner, {option: default or None}), the options in --help order
 _COMMANDS = {
-    "fourier": _cmd_fourier,
-    "rates": _cmd_rates,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "classify": _cmd_classify,
-    "regionmap": _cmd_regionmap,
+    "fourier": ("indicator transform along a ray", _cmd_fourier, {
+        "out": "-", "body": "ball:1", "dim": 2, "direction": None, "z-lo": 1.0,
+        "z-hi": 100.0, "points": 400, "plot": None,
+    }),
+    "rates": ("decay integral ladder along a ray", _cmd_rates, {
+        "out": "-", "body": "ball:1", "measure": "radial:2,1,1", "dim": 2,
+        "direction": None, "p-lo": 10.0, "p-hi": 1000.0, "points": 14, "tol": 1e-5,
+    }),
+    "simulate": ("unitary-action average vs spectral sum", _cmd_simulate, {
+        "out": "-", "action": None, "body": "ball:1", "dim": 2, "t": "10,10",
+    }),
+    "verify": ("theorem checkers, JSON verdicts", _cmd_verify, {
+        "out": "-", "theorem": None, "body": "ball:1", "measure": "radial:2,1,1",
+        "phi": None, "dim": 2, "direction": None, "p-lo": 10.0, "p-hi": 1000.0,
+        "points": 14, "sector": 2.0, "degree": None, "tol": 1e-4, "no-sector": None,
+    }),
+    "classify": ("single exponent-vector regime report", _cmd_classify, {
+        "out": "-", "alpha": None, "r-mode": "successive",
+    }),
+    "regionmap": ("rasterized d=2 regime maps", _cmd_regionmap, {
+        "out": "-", "grid": "0:4:201", "r-mode": "successive", "plot": None,
+    }),
 }
+
+# a config file may hold the keys of every command; each reads its own
+_KNOWN_KEYS = frozenset().union(*(options for _, _, options in _COMMANDS.values()))
 
 
 @functools.cache  # one parser per process: parse_args keeps no state between calls
@@ -440,45 +442,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="decay rates of ergodic averages over dilated convex bodies",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, flags):
+    for name, (help_text, _, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="key = value config file; command line wins")
-        p.add_argument("--out", help="output path, '-' for stdout")
-        for flag, kw in flags.items():
-            p.add_argument(flag, **kw)
-        return p
-
-    add("fourier", "indicator transform along a ray", {
-        "--body": {}, "--dim": {"type": int}, "--direction": {},
-        "--z-lo": {"type": float}, "--z-hi": {"type": float},
-        "--points": {"type": int}, "--plot": {},
-    })
-    add("rates", "decay integral ladder along a ray", {
-        "--body": {}, "--measure": {}, "--dim": {"type": int},
-        "--direction": {}, "--p-lo": {"type": float}, "--p-hi": {"type": float},
-        "--points": {"type": int}, "--tol": {"type": float},
-    })
-    add("simulate", "unitary-action average vs spectral sum", {
-        "--action": {}, "--body": {}, "--dim": {"type": int},
-        "--t": {"help": "dilation vector; '|'-separated list for several rows"},
-    })
-    add("verify", "theorem checkers, JSON verdicts", {
-        "--theorem": {"type": int}, "--body": {}, "--measure": {}, "--phi": {},
-        "--dim": {"type": int}, "--direction": {}, "--p-lo": {"type": float},
-        "--p-hi": {"type": float}, "--points": {"type": int},
-        "--sector": {"type": float}, "--degree": {"type": float},
-        "--tol": {"type": float},
-        "--no-sector": {"action": "store_true",
-                        "help": "exploratory sweep outside the sector; no claim made"},
-    })
-    add("classify", "single exponent-vector regime report", {
-        "--alpha": {}, "--r-mode": {"choices": ["successive", "at-max"]},
-    })
-    add("regionmap", "rasterized d=2 regime maps", {
-        "--grid": {"help": "lo:hi:resolution, lo must be 0"},
-        "--r-mode": {"choices": ["successive", "at-max"]}, "--plot": {},
-    })
+        for key in ("config", *options):
+            p.add_argument(f"--{key}", **_ARGPARSE.get(key, {}))
     return top
 
 
@@ -491,7 +458,8 @@ def main(argv=None) -> int:
         # a floating-point fault becomes one line and exit 3, not a warning
         # and a silent inf or nan; the package's local errstate blocks still win
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return _COMMANDS[args.command](args)
+            _, run, options = _COMMANDS[args.command]
+            return run(_merged(args, options))
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"ergrates: config error: {exc}", file=sys.stderr)
         return 2

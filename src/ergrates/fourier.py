@@ -127,7 +127,8 @@ def scaled_indicator_ft(body: ConvexBody, t, x) -> complex:
 def ratio_abs_sq(body: ConvexBody, pts: np.ndarray) -> np.ndarray:
     """|F[1_K](x) / volume(K)|^2 vectorized over rows of pts (N, d).
 
-    This normalized modulus is what every decay integral consumes; it is 1
+    This normalized modulus is what the atomic decay sum consumes (the
+    continuous routes read the G_s and K_{s,m} tables instead); it is 1
     at x = 0 and <= 1 everywhere.
     """
     pts = np.asarray(pts, dtype=float)

@@ -493,12 +493,12 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
         raise QuadratureBudgetError(
             f"rel_tol={rel_tol:g} is below double precision; no refinement can confirm it"
         )
+    if body.dim != d:
+        raise ValueError(f"dimension mismatch: expected {body.dim}, got {d}")
     s = m.radial_order
     alphas = m.angular_alphas
     is_cube = isinstance(body, Cube)
     if is_cube:
-        if body.dim != d:
-            raise ValueError(f"dimension mismatch: expected {body.dim}, got {d}")
         # along any direction the largest frequency sum_k t_k omega_k is at
         # most |t| and the support at most rho_max, so one check up front
         # bounds every table read and the graded breaks below
@@ -520,8 +520,6 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
         axes = body.semi_axes
 
         def angular_value(om_rows: np.ndarray) -> np.ndarray:
-            if axes.size != d:
-                raise ValueError(f"dimension mismatch: expected {axes.size}, got {d}")
             c = np.linalg.norm(om_rows * (axes * t)[None, :], axis=1)
             rho = m.support_profile(om_rows)
             z = rho * c

@@ -82,6 +82,27 @@ class TestOptionMerging:
         assert rep["verdict"] == "Equal"
         assert rep["r_mode"] == "at-max"
 
+    @pytest.mark.parametrize("value", ["true", "yes", "1"])
+    def test_no_sector_in_config_file_is_strict(self, tmp_path, capsys, value):
+        # only the spelling the flag writes into the config hash is accepted
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"theorem = 2\nmeasure = atomic:[(1,0;1)]\nno-sector = {value}\n")
+        out = tmp_path / "v.json"
+        assert main(["verify", "--config", str(cfg_file), "--points", "4",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"ergrates: config error: line 3: no-sector must be True or False, got {value!r}\n")
+        assert not out.exists()
+
+    def test_no_sector_true_in_config_file_explores(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("theorem = 2\nmeasure = atomic:[(1,0;1)]\nno-sector = True\n")
+        out = tmp_path / "v.json"
+        assert main(["verify", "--config", str(cfg_file), "--points", "4",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["verdict"] == (
+            "no claim (grid leaves the sector); exploratory data only")
+
 
 class TestFourierCommand:
     def test_csv_and_plot_script(self, tmp_path):
@@ -179,6 +200,21 @@ class TestSimulateCommand:
         for row in rows:
             assert float(row[2]) > 0
             assert float(row[4]) < 1e-10
+
+    @pytest.mark.parametrize("t, message", [
+        ("10,10|10,x", "t must be a comma-separated number list, got '10,x'"),
+        ("10,10|10,10,10", "dimension mismatch: expected 2, got 3"),
+    ], ids=["not-a-number", "wrong-dimension"])
+    def test_bad_t_row_refused_before_any_row_is_simulated(self, tmp_path, monkeypatch, capsys,
+                                                          t, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a row was simulated before every row of t was checked")
+
+        monkeypatch.setattr("ergrates.cli.average_norm_sq", no_work)
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--action", "demo20", "--t", t, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"ergrates: config error: {message}\n"
+        assert not out.exists()
 
     def test_missing_action_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path / "s.csv")]) == 2
@@ -452,6 +488,42 @@ class TestPinnedArtifacts:
         assert main(argv + ["--out", "a.csv"]) == 0
         text = (tmp_path / "a.csv").read_bytes()
         assert hashlib.sha256(text[:text.index(b"# config-hash")]).hexdigest() == digest
+
+
+class TestPinnedConfigHash:
+    """The config-hash value that TestPinnedArtifacts leaves out: a flag enters
+    the hash as str() of its argparse value, a config-file value verbatim."""
+
+    @pytest.mark.parametrize("argv,cfg_text,cfg,digest", [
+        (["rates", "--p-lo", "10", "--p-hi", "40", "--points", "3", "--tol", "1e-4"], None,
+         {"body": "ball:1", "dim": "2", "measure": "radial:2,1,1", "out": "a.csv",
+          "p-hi": "40.0", "p-lo": "10.0", "points": "3", "tol": "0.0001"},
+         "cd0c6fd6765f1905a85903bd1e253b8cca7322739912ba8e15b44adeb3dc09da"),
+        (["rates", "--config", "run.cfg"], "p-lo = 10\np-hi = 40\npoints = 3\n",
+         {"body": "ball:1", "dim": "2", "measure": "radial:2,1,1", "out": "a.csv",
+          "p-hi": "40", "p-lo": "10", "points": "3", "tol": "1e-05"},
+         "3ed085e7c1a070e3cfcf68eedb4550bca8d8e5ac01e183bd561907c364ba5dbe"),
+        (["verify", "--theorem", "2", "--measure", "atomic:[(1,0;1),(0,2;4)]", "--points", "4",
+          "--no-sector"], None,
+         {"body": "ball:1", "dim": "2", "measure": "atomic:[(1,0;1),(0,2;4)]",
+          "no-sector": "True", "out": "a.json", "p-hi": "1000.0", "p-lo": "10.0",
+          "points": "4", "sector": "2.0", "theorem": "2", "tol": "0.0001"},
+         "16cab1a610918c791c045b3517498885e1988bde06bcfd1a3f8d2c5ffeb0374f"),
+    ], ids=["rates-flags", "rates-config-file", "verify-no-sector"])
+    def test_hash_of_the_effective_config(self, argv, cfg_text, cfg, digest, tmp_path,
+                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        if cfg_text is not None:
+            (tmp_path / "run.cfg").write_text(cfg_text)
+        out = cfg["out"]
+        assert main(argv + ["--out", out]) == 0
+        text = (tmp_path / out).read_text()
+        if out.endswith(".json"):
+            found = json.loads(text)["config_hash"]
+        else:
+            found = next(ln for ln in text.splitlines() if ln.startswith("# config-hash"))
+            found = found.removeprefix("# config-hash = ")
+        assert found == config_hash(cfg) == digest
 
 
 class TestOversizedArtifacts:

@@ -204,6 +204,18 @@ class TestContinuous:
         with pytest.raises(ValueError):
             decay_integral(Ball(1.0), m, [1.0, 0.0])
 
+    @pytest.mark.parametrize("body", [Ball(1.0, dim=3), Ellipsoid((2.0, 1.0, 0.5)), Cube(3)],
+                             ids=["ball", "ellipsoid", "cube"])
+    def test_body_of_another_dimension_refused_before_any_table_read(self, body,
+                                                                      monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a radial table was read before the dimensions were checked")
+
+        monkeypatch.setattr(rates, "_cumulative", no_work)
+        m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2)
+        with pytest.raises(ValueError, match="dimension mismatch: expected 3, got 2"):
+            decay_integral(body, m, [3.0, 3.0])
+
 
 def weber_schafheitlin(nu, lam):
     """int_0^inf J_nu(u)^2 u^(-lam) du for 0 < lam < 2 nu + 1 (DLMF 10.22.57)."""
