@@ -13,7 +13,7 @@ a single point is a one-row call into it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -173,23 +173,42 @@ def circle_regime(p: PowerParams) -> RegimeLabel:
 class RegionMap:
     """Labeled rasterization of the d = 2 exponent plane (0, alpha_max]^2.
 
-    rows: one tuple of Python values per point, (alpha1, alpha2, square
-    family, square log power, circle family, circle log power, verdict),
-    regular grid in row-major order followed by the boundary lattice.
-    Label counts are over distinct (family, log_power) pairs; connected
-    components are counted on the regular grid alone (8-connectivity),
-    since the lattice points carry no area.
+    points (N, 2) holds the regular grid in row-major order followed by the
+    boundary lattice.  codes (N, 3) holds per point the integers square
+    4 * family + log power, circle 4 * family + log power and the verdict
+    index, the families indexing FAMILIES[0] and FAMILIES[1] and the verdict
+    VERDICTS; `decode` turns rows of them into label columns.  rows holds
+    one tuple of Python values per point, (alpha1, alpha2, *labels); it
+    is built on first access, so a map that is only written never pays
+    for it.  Label counts are over distinct (family, log_power) pairs;
+    connected components are counted on the regular grid alone
+    (8-connectivity), since the lattice points carry no area.
     """
 
     alpha_max: float
     resolution: int
-    rows: tuple
+    # arrays define no equality or hash; the map compares by its summary
+    points: np.ndarray = field(compare=False, repr=False)
+    codes: np.ndarray = field(compare=False, repr=False)
     square_label_count: int
     circle_label_count: int
     square_labels: tuple
     circle_labels: tuple
     square_components: int
     circle_components: int
+
+    @staticmethod
+    def decode(codes: np.ndarray) -> list:
+        """Columns (square family, square log power, circle family, circle log
+        power, verdict) of rows (K, 3) of codes, as lists of Python values."""
+        square, circle, verdict = codes.T
+        box, ball, verdicts = (np.array(names, dtype=object) for names in (*FAMILIES, VERDICTS))
+        return [box[square // 4].tolist(), (square % 4).tolist(),
+                ball[circle // 4].tolist(), (circle % 4).tolist(), verdicts[verdict].tolist()]
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(zip(*self.points.T.tolist(), *self.decode(self.codes)))
 
 
 def _component_count(keys: np.ndarray) -> int:
@@ -233,19 +252,16 @@ def region_map(alpha_max: float = 4.0, resolution: int = 201,
     grid = np.stack([np.repeat(values, n), np.tile(values, n)], axis=1)
     pts = np.concatenate([grid, _boundary_lattice(alpha_max, n)])
     reg = _classify(pts, r_mode)
-    labels, components, columns = [], [], []
-    for k, names in enumerate(FAMILIES):
-        # one code per (family, log power); log powers stay below 4 in d = 2
-        code = 4 * reg.family[:, k] + reg.log_power[:, k]
-        labels.append(tuple(sorted((names[c // 4], c % 4) for c in np.unique(code).tolist())))
-        components.append(_component_count(code[:n * n].reshape(n, n)))
-        columns += [[names[f] for f in reg.family[:, k].tolist()], reg.log_power[:, k].tolist()]
-    rows = tuple(zip(pts[:, 0].tolist(), pts[:, 1].tolist(), *columns,
-                     [VERDICTS[v] for v in reg.verdict.tolist()]))
+    # log powers stay below 4 in d = 2, so a code holds its (family, log power) pair
+    codes = np.column_stack([4 * reg.family + reg.log_power, reg.verdict])
+    labels = [tuple(sorted((names[c // 4], c % 4) for c in np.unique(codes[:, k]).tolist()))
+              for k, names in enumerate(FAMILIES)]
+    components = [_component_count(codes[:n * n, k].reshape(n, n)) for k in range(2)]
     return RegionMap(
         alpha_max=alpha_max,
         resolution=resolution,
-        rows=rows,
+        points=pts,
+        codes=codes,
         square_label_count=len(labels[0]),
         circle_label_count=len(labels[1]),
         square_labels=labels[0],

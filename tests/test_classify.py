@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from ergrates.classify import (
+    FAMILIES,
+    VERDICTS,
     PowerParams,
     RegimeLabel,
     _component_count,
@@ -304,6 +306,15 @@ class TestRegimeOracle:
         assert rm.square_labels == tuple(sorted(keys))
         keys = {(ci_family, ci_log) for *_, ci_family, ci_log, _ in rm.rows}
         assert rm.circle_labels == tuple(sorted(keys))
+
+    def test_region_map_codes_decode_to_the_point_rules(self):
+        rm = region_map(3.0, 50, "at-max")
+        assert rm.points.shape == (len(rm.codes), 2) and rm.codes.shape[1] == 3
+        for (a1, a2), (square, circle, verdict) in zip(rm.points.tolist(), rm.codes.tolist()):
+            _, _, _, sq, ci, want = _reference((a1, a2), "at-max")
+            assert (FAMILIES[0][square // 4], square % 4) == (sq[0], sq[2])
+            assert (FAMILIES[1][circle // 4], circle % 4) == (ci[0], ci[2])
+            assert VERDICTS[verdict] == want
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_reports_match_the_point_rules_bit_for_bit(self, dim):

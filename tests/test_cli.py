@@ -16,10 +16,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ergrates
+from ergrates.classify import RegionMap
 from ergrates.cli import (
     ConfigError,
+    _float_lines,
     _json_text,
     config_hash,
     emit_config,
@@ -434,6 +438,16 @@ class TestRegionmapCommand:
         assert "# circle-labels = 3" in comments
         assert "multiplot" in plot.read_text()
 
+    def test_writes_from_the_columns_alone(self, tmp_path, monkeypatch):
+        def no_rows(self):
+            raise AssertionError("the per-point tuples were built")
+
+        monkeypatch.setattr(RegionMap, "rows", property(no_rows))
+        out = tmp_path / "m.csv"
+        assert main(["regionmap", "--grid", "0:4:24", "--r-mode", "at-max", "--out", str(out)]) == 0
+        header, rows, comments = read_csv(out)
+        assert len(rows) > 24 * 24 and all(len(row) == len(header) for row in rows)
+
     def test_bad_grid_exits_2(self, tmp_path, capsys):
         out = tmp_path / "m.csv"
         # a nan hi once wrote nan rows with exit 0, an inf hi exited 3
@@ -465,9 +479,33 @@ class TestDeterminism:
         assert strip(a) == strip(b)
 
 
+# every kind of double the artifacts can hold, signs and extremes included
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -3.7e-300,
+                     1.7976931348623157e308, 1e16, 123456789012345.0, math.nan]),
+    st.floats(1e299, 1e301) | st.floats(1e-301, 1e-299),
+).flatmap(lambda v: st.sampled_from([v, np.float64(v)]))
+
+
+class TestFloatLines:
+    """The one emitter of fourier, rates and simulate tables writes what the
+    per-cell f"{v:.12g}" writer wrote, np.float64 cells included."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(1, 7).flatmap(
+        lambda cols: st.lists(st.lists(_CELLS, min_size=cols, max_size=cols), max_size=40)
+        .map(lambda rows: (cols, rows))))
+    def test_matches_the_per_cell_writer(self, shape_and_rows):
+        cols, rows = shape_and_rows
+        text = _float_lines(np.array(rows, dtype=float).reshape(len(rows), cols))
+        assert text == "".join(",".join(f"{v:.12g}" for v in row) + "\n" for row in rows)
+
+
 class TestPinnedArtifacts:
     """sha256 of each artifact's lines above its config hash, as the per-point
-    classification and envelope loops wrote them; the array passes must
+    classification and envelope loops and the per-cell float writer wrote
+    them; the array passes and the emitters that write from columns must
     reproduce every byte."""
 
     @pytest.mark.parametrize("argv,digest", [
@@ -482,7 +520,17 @@ class TestPinnedArtifacts:
         (["fourier", "--body", "cube", "--direction", "1,2",
           "--z-lo", "1", "--z-hi", "300", "--points", "1000"],
          "dc19955ea92c0437ff189e0507baff2fe58877a4b99d6685495daf09c2b9e1d1"),
-    ], ids=["regionmap", "fourier-ellipsoid", "fourier-ball3-origin", "fourier-cube"])
+        # theta_fit_running is nan on the first seven rows
+        (["rates", "--p-lo", "10", "--p-hi", "80", "--points", "8", "--tol", "1e-4"],
+         "07b205fa1259d6ea977ca948138c57d0b788f57586e6d347c91a2f4cd98531fd"),
+        (["simulate", "--action", "demo20", "--t", "10,10|40,25"],
+         "a641939d55e4e2e8bd8f0df90e2a05815a4460f6013812bec7c6aeb32f7272d1"),
+        (["regionmap", "--grid", "0:3:50", "--r-mode", "at-max"],
+         "993044c9137ea91fb394275723ef4bc532e066b73719c4ecce5ec015d8eba7bf"),
+        (["regionmap", "--grid", "0:4:64"],
+         "824ad59239dd16d79e63b40beb8736b920788d708ec1e69989de332e6ae2db9b"),
+    ], ids=["regionmap", "fourier-ellipsoid", "fourier-ball3-origin", "fourier-cube", "rates",
+            "simulate", "regionmap-at-max", "regionmap-aligned"])
     def test_bytes_above_the_config_hash(self, argv, digest, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(argv + ["--out", "a.csv"]) == 0

@@ -346,6 +346,8 @@ PUBLIC_ALLOWLIST = {
     "ray_peaks": "the envelope-peak diagnostic of acceptance criteria C03 and C04",
     "decay_integral_levelform": "perfbench's independent reference for I(t) at p <= 30",
     "norm_sq": "perfbench's simulate check reads the demo action's squared norm",
+    "rows": "perfbench's tracer counts region-map points through it, and the oracle tests "
+            "read the map's labels through it",
 }
 
 
