@@ -6,9 +6,9 @@ consumers: the radial integrals in the rates machinery (panel and
 singular-end segment rules), and every angular integral over the unit
 sphere (decay integrals, neighborhood masses, the outer piece of the
 singular integral), which all go through `orthant_integral`.  Budgets are
-enforced loudly, never silently.  Every root and peak search (mass
-truncation kinks, ray zeros and peaks, level sets) is one of the
-bracketed searches at the end, which work on many brackets at once.
+enforced loudly, never silently.  Every root and peak search (ray zeros
+and peaks, level sets) is one of the 1-D bracketed searches at the end,
+which work on many brackets at once.
 
 Gauss-Legendre rules come from numpy.  Gauss-Jacobi rules (the
 singular-end segments) come from `scipy.special.roots_jacobi`, imported
@@ -203,24 +203,18 @@ def bisect(f, lo, hi, rising, xtol: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def bracketed_roots(f, grid, xtol: float):
-    """Sorted zeros of f along grid, or along each row of a 2-D grid: sign
-    changes between neighbouring nodes, bisected to xtol all together, and
-    inner nodes where f is 0 next to one where it is not.  f takes arrays
-    shaped like the rows of grid, each row with its own parameters."""
+def bracketed_roots(f, grid, xtol: float) -> np.ndarray:
+    """Sorted zeros of f along the 1-D grid: sign changes between neighbouring
+    nodes, bisected to xtol all together, and inner nodes where f is 0 next
+    to one where it is not."""
     grid = np.asarray(grid, dtype=float)
     vals = f(grid)
-    change = vals[..., :-1] * vals[..., 1:] < 0.0
-    # each row's sign changes first, padded to the longest row with unused cells
-    cells = np.argsort(~change, axis=-1, kind="stable")[..., :np.max(change.sum(-1), initial=0)]
-    pick = functools.partial(np.take_along_axis, indices=cells, axis=-1)
-    roots = bisect(f, pick(grid[..., :-1]), pick(grid[..., 1:]), pick(vals[..., :-1]) < 0.0, xtol)
+    change = vals[:-1] * vals[1:] < 0.0
+    roots = bisect(f, grid[:-1][change], grid[1:][change], vals[:-1][change] < 0.0, xtol)
     zero = vals == 0.0
-    zero[..., 1:-1] &= ~(zero[..., :-2] & zero[..., 2:])
-    zero[..., [0, -1]] = False
-    out = [np.sort(np.concatenate([g[z], r[c]]))
-           for g, z, r, c in zip(*map(np.atleast_2d, (grid, zero, roots, pick(change))))]
-    return out if grid.ndim == 2 else out[0]
+    zero[1:-1] &= ~(zero[:-2] & zero[2:])
+    zero[[0, -1]] = False
+    return np.sort(np.concatenate([grid[zero], roots]))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

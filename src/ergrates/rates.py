@@ -48,6 +48,7 @@ from .spectral import (
     RadialPowerMeasure,
     SpectralMeasure,
     SumMeasure,
+    extent_kinks,
     is_zero_measure,
     mass,
     singular_integral,
@@ -539,7 +540,7 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
         phi_base |= {math.pi / 2 - b for b in _axis_graded(2.0 * math.pi / (t[0] * rho_max))}
     if d == 2 and isinstance(m, AnisotropicPowerMeasure):
         # the support box's corner direction is a kink of the radial extent
-        phi_base.add(math.atan2(m.halfwidths[1], m.halfwidths[0]))
+        phi_base |= set(extent_kinks([m]))
     # d = 3 bisects phi and theta alike into 2 to 16 equal segments at a
     # fixed order; adequate for the moderate |t| this path sees (the
     # acceptance-scale sweeps are all 2-D)

@@ -10,12 +10,11 @@ ellipsoidal / box neighborhoods of the origin and the singular integral
 int |x|^(-q) dsigma.  Masses are closed forms in d = 1, for a radial law on
 a ball, and for an anisotropic law on a neighbourhood inside its support
 box (in any d).  Otherwise they are angular quadratures in d <= 3 (radial
-direction in closed form); a neighbourhood strictly inside a radial law's
-support skips the search for the kinks where the two radial extents
-cross, as it has none.  The singular integral is a closed form for
-atomic sums and both power families (finite iff the radial order exceeds
-q), plus, for a box support in d >= 2, the angular quadrature of the
-piece outside the inscribed ball.
+direction in closed form), broken at the kinks of the radial extent, which
+`extent_kinks` gives in closed form.  The singular integral is a closed
+form for atomic sums and both power families (finite iff the radial
+order exceeds q), plus, for a box support in d >= 2, the angular
+quadrature of the piece outside the inscribed ball.
 """
 
 from __future__ import annotations
@@ -26,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import as_vec, unit_sphere_area
-from .quadrature import (
-    QuadratureBudgetError,
-    bracketed_roots,
-    orthant_directions,
-    orthant_integral,
-    refined_breaks,
-)
+from .quadrature import QuadratureBudgetError, orthant_integral, refined_breaks
 
 __all__ = [
     "AtomicMeasure",
@@ -44,6 +37,7 @@ __all__ = [
     "BoxNeighborhood",
     "Neighborhood",
     "mass",
+    "extent_kinks",
     "singular_integral",
     "total_mass",
     "parse_measure",
@@ -342,13 +336,11 @@ Neighborhood = EllipsoidNeighborhood | BoxNeighborhood
 # integrals over the first orthant of the sphere (everything here is even
 # per axis), which `quadrature.orthant_integral` evaluates: its end segments
 # use Gauss-Jacobi rules so the |omega_k|^(alpha-1) axis singularities are
-# absorbed into the weights.  Here the breakpoints are chosen: box corners
-# and face switches are known in closed form, other radial truncation
-# kinks are located numerically.
+# absorbed into the weights.  Here the breakpoints are chosen: every kink of
+# a radial extent (box corners, face switches, crossings of a neighbourhood
+# with the support's edge) comes in closed form from `extent_kinks`.
 
 _QUAD_ORDER = 24
-_SCAN = np.linspace(1e-9, math.pi / 2 - 1e-9, 4096)
-_THETA_SCAN = np.linspace(1e-9, math.pi / 2 - 1e-9, 1024)
 
 
 def _mass_breaks(d: int, extra, singular_ends: bool) -> list[float]:
@@ -371,23 +363,51 @@ def _mass_breaks(d: int, extra, singular_ends: bool) -> list[float]:
     return refined_breaks(sorted(set(breaks + graded)), step)
 
 
-def _box_face_switch(h, phi: float) -> float:
-    """Polar angle where the extent of the 3-D box h moves from the x/y faces
-    to the z face, along azimuth phi."""
-    return math.atan2(1.0, max(math.cos(phi) / h[0], math.sin(phi) / h[1]) * h[2])
+def _envelope_kinks(lines) -> list[float]:
+    """Angles x in (0, pi/2) where the largest of p_i sin^2 x + q_i cos^2 x
+    changes.  Over cos^2 x these are the lines p_i u + q_i in u = tan^2 x,
+    and from the top line at u = 0 their upper envelope goes on at the
+    first crossing with a steeper line."""
+    q, p = max((q, p) for p, q in lines)
+    out = []
+    # of lines crossing at one point the steepest is on top after it, hence -p
+    while steeper := [((q - qj) / (pj - p), -pj, qj) for pj, qj in lines if pj > p]:
+        u, p, q = min(steeper)
+        p = -p
+        if 0.0 < u < math.inf:
+            out.append(math.atan(math.sqrt(u)))
+    return out
 
 
-def _inside_support(m, hood: Neighborhood) -> bool:
-    """Whether the neighbourhood lies inside the support of m: in the closed
-    box of an aniso measure, strictly inside the ball of a radial one (on
-    the sphere the crossing scans can see a rounding sign change, so a hood
-    that touches it keeps their route)."""
-    if isinstance(m, RadialPowerMeasure):
-        if isinstance(hood, EllipsoidNeighborhood):
-            return max(hood.semi_axes) < m.radius
-        return math.hypot(*hood.halfwidths) < m.radius
-    sizes = hood.semi_axes if isinstance(hood, EllipsoidNeighborhood) else hood.halfwidths
-    return all(x <= b for x, b in zip(sizes, m.halfwidths))
+def extent_kinks(shapes, phi=None):
+    """Kinks of min over `shapes` (neighbourhoods and power measures'
+    supports) of the extent along first-orthant directions, in closed form.
+
+    The extent is 1/sqrt(max_i sum_k c_ik omega_k^2) over one form c = 1/R^2
+    or 1/delta_k^2 per ball or ellipsoid and one form c = e_k/h_k^2 per box
+    face, so it kinks where the largest form changes: two forms
+    p sin^2 x + q cos^2 x tie at tan^2 x = (q_j - q_i) / (p_i - p_j), a
+    kink when no other form is larger there.  Without phi: the kinks in the
+    azimuth of (cos phi, sin phi), on the equator in d = 3.  With an array
+    of azimuths (d = 3): per azimuth, the kinks in the polar angle theta.
+    """
+    sizes = [(x.radius,) * x.dim if isinstance(x, RadialPowerMeasure)
+             else x.semi_axes if isinstance(x, EllipsoidNeighborhood) else x.halfwidths
+             for x in shapes]
+    unit = min(map(min, sizes))  # lengths in units of the smallest: no form overflows
+    forms = []
+    for x, z in zip(shapes, sizes):
+        c = tuple((unit / a) ** 2 for a in z)
+        if isinstance(x, (RadialPowerMeasure, EllipsoidNeighborhood)):
+            forms.append(c)
+        else:
+            forms += [(0.0,) * k + (ck,) + (0.0,) * (len(c) - k - 1) for k, ck in enumerate(c)]
+    if phi is None:
+        return _envelope_kinks([(c[1], c[0]) for c in forms])
+    rows = np.array(forms)
+    p = np.cos(phi)[:, None] ** 2 * rows[:, 0] + np.sin(phi)[:, None] ** 2 * rows[:, 1]
+    q = rows[:, 2].tolist()
+    return [_envelope_kinks(list(zip(pk, q))) for pk in p.tolist()]
 
 
 def _aniso_mass_inside(m, hood: Neighborhood) -> float:
@@ -424,9 +444,10 @@ def _continuous_mass(m, hood: Neighborhood) -> float:
         r = min(rho_n, rho_s)
         return float(2.0 * m.angular_density(np.array([[1.0]]))[0] * r ** s / s)
 
-    inside = _inside_support(m, hood)
-    if inside and isinstance(m, AnisotropicPowerMeasure):
-        return _aniso_mass_inside(m, hood)
+    if isinstance(m, AnisotropicPowerMeasure):
+        sizes = hood.semi_axes if isinstance(hood, EllipsoidNeighborhood) else hood.halfwidths
+        if all(x <= b for x, b in zip(sizes, m.halfwidths)):  # inside the support box
+            return _aniso_mass_inside(m, hood)
 
     # fully symmetric radial case: closed form
     if isinstance(m, RadialPowerMeasure) and isinstance(hood, EllipsoidNeighborhood):
@@ -441,37 +462,11 @@ def _continuous_mass(m, hood: Neighborhood) -> float:
         rho = np.minimum(hood.radial_profile(om), m.support_profile(om))
         return m.angular_density(om) * rho ** s / s
 
-    # the support's edge puts kinks where the radial extents cross; a
-    # neighbourhood inside the support has none, so the scans are skipped
-    def delta(phi, theta=None):
-        om = orthant_directions(phi, theta)
-        rows = om.reshape(-1, d)
-        return (hood.radial_profile(rows) - m.support_profile(rows)).reshape(om.shape[:-1])
-
-    boxes = [x.halfwidths for x in (hood, m)
-             if isinstance(x, (BoxNeighborhood, AnisotropicPowerMeasure))]
-    corners = [math.atan2(h[1], h[0]) for h in boxes]
     singular = isinstance(m, AnisotropicPowerMeasure)
-    if d == 2:
-        crossings = [] if inside else list(bracketed_roots(delta, _SCAN, xtol=1e-14))
-        return orthant_integral(m.angular_alphas, g, _mass_breaks(2, corners + crossings, singular),
-                                _QUAD_ORDER)
-
-    # the phi-integrand has a kink where a theta-crossing reaches the equator
-    equator = [] if inside else list(
-        bracketed_roots(lambda phi: delta(phi, np.full_like(phi, math.pi / 2)), _SCAN, 1e-14))
-
-    def theta_breaks(phi):
-        if inside:
-            crossings = [()] * phi.size
-        else:  # the theta-crossings of all phi nodes in one search
-            grid = np.broadcast_to(_THETA_SCAN, (phi.size, _THETA_SCAN.size))
-            crossings = bracketed_roots(lambda theta: delta(phi[:, None], theta), grid, xtol=1e-14)
-        return [_mass_breaks(3, list(c) + [_box_face_switch(h, ph) for h in boxes], singular)
-                for ph, c in zip(phi, crossings)]
-
-    return orthant_integral(m.angular_alphas, g, _mass_breaks(3, corners + equator, singular),
-                            _QUAD_ORDER, theta_breaks)
+    breaks = _mass_breaks(d, extent_kinks([hood, m]), singular)
+    return orthant_integral(m.angular_alphas, g, breaks, _QUAD_ORDER,
+                            lambda phi: [_mass_breaks(3, k, singular)
+                                         for k in extent_kinks([hood, m], phi)])
 
 
 def mass(m: SpectralMeasure, hood: Neighborhood) -> float:
@@ -485,10 +480,10 @@ def mass(m: SpectralMeasure, hood: Neighborhood) -> float:
     c prod delta_k^alpha_k Gamma(alpha_k/2) / Gamma(1 + s/2) on an
     ellipsoid (in logs when a Gamma factor overflows).  Otherwise (d <= 3
     only) the radial direction is integrated in closed form and the
-    angular part by quadrature, with breaks at the box corners and faces
-    and, unless N lies strictly inside a radial law's ball (max delta_k < R
-    or |h| < R), at the searched crossings of the support's edge.  A
-    continuous mass that comes out non-finite raises QuadratureBudgetError.
+    angular part by quadrature, with breaks at every kink of min(extent of
+    N, extent of the support) from `extent_kinks`: box corners, face
+    switches and crossings of the support's edge.  A continuous mass that
+    comes out non-finite raises QuadratureBudgetError.
     Sums add their parts.
     """
     if isinstance(m, AtomicMeasure):
@@ -554,15 +549,11 @@ def singular_integral(m: SpectralMeasure, q: float) -> float:
         return inner
 
     # outer piece: the box minus its inscribed ball
-    h = m.halfwidths
-
     def g(om):
         return m.angular_density(om) * ((m.support_profile(om) ** s - r_in ** s) / s)
 
-    outer = orthant_integral(m.alphas, g, _mass_breaks(m.dim, [math.atan2(h[1], h[0])], True),
-                             _QUAD_ORDER,
-                             lambda phi: [_mass_breaks(3, [_box_face_switch(h, ph)], True)
-                                          for ph in phi])
+    outer = orthant_integral(m.alphas, g, _mass_breaks(m.dim, extent_kinks([m]), True), _QUAD_ORDER,
+                             lambda phi: [_mass_breaks(3, k, True) for k in extent_kinks([m], phi)])
     return inner + outer
 
 

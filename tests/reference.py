@@ -5,6 +5,8 @@ Gauss-Legendre rule in a smooth parametrisation, never through the closed
 forms; `equivalence_bounds` and the sector samplers give the sandwich
 constants of a homogeneous comparison function on a sector.  `decimals`
 draws the short decimal values the spec-grammar round trips are built from.
+`extent_switches` finds the kinks of a radial extent by a dense scan of
+which boundary piece is nearest, never through quadratic forms.
 """
 
 import functools
@@ -14,6 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ergrates.geometry import Cube
+from ergrates.spectral import EllipsoidNeighborhood, RadialPowerMeasure
 
 # orders double from the first until two agree to this absolute difference
 _FIRST_ORDER = 8
@@ -70,6 +73,61 @@ def indicator_ft(body, x) -> complex:
             return val
         prev, order = val, 2 * order
     raise RuntimeError(f"orders up to {_LAST_ORDER} do not agree to {_AGREE} at x = {x}")
+
+
+# -- kinks of a radial extent -----------------------------------------------------
+
+_SWITCH_SCAN = 1 << 16
+_SWITCH_XTOL = 1e-15
+
+
+def _piece_distances(shapes, om: np.ndarray) -> np.ndarray:
+    """Distance along unit directions (rows) to each boundary piece of each
+    shape (columns): the sphere, the ellipsoid, or each face of a box."""
+    cols = []
+    for x in shapes:
+        if isinstance(x, RadialPowerMeasure):
+            cols.append(np.full(om.shape[0], x.radius))
+        elif isinstance(x, EllipsoidNeighborhood):
+            cols.append(1.0 / np.sqrt(np.sum((om / np.asarray(x.semi_axes)) ** 2, axis=1)))
+        else:
+            with np.errstate(divide="ignore"):
+                cols += [h / np.abs(om[:, k]) for k, h in enumerate(x.halfwidths)]
+    return np.stack(cols, axis=1)
+
+
+def extent_switches(shapes, phi=None) -> list[float]:
+    """Angles in (0, pi/2) where the nearest boundary piece of `shapes` changes.
+
+    Without phi the angle is the azimuth of (cos x, sin x) in d = 2, or of
+    the equator (cos x, sin x, 0) in d = 3; with a scalar phi it is the polar
+    angle of (sin x cos phi, sin x sin phi, cos x).  The nearest piece is
+    read on 2^16 + 1 evenly spaced angles, and each change between
+    neighbours is bisected to 1e-15 on the nearest piece alone.
+    """
+    dim = shapes[0].dim
+
+    def nearest(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if phi is not None:
+            om = np.stack([np.sin(x) * math.cos(phi), np.sin(x) * math.sin(phi), np.cos(x)], axis=1)
+        else:
+            om = np.stack([np.cos(x), np.sin(x)] + [np.zeros_like(x)] * (dim - 2), axis=1)
+        return np.argmin(_piece_distances(shapes, om), axis=1)
+
+    grid = np.linspace(0.0, math.pi / 2, _SWITCH_SCAN + 1)[1:-1]
+    labels = nearest(grid)
+    out = []
+    for i in np.flatnonzero(labels[:-1] != labels[1:]):
+        lo, hi, at_lo = float(grid[i]), float(grid[i + 1]), labels[i]
+        while hi - lo > _SWITCH_XTOL:
+            mid = 0.5 * (lo + hi)
+            if nearest(mid)[0] == at_lo:
+                lo = mid
+            else:
+                hi = mid
+        out.append(0.5 * (lo + hi))
+    return out
 
 
 # -- sector sandwich constants -------------------------------------------------

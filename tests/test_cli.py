@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -106,6 +107,31 @@ class TestOptionMerging:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["verdict"] == (
             "no claim (grid leaves the sector); exploratory data only")
+
+
+class TestStdout:
+    """'-', every command's default --out, writes the artifact to stdout: the
+    same bytes as a file, but for the config hash, which covers --out."""
+
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--measure", "radial:2,1,1", "--points", "4", "--p-lo", "10", "--p-hi", "40"],
+        ["verify", "--theorem", "2", "--measure", "atomic:[(1,0;1),(0,2;4)]", "--points", "2"],
+    ], ids=["rates", "verify"])
+    def test_stdout_bytes_match_the_file(self, tmp_path, capsys, argv):
+        out = tmp_path / "artifact"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        printed = []
+        for to_stdout in (["--out", "-"], []):
+            assert main(argv + to_stdout) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            printed.append(captured.out.encode("utf-8"))
+        assert printed[0] == printed[1]
+        [file_hash] = re.findall(rb"[0-9a-f]{64}", out.read_bytes())
+        [stdout_hash] = re.findall(rb"[0-9a-f]{64}", printed[0])
+        assert file_hash != stdout_hash
+        assert printed[0] == out.read_bytes().replace(file_hash, stdout_hash)
 
 
 class TestFourierCommand:

@@ -6,7 +6,9 @@ the Gauss-Jacobi segment rules inside the module).  Divergence verdicts
 are checked against the exact radial exponent.
 """
 
+import ast
 import math
+import pathlib
 
 import mpmath
 import numpy as np
@@ -17,6 +19,7 @@ from scipy import integrate
 
 import reference
 
+from ergrates import spectral
 from ergrates.geometry import unit_sphere_area
 from ergrates.quadrature import QuadratureBudgetError
 from ergrates.spectral import (
@@ -26,6 +29,7 @@ from ergrates.spectral import (
     EllipsoidNeighborhood,
     RadialPowerMeasure,
     SumMeasure,
+    extent_kinks,
     format_measure,
     mass,
     parse_measure,
@@ -317,9 +321,8 @@ class TestContinuousMass:
 
 
 class TestMassesInsideTheSupport:
-    """A neighbourhood inside the support takes a closed form (aniso) or the
-    quadrature without crossing scans (radial); one that straddles the
-    support's edge keeps the scanned quadrature."""
+    """A neighbourhood inside an aniso law's support box takes a closed form;
+    every other one takes the quadrature, with its kinks in closed form."""
 
     # (alphas, halfwidths, hood, axes, mass by the angular quadrature that the
     # closed forms replaced), on hoods like the benchmark's
@@ -370,6 +373,22 @@ class TestMassesInsideTheSupport:
             b * (1.0 + 1e-12) if edge_axes == "all" else b for b in inner[1:]]
         assert mass(m, hood(tuple(outer))) == pytest.approx(mass(m, hood(tuple(inner))), rel=1e-10)
 
+    @pytest.mark.parametrize("gamma,shape", [
+        (1.5, (1.0, 0.4)), (0.8, (0.3, 1.0)), (2.5, (1.0, 0.6, 0.3)), (1.2, (0.5, 0.8, 1.0)),
+    ])
+    @pytest.mark.parametrize("hood", [EllipsoidNeighborhood, BoxNeighborhood])
+    def test_radial_continuous_across_the_support_edge(self, gamma, shape, hood):
+        # the longest semi-axis of an ellipsoid, or the corner of a box, at
+        # R (1 - 1e-12) lies inside the ball, at R touches it and at
+        # R (1 + 1e-12) straddles its edge
+        radius = 1.3
+        m = RadialPowerMeasure.with_total_mass(gamma, radius, 1.0, dim=len(shape))
+        unit = np.asarray(shape) / (max(shape) if hood is EllipsoidNeighborhood else np.linalg.norm(shape))
+        inner, touching, outer = (mass(m, hood(tuple(radius * f * unit)))
+                                  for f in (1.0 - 1e-12, 1.0, 1.0 + 1e-12))
+        assert touching == pytest.approx(inner, rel=1e-10)
+        assert outer == pytest.approx(inner, rel=1e-10)
+
     def test_d4_constant_density_is_scale_times_volume(self):
         m = AnisotropicPowerMeasure((1.0,) * 4, (1.0, 2.0, 1.5, 1.0), 0.8)
         axes = (0.5, 0.3, 0.9, 0.2)
@@ -397,11 +416,7 @@ class TestMassesInsideTheSupport:
         with pytest.raises(QuadratureBudgetError, match=r"EllipsoidNeighborhood\(semi_axes=\(2.0, 0.5\)\)"):
             mass(m, EllipsoidNeighborhood((2.0, 0.5)))
 
-    def test_contained_hoods_never_scan(self, monkeypatch):
-        def no_scan(*args, **kwargs):
-            raise AssertionError("crossing scan")
-
-        monkeypatch.setattr("ergrates.spectral.bracketed_roots", no_scan)
+    def test_contained_hoods_give_positive_masses_that_sum(self):
         for d in (2, 3):
             radial = RadialPowerMeasure.with_total_mass(2.5, 1.0, 1.0, dim=d)
             aniso = AnisotropicPowerMeasure.with_total_mass((1.4, 0.7, 1.9)[:d], (1.0, 0.8, 1.2)[:d], 1.0)
@@ -410,11 +425,68 @@ class TestMassesInsideTheSupport:
                 parts = [mass(p, hood) for p in (radial, aniso, atomic)]
                 assert all(v > 0.0 for v in parts)
                 assert mass(SumMeasure((radial, aniso, atomic)), hood) == sum(parts)
-            for m, hood in ((radial, EllipsoidNeighborhood((1.5, 0.1, 0.2)[:d])),
-                            (radial, BoxNeighborhood((0.9, 0.5, 0.2)[:d])),
-                            (aniso, BoxNeighborhood((1.5, 0.1, 0.2)[:d]))):
-                with pytest.raises(AssertionError, match="crossing scan"):
-                    mass(m, hood)
+
+    def test_no_numerical_search_for_kinks(self):
+        # every kink comes from `extent_kinks` in closed form: the module
+        # names none of the bracketed searches
+        tree = ast.parse(pathlib.Path(spectral.__file__).read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {a.name for a in node.names}
+        assert names & {"bisect", "bracketed_roots", "bracketed_maxima"} == set()
+
+
+class TestExtentKinks:
+    """`extent_kinks` against the dense scan of the nearest boundary piece in
+    `reference.extent_switches`: every kink of one within 1e-12 of a kink of
+    the other, on seeded hoods inside, straddling and touching the support."""
+
+    @staticmethod
+    def shapes(seed, dim, support, hood, placement):
+        rng = np.random.default_rng([seed, dim])
+        if support == "radial":
+            radius = float(rng.uniform(0.5, 1.5))
+            m = RadialPowerMeasure.with_total_mass(2.0, radius, 1.0, dim=dim)
+            outer = np.full(dim, radius / math.sqrt(dim) if hood is BoxNeighborhood else radius)
+        else:
+            outer = rng.uniform(0.5, 1.5, size=dim)
+            m = AnisotropicPowerMeasure.with_total_mass((1.5,) * dim, tuple(outer), 1.0)
+        if placement == "inside":
+            sizes = outer * rng.uniform(0.1, 0.95, size=dim)
+        elif placement == "straddling":  # one semi-axis or face well outside, the rest inside
+            sizes = outer * rng.uniform(0.3, 0.9, size=dim)
+            sizes[seed % dim] = outer[seed % dim] * rng.uniform(1.3, 2.5)
+        elif support == "radial" and hood is BoxNeighborhood:  # a corner on the sphere
+            v = rng.uniform(0.2, 1.0, size=dim)
+            sizes = m.radius * v / np.linalg.norm(v)
+        else:  # one semi-axis or face on the support's edge, the rest inside
+            sizes = outer * rng.uniform(0.1, 0.95, size=dim)
+            sizes[seed % dim] = outer[seed % dim]
+        return [hood(tuple(float(z) for z in sizes)), m]
+
+    @staticmethod
+    def assert_close(got, want):
+        for a, b in ((got, want), (want, got)):
+            for x in a:
+                assert b and min(abs(x - y) for y in b) <= 1e-12, (got, want)
+
+    @pytest.mark.parametrize("support", ["radial", "aniso"])
+    @pytest.mark.parametrize("hood", [EllipsoidNeighborhood, BoxNeighborhood])
+    @pytest.mark.parametrize("placement", ["inside", "straddling", "touching"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_dense_scan(self, support, hood, placement, seed):
+        for dim in (2, 3):
+            shapes = self.shapes(seed, dim, support, hood, placement)
+            self.assert_close(extent_kinks(shapes), reference.extent_switches(shapes))
+            if dim == 3:
+                phi = np.random.default_rng(seed).uniform(0.0, math.pi / 2, size=3)
+                for ph, got in zip(phi, extent_kinks(shapes, phi)):
+                    self.assert_close(got, reference.extent_switches(shapes, ph))
 
 
 class TestSingularIntegral:
