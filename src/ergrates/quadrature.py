@@ -1,14 +1,16 @@
-"""Gauss rules, cached read-only, the first-orthant angular integral, and
-vectorised bracketed searches.
+"""Gauss rules, cached read-only, the first-orthant angular integral with its
+break policy, and vectorised bracketed searches.
 
 The only place 1-D Gauss-Legendre and Gauss-Jacobi rules are built.  Two
 consumers: the radial integrals in the rates machinery (panel and
 singular-end segment rules), and every angular integral over the unit
-sphere (decay integrals, neighborhood masses, the outer piece of the
-singular integral), which all go through `orthant_integral`.  Budgets are
-enforced loudly, never silently.  Every root and peak search (ray zeros
-and peaks, level sets) is one of the 1-D bracketed searches at the end,
-which work on many brackets at once.
+sphere, which all go through `orthant_integral`, with breaks, order and
+refinement set here: the fixed kink rule for neighborhood masses and the
+singular integral's outer piece, the level loop for decay integrals.
+Callers pass only their integrand and its kinks.  Budgets are enforced
+loudly, never silently.  Every root and peak search (ray zeros and peaks,
+level sets) is one of the 1-D bracketed searches at the end, which work
+on many brackets at once.
 
 Gauss-Legendre rules come from numpy.  Gauss-Jacobi rules (the
 singular-end segments) come from `scipy.special.roots_jacobi`, imported
@@ -29,9 +31,11 @@ __all__ = [
     "gl_edges_rule",
     "end_power_rule",
     "segment_rules",
-    "refined_breaks",
+    "graded_breaks",
     "orthant_directions",
     "orthant_integral",
+    "kink_orthant_integral",
+    "refined_orthant_integral",
     "bisect",
     "bracketed_roots",
     "bracketed_maxima",
@@ -94,13 +98,12 @@ def end_power_rule(a: float, b: float, exponent: float, at_lower: bool, order: i
 
 
 def segment_rules(breaks: list[float], exp_lo: float, exp_hi: float, order: int):
-    """Per-segment rules on [breaks[0], breaks[-1]] with singular ends."""
+    """Per-segment rules on [breaks[0], breaks[-1]] with singular ends; the
+    breaks must strictly increase."""
     nodes, weights = [], []
     n_seg = len(breaks) - 1
     for i in range(n_seg):
         a, b = breaks[i], breaks[i + 1]
-        if b - a <= 0:
-            continue
         if i == 0 and exp_lo != 0.0:
             nd, wt = end_power_rule(a, b, exp_lo, at_lower=True, order=order)
         else:
@@ -111,17 +114,13 @@ def segment_rules(breaks: list[float], exp_lo: float, exp_hi: float, order: int)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def refined_breaks(breaks: list[float], max_len: float) -> list[float]:
-    """Split long segments so narrow angular features are resolved.
-
-    Keeps the original break points, so Gauss-Jacobi end rules still sit
-    flush against the singular ends.
-    """
+def graded_breaks(first: float, limit: float, ratio: float) -> list[float]:
+    """first * ratio^j for j >= 0, strictly below limit: distances from an end
+    (or an axis) of breaks graded away from it."""
     out = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        n = max(1, int(math.ceil((b - a) / max_len)))
-        out.extend(a + (b - a) * k / n for k in range(n))
-    out.append(breaks[-1])
+    while first < limit:
+        out.append(first)
+        first *= ratio
     return out
 
 
@@ -182,6 +181,62 @@ def orthant_integral(alphas, g, breaks, order: int, theta_breaks=None) -> float:
             total += w_phi[k] * float(np.sum(vals[start:start + th.size] * np.sin(th) * w_th))
             start += th.size
     return 8.0 * float(total)
+
+
+# -- the break policy of the angular integrals ---------------------------------
+#
+# The fixed kink rule (masses, the singular integral's outer piece): Gauss
+# order 24 on every angle's kinks plus its ends (and pi/4 in d = 3), refined
+# to pi/32 in d = 2 and to pi/16 in d = 3.  A kink closer than 1/16 of that
+# step to a singular end is graded away from it by factors of 4 up to the
+# step: otherwise the plain Gauss segment after the thin end rule meets the
+# end singularity just outside itself and can be off by 1e-3.
+
+
+def _kink_breaks(d: int, kinks, singular_ends: bool) -> list[float]:
+    """Breaks of one angle on [0, pi/2] under the fixed kink rule."""
+    step = math.pi / 32 if d == 2 else math.pi / 16
+    base = {0.0, math.pi / 2} if d == 2 else {0.0, math.pi / 4, math.pi / 2}
+    breaks = sorted(base | {float(b) for b in kinks if 0.0 < b < math.pi / 2})
+    graded = []
+    for gap, end, sign in ((breaks[1], 0.0, 1.0), (math.pi / 2 - breaks[-2], math.pi / 2, -1.0)):
+        if singular_ends and gap < step / 16:
+            graded += [end + sign * x for x in graded_breaks(4.0 * gap, step, 4.0)]
+    breaks = sorted(set(breaks + graded))
+    out = []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        n = max(1, math.ceil((b - a) / step))
+        out.extend(a + (b - a) * k / n for k in range(n))
+    return out + [breaks[-1]]
+
+
+def kink_orthant_integral(alphas, g, kinks, singular_ends: bool) -> float:
+    """`orthant_integral` of g under the fixed kink rule: kinks() gives the
+    azimuths where g kinks and, in d = 3, kinks(phi) the polar angles at each
+    azimuth in phi; `singular_ends` when g has |omega_k|^(alpha_k - 1) factors."""
+    return orthant_integral(alphas, g, _kink_breaks(len(alphas), kinks(), singular_ends), 24,
+                            lambda phi: [_kink_breaks(3, k, singular_ends) for k in kinks(phi)])
+
+
+def refined_orthant_integral(alphas, g, base_breaks, order: int, levels: range,
+                             rel_tol: float, label: str) -> float:
+    """`orthant_integral` of g on {0, pi/2} and base_breaks, every segment
+    bisected k times at level k, for phi and theta alike: the first level in
+    `levels` within rel_tol of the one before it.  After the last level it
+    raises QuadratureBudgetError naming `label`.  d = 1 has nothing to refine.
+    """
+    if len(alphas) == 1:
+        return orthant_integral(alphas, g, (), 0)
+    breaks = sorted({0.0, math.pi / 2} | set(base_breaks))
+    prev = math.nan  # the first level has none before it to agree with
+    for level in range(levels.stop):
+        if level >= levels.start:
+            cur = orthant_integral(alphas, g, breaks, order, lambda phi: [breaks] * phi.size)
+            if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+                return cur
+            prev = cur
+        breaks = sorted(set(breaks) | {(a + b) / 2 for a, b in zip(breaks[:-1], breaks[1:])})
+    raise QuadratureBudgetError(f"angular refinement did not reach rel_tol={rel_tol:g} for {label}")
 
 
 # -- bracketed searches: one call of f per step, every bracket shrunk alike --

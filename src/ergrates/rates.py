@@ -38,7 +38,8 @@ from .quadrature import (
     bracketed_roots,
     end_power_rule,
     gl_edges_rule,
-    orthant_integral,
+    graded_breaks,
+    refined_orthant_integral,
     segment_rules,
 )
 from .spectral import (
@@ -214,15 +215,6 @@ def decay_integral_atomic(body: ConvexBody, m: AtomicMeasure, t) -> float:
 # period each (z up to about 8e5), far beyond any dilation the sweeps use;
 # larger supports are refused before anything is allocated.
 _MAX_RADIAL_PANELS = 1 << 20
-
-
-def _check_radial_panels(panels: float, rho: float, t: np.ndarray) -> None:
-    """Raise QuadratureBudgetError when a radial table needs more than the budget."""
-    if not panels <= _MAX_RADIAL_PANELS:
-        raise QuadratureBudgetError(
-            f"radial quadrature over support {rho:.6g} at t={t.tolist()} needs "
-            f"{panels:.3g} panels, over the budget of {_MAX_RADIAL_PANELS}"
-        )
 
 
 # -- cumulative radial tables ------------------------------------------------
@@ -450,41 +442,19 @@ def _cube_radial(a: np.ndarray, rho: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def _refine(level_value: Callable[[int], float], levels, rel_tol: float, t: np.ndarray) -> float:
-    """First level value within rel_tol of the one before it; raises past the last level."""
-    prev = level_value(levels[0])
-    for level in levels[1:]:
-        cur = level_value(level)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise QuadratureBudgetError(
-        f"angular refinement did not reach rel_tol={rel_tol:g} for t={t.tolist()}"
-    )
-
-
-def _axis_graded(scale: float) -> list[float]:
-    """scale * 2^j for j >= 0 below pi/4: angular breaks graded toward an axis."""
-    out = []
-    while scale < math.pi / 4:
-        out.append(scale)
-        scale *= 2.0
-    return out
-
-
 def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
     """Angular-adaptive quadrature of I(t) over the power measure's directions.
 
     Along each angular node the radial integral is read off a cumulative
     table, one array expression per level: c^(-s) G_s(rho c) for a ball or
     an ellipsoid, the K_{s,m} cosine sum (with the sinc^2 series for
-    factors near their axis) for the cube.  In d = 2 the cube's angular
-    breaks are graded toward each axis, where its sinc^2 factors form
-    boundary layers of width about 2 pi / (t_k rho).  The integrand is even
-    in every coordinate of x for all supported bodies, so only the first
-    orthant of angles is integrated.  A rel_tol below double precision is
-    refused at once: two levels that agree to the last bit do not show an
-    error that small.
+    factors near their axis) for the cube, after one check of the panel
+    budget on the largest z of any direction.  The integrand is even in
+    every coordinate of x, so `quadrature.refined_orthant_integral` takes
+    the first orthant, from the cube's breaks graded toward each axis in
+    d = 2 (boundary layers of width about 2 pi / (t_k rho)) and an aniso
+    support's corner.  A rel_tol below double precision is refused at once:
+    two levels that agree to the last bit do not show an error that small.
     """
     d = m.dim
     t = as_vec(t, dim=d)
@@ -498,15 +468,23 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
         raise ValueError(f"dimension mismatch: expected {body.dim}, got {d}")
     s = m.radial_order
     alphas = m.angular_alphas
+    is_radial = isinstance(m, RadialPowerMeasure)
+    rho_max = m.radius if is_radial else math.hypot(*m.halfwidths)
     is_cube = isinstance(body, Cube)
+    # sup of z = rho c over directions: the cube's frequencies are at most |t|;
+    # for K = a o B, c = |a o omega o t| and rho omega lies in the support
     if is_cube:
-        # along any direction the largest frequency sum_k t_k omega_k is at
-        # most |t| and the support at most rho_max, so one check up front
-        # bounds every table read and the graded breaks below
-        rho_max = (m.radius if isinstance(m, RadialPowerMeasure)
-                   else math.hypot(*m.halfwidths))
-        _check_radial_panels(rho_max * float(np.linalg.norm(t)) / _QUARTER, rho_max, t)
-
+        z_max = rho_max * float(np.linalg.norm(t))
+    elif is_radial:
+        z_max = m.radius * float(np.max(body.semi_axes * t))
+    else:
+        z_max = float(np.linalg.norm(body.semi_axes * t * np.asarray(m.halfwidths)))
+    if not z_max / _QUARTER <= _MAX_RADIAL_PANELS:
+        raise QuadratureBudgetError(
+            f"radial quadrature over support {rho_max:.6g} at t={t.tolist()} needs "
+            f"{z_max / _QUARTER:.3g} panels, over the budget of {_MAX_RADIAL_PANELS}"
+        )
+    if is_cube:
         def angular_value(om_rows: np.ndarray) -> np.ndarray:
             a = 0.5 * om_rows * t[None, :]
             with np.errstate(over="ignore", invalid="ignore"):
@@ -522,51 +500,37 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
 
         def angular_value(om_rows: np.ndarray) -> np.ndarray:
             c = np.linalg.norm(om_rows * (axes * t)[None, :], axis=1)
-            rho = m.support_profile(om_rows)
-            z = rho * c
-            top = int(np.argmax(z))
-            _check_radial_panels(z[top] / _QUARTER, float(rho[top]), t)
+            z = m.support_profile(om_rows) * c
             return m.angular_density(om_rows) * c ** (-s) * _cumulative("ball", d, [s], z)[0]
 
-    if d == 1:
-        return orthant_integral(alphas, angular_value, (), 0)
-
-    if d > 3:
-        raise ValueError(f"continuous decay integrals support d <= 3, got d = {d}")
-    phi_base = {0.0, math.pi / 2}
+    base = set()
     if d == 2 and is_cube:
         # phi: omega_2 -> 0 at phi = 0, omega_1 -> 0 at phi = pi/2
-        phi_base |= set(_axis_graded(2.0 * math.pi / (t[1] * rho_max)))
-        phi_base |= {math.pi / 2 - b for b in _axis_graded(2.0 * math.pi / (t[0] * rho_max))}
-    if d == 2 and isinstance(m, AnisotropicPowerMeasure):
+        base |= set(graded_breaks(2.0 * math.pi / (t[1] * rho_max), math.pi / 4, 2.0))
+        base |= {math.pi / 2 - b for b in graded_breaks(2.0 * math.pi / (t[0] * rho_max),
+                                                        math.pi / 4, 2.0)}
+    if d == 2 and not is_radial:
         # the support box's corner direction is a kink of the radial extent
-        phi_base |= set(extent_kinks([m]))
+        base |= set(extent_kinks([m]))
     # d = 3 bisects phi and theta alike into 2 to 16 equal segments at a
     # fixed order; adequate for the moderate |t| this path sees (the
     # acceptance-scale sweeps are all 2-D)
     order, levels = (16, range(1, 7)) if d == 2 else (12, range(1, 5))
-
-    def level_value(splits: int) -> float:
-        breaks = sorted(phi_base)
-        for _ in range(splits):
-            mids = [(a + b) / 2 for a, b in zip(breaks[:-1], breaks[1:])]
-            breaks = sorted(set(breaks) | set(mids))
-        return orthant_integral(alphas, angular_value, breaks, order,
-                                theta_breaks=lambda phi: [breaks] * phi.size)
-
-    return _refine(level_value, levels, rel_tol, t)
+    return refined_orthant_integral(alphas, angular_value, base, order, levels, rel_tol,
+                                    f"t={t.tolist()}")
 
 
 def decay_integral(body: ConvexBody, m: SpectralMeasure, t, rel_tol: float = 1e-5) -> float:
     """I(t) for any supported measure; dispatches per family.
 
     Atomic parts are exact sums; continuous parts use angular-radial
-    quadrature.  Along each direction the radial integral is read off a
-    cached cumulative table: the profile G_s for a ball or an ellipsoid,
-    the cosine kernel K_{s,m} for the cube.  Raises QuadratureBudgetError
-    when the angular refinement cannot reach rel_tol (or rel_tol is below
-    double precision) or a radial integral needs more panels than the
-    budget.
+    quadrature in d <= 3 (else ValueError).  Along each direction the
+    radial integral is read off a cached cumulative table: the profile G_s
+    for a ball or an ellipsoid, the cosine kernel K_{s,m} for the cube; the
+    angular levels are `quadrature.refined_orthant_integral`'s.  Raises
+    QuadratureBudgetError when the angular refinement cannot reach rel_tol
+    (or rel_tol is below double precision), or, before any level, when some
+    direction's radial integral would need more panels than the budget.
     """
     if isinstance(m, AtomicMeasure):
         return decay_integral_atomic(body, m, t)

@@ -10,22 +10,24 @@ ellipsoidal / box neighborhoods of the origin and the singular integral
 int |x|^(-q) dsigma.  Masses are closed forms in d = 1, for a radial law on
 a ball, and for an anisotropic law on a neighbourhood inside its support
 box (in any d).  Otherwise they are angular quadratures in d <= 3 (radial
-direction in closed form), broken at the kinks of the radial extent, which
-`extent_kinks` gives in closed form.  The singular integral is a closed
-form for atomic sums and both power families (finite iff the radial
-order exceeds q), plus, for a box support in d >= 2, the angular
-quadrature of the piece outside the inscribed ball.
+direction in closed form) under the fixed kink rule of `quadrature`, fed
+the kinks of the radial extent, which `extent_kinks` gives in closed form.
+The singular integral is a closed form for atomic sums and both power
+families (finite iff the radial order exceeds q), plus, for a box support
+in d >= 2, the same angular quadrature of the piece outside the inscribed
+ball.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import as_vec, unit_sphere_area
-from .quadrature import QuadratureBudgetError, orthant_integral, refined_breaks
+from .quadrature import QuadratureBudgetError, kink_orthant_integral
 
 __all__ = [
     "AtomicMeasure",
@@ -269,6 +271,7 @@ class EllipsoidNeighborhood:
 
     def __post_init__(self):
         ax = tuple(float(a) for a in self.semi_axes)
+        _require_finite("neighborhood semi-axes", ax)
         if any(a <= 0 for a in ax):
             raise ValueError("neighborhood semi-axes must be positive")
         object.__setattr__(self, "semi_axes", ax)
@@ -303,6 +306,7 @@ class BoxNeighborhood:
 
     def __post_init__(self):
         hw = tuple(float(h) for h in self.halfwidths)
+        _require_finite("box halfwidths", hw)
         if any(h <= 0 for h in hw):
             raise ValueError("box halfwidths must be positive")
         object.__setattr__(self, "halfwidths", hw)
@@ -334,33 +338,11 @@ Neighborhood = EllipsoidNeighborhood | BoxNeighborhood
 #
 # Masses of star-shaped sets under power-homogeneous densities reduce to
 # integrals over the first orthant of the sphere (everything here is even
-# per axis), which `quadrature.orthant_integral` evaluates: its end segments
-# use Gauss-Jacobi rules so the |omega_k|^(alpha-1) axis singularities are
-# absorbed into the weights.  Here the breakpoints are chosen: every kink of
-# a radial extent (box corners, face switches, crossings of a neighbourhood
-# with the support's edge) comes in closed form from `extent_kinks`.
-
-_QUAD_ORDER = 24
-
-
-def _mass_breaks(d: int, extra, singular_ends: bool) -> list[float]:
-    """Breaks of one angle on [0, pi/2]: the kinks in `extra` plus pi/4 in
-    d = 3, refined to pi/32 in d = 2 and to pi/16 (phi and theta) in d = 3.
-
-    With `singular_ends` (axis factors |omega_k|^(alpha_k - 1) in the
-    density) a kink closer than 1/16 of that step to an end is graded away
-    from it by factors of 4 up to the step: otherwise the plain Gauss
-    segment after the thin end rule meets the end singularity just outside
-    itself and can be off by 1e-3.
-    """
-    step = math.pi / 32 if d == 2 else math.pi / 16
-    base = {0.0, math.pi / 2} if d == 2 else {0.0, math.pi / 4, math.pi / 2}
-    breaks = sorted(base | {float(b) for b in extra if 0.0 < b < math.pi / 2})
-    graded = []
-    for gap, end, sign in ((breaks[1], 0.0, 1.0), (math.pi / 2 - breaks[-2], math.pi / 2, -1.0)):
-        if singular_ends and gap < step / 16:
-            graded += [end + sign * gap * 4.0 ** j for j in range(1, 1 + int(math.log(step / gap, 4)))]
-    return refined_breaks(sorted(set(breaks + graded)), step)
+# per axis), which `quadrature.kink_orthant_integral` evaluates: Gauss-Jacobi
+# end segments absorb the |omega_k|^(alpha-1) axis singularities, and its
+# fixed kink rule sets breaks and order.  Only the kinks come from here: every
+# kink of a radial extent (box corners, face switches, crossings of a
+# neighbourhood with the support's edge) comes in closed form from `extent_kinks`.
 
 
 def _envelope_kinks(lines) -> list[float]:
@@ -455,18 +437,13 @@ def _continuous_mass(m, hood: Neighborhood) -> float:
         if all(a == ax[0] for a in ax):
             r = min(ax[0], m.radius)
             return m.scale * unit_sphere_area(d) * r ** s / s
-    if d > 3:
-        raise ValueError(f"mass quadrature supports d <= 3, got d = {d}")
 
     def g(om):
         rho = np.minimum(hood.radial_profile(om), m.support_profile(om))
         return m.angular_density(om) * rho ** s / s
 
-    singular = isinstance(m, AnisotropicPowerMeasure)
-    breaks = _mass_breaks(d, extent_kinks([hood, m]), singular)
-    return orthant_integral(m.angular_alphas, g, breaks, _QUAD_ORDER,
-                            lambda phi: [_mass_breaks(3, k, singular)
-                                         for k in extent_kinks([hood, m], phi)])
+    return kink_orthant_integral(m.angular_alphas, g, functools.partial(extent_kinks, [hood, m]),
+                                 singular_ends=isinstance(m, AnisotropicPowerMeasure))
 
 
 def mass(m: SpectralMeasure, hood: Neighborhood) -> float:
@@ -478,12 +455,12 @@ def mass(m: SpectralMeasure, hood: Neighborhood) -> float:
     N lies in its support box (delta_k <= b_k or h_k <= b_k): the product
     c prod 2 h_k^alpha_k / alpha_k on a box, the Liouville-Dirichlet
     c prod delta_k^alpha_k Gamma(alpha_k/2) / Gamma(1 + s/2) on an
-    ellipsoid (in logs when a Gamma factor overflows).  Otherwise (d <= 3
-    only) the radial direction is integrated in closed form and the
-    angular part by quadrature, with breaks at every kink of min(extent of
-    N, extent of the support) from `extent_kinks`: box corners, face
-    switches and crossings of the support's edge.  A continuous mass that
-    comes out non-finite raises QuadratureBudgetError.
+    ellipsoid (in logs when a Gamma factor overflows).  Otherwise the
+    radial direction is integrated in closed form and the angular part by
+    `quadrature.kink_orthant_integral` (d <= 3, else ValueError), fed every
+    kink of min(extent of N, extent of the support) from `extent_kinks`:
+    box corners, face switches and crossings of the support's edge.  A
+    continuous mass that comes out non-finite raises QuadratureBudgetError.
     Sums add their parts.
     """
     if isinstance(m, AtomicMeasure):
@@ -552,9 +529,8 @@ def singular_integral(m: SpectralMeasure, q: float) -> float:
     def g(om):
         return m.angular_density(om) * ((m.support_profile(om) ** s - r_in ** s) / s)
 
-    outer = orthant_integral(m.alphas, g, _mass_breaks(m.dim, extent_kinks([m]), True), _QUAD_ORDER,
-                             lambda phi: [_mass_breaks(3, k, True) for k in extent_kinks([m], phi)])
-    return inner + outer
+    return inner + kink_orthant_integral(m.alphas, g, functools.partial(extent_kinks, [m]),
+                                         singular_ends=True)
 
 
 # -- measure spec strings ----------------------------------------------------

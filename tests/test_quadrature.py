@@ -1,4 +1,5 @@
-"""Panel and end rules, orthant integrals, and the bracketed searches."""
+"""Panel and end rules, orthant integrals with their break policy, and the
+bracketed searches."""
 
 import math
 
@@ -7,15 +8,26 @@ import numpy as np
 import pytest
 
 from ergrates import quadrature
+from ergrates.geometry import Ball
 from ergrates.quadrature import (
+    QuadratureBudgetError,
     bisect,
     bracketed_maxima,
     bracketed_roots,
     end_power_rule,
     gl_edges_rule,
+    graded_breaks,
     orthant_integral,
-    refined_breaks,
+    refined_orthant_integral,
     segment_rules,
+)
+from ergrates.rates import decay_integral
+from ergrates.spectral import (
+    AnisotropicPowerMeasure,
+    EllipsoidNeighborhood,
+    RadialPowerMeasure,
+    mass,
+    singular_integral,
 )
 
 
@@ -38,14 +50,6 @@ def test_oscillatory_at_quarter_period_panels():
     n_panels = math.ceil(4.0 * w / (2.0 * math.pi))
     nodes, weights = gl_edges_rule(np.linspace(0.0, 1.0, n_panels + 1), order=16)
     assert float(np.sum(np.cos(w * nodes) * weights)) == pytest.approx(math.sin(w) / w, abs=1e-13)
-
-
-def test_refined_breaks_keep_every_break():
-    out = refined_breaks([0.0, 0.1, 1.0, 1.05], max_len=0.25)
-    assert {0.0, 0.1, 1.0, 1.05} <= set(out)
-    assert out == sorted(out)
-    assert max(np.diff(out)) <= 0.25 + 1e-15
-    assert len(out) == 1 + 1 + 4 + 1
 
 
 def test_segment_rules_absorb_both_singular_ends():
@@ -107,6 +111,103 @@ def test_orthant_integral_matches_sphere_moments(alphas):
             got = orthant_integral(alphas, g, breaks, order, theta_breaks=lambda phi: [breaks] * phi.size)
             assert type(got) is float
             assert got == pytest.approx(want, rel=1e-13), (n_seg, order)
+
+
+# -- the break policy ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("first, limit, ratio, n", [(3 / 16, 3.0, 2.0, 4), (1e-3, 1.0, 4.0, 5),
+                                                    (0.5, 0.5, 2.0, 0), (0.7, 0.5, 4.0, 0)])
+def test_graded_breaks_are_exact_powers_strictly_below_the_limit(first, limit, ratio, n):
+    # 3/16 * 2^4 = 3 and 1e-3 * 4^5 < 1 < 1e-3 * 4^6: a break at the limit is left out
+    out = graded_breaks(first, limit, ratio)
+    assert out == [first * ratio ** j for j in range(n)]
+    assert all(b < limit for b in out) and first * ratio ** n >= limit
+
+
+@pytest.mark.parametrize("d, step", [(2, math.pi / 32), (3, math.pi / 16)])
+def test_kink_breaks_keep_every_kink_within_the_step(d, step):
+    kinks = [1e-3, 0.1, 0.1 + 1e-9, 1.0, math.pi / 2 - 0.3]
+    out = quadrature._kink_breaks(d, kinks + [0.0, -0.2, math.pi / 2, 2.0], singular_ends=False)
+    assert set(kinks) | {0.0, math.pi / 2} <= set(out)
+    assert (math.pi / 4 in out) == (d == 3)
+    assert out[0] == 0.0 and out[-1] == math.pi / 2
+    assert np.all(np.diff(out) > 0.0) and np.max(np.diff(out)) <= step * (1.0 + 1e-12)
+
+
+def test_kink_breaks_grade_only_singular_ends():
+    # a kink 1/1000 of the step from either end is graded away from it by
+    # factors of 4 up to the step; one at 1/8 of the step is not
+    step = math.pi / 32
+    kinks = [step / 1000.0, math.pi / 2 - step / 1000.0]
+    graded = quadrature._kink_breaks(2, kinks, singular_ends=True)
+    plain = quadrature._kink_breaks(2, kinks, singular_ends=False)
+    gap_hi = math.pi / 2 - kinks[1]  # the gap to pi/2 as the rule sees it
+    want = ({kinks[0] * 4.0 ** j for j in range(1, 5)}  # 4^4 < 1000 < 4^5
+            | {math.pi / 2 - gap_hi * 4.0 ** j for j in range(1, 5)})
+    assert want <= set(graded) and want.isdisjoint(plain)
+    assert np.all(np.diff(graded) > 0.0) and np.max(np.diff(graded)) <= step * (1.0 + 1e-12)
+    far = [step / 8.0, math.pi / 2 - step / 8.0]
+    assert (quadrature._kink_breaks(2, far, singular_ends=True)
+            == quadrature._kink_breaks(2, far, singular_ends=False))
+
+
+def _scripted(levels):
+    """An integrand on the first quadrant whose orthant integral is 2 pi
+    levels[k] at its k-th call, recording the node count of each call."""
+    sizes = []
+
+    def g(om):
+        sizes.append(om.shape[0])
+        return np.full(om.shape[0], levels[len(sizes) - 1])
+
+    return g, sizes
+
+
+def test_level_loop_stops_at_the_first_level_that_agrees():
+    g, sizes = _scripted([1.0, 1.5, 1.25, 1.25 * (1.0 + 1e-7), 9.0])
+    got = refined_orthant_integral((1.0, 1.0), g, {0.3}, order=4, levels=range(1, 7),
+                                   rel_tol=1e-6, label="x")
+    assert got == pytest.approx(2.0 * math.pi * 1.25 * (1.0 + 1e-7), rel=1e-13)
+    # one call per level: {0, 0.3, pi/2} bisected once, then once more per level
+    assert sizes == [4 * 4, 4 * 8, 4 * 16, 4 * 32]
+
+
+def test_level_loop_raises_after_the_last_level():
+    g, sizes = _scripted([1.0, 2.0, 3.0, 4.0, 5.0])
+    with pytest.raises(QuadratureBudgetError, match=r"did not reach rel_tol=1e-06 for t=\[1\]"):
+        refined_orthant_integral((1.0, 1.0), g, set(), order=4, levels=range(2, 5),
+                                 rel_tol=1e-6, label="t=[1]")
+    assert sizes == [4 * 4, 4 * 8, 4 * 16]
+
+
+def test_level_loop_in_d1_takes_the_one_direction():
+    g, sizes = _scripted([0.75])
+    got = refined_orthant_integral((1.0,), g, set(), order=4, levels=range(1, 7),
+                                   rel_tol=1e-6, label="x")
+    assert got == 1.5 and sizes == [1]
+
+
+def test_decay_refinement_failure_names_t(monkeypatch):
+    # levels that never agree: the real loop gives up after its last level
+    calls = iter(range(1, 100))
+    monkeypatch.setattr(quadrature, "orthant_integral", lambda *args: float(next(calls)))
+    m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2)
+    with pytest.raises(QuadratureBudgetError) as err:
+        decay_integral(Ball(1.0), m, [3.0, 4.0])
+    assert str(err.value) == "angular refinement did not reach rel_tol=1e-05 for t=[3.0, 4.0]"
+    assert next(calls) == 7  # levels 1 to 6
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: decay_integral(Ball(1.0, dim=4), RadialPowerMeasure(2.0, 1.0, 1.0, 4), [3.0] * 4),
+    lambda: mass(AnisotropicPowerMeasure((1.0,) * 4, (1.0,) * 4, 1.0),
+                 EllipsoidNeighborhood((1.5, 0.3, 0.9, 0.2))),
+    lambda: singular_integral(AnisotropicPowerMeasure((2.0,) * 4, (1.0, 2.0, 1.0, 1.0), 1.0), 5.0),
+], ids=["decay", "straddling-mass", "aniso-singular"])
+def test_angular_quadrature_refuses_d4(compute):
+    with pytest.raises(ValueError, match="d <= 3"):
+        compute()
 
 
 class TestBrackets:

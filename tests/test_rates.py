@@ -57,6 +57,9 @@ import reference
 
 RNG = np.random.default_rng(41005)
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(ergrates.__file__)))
+# supports so large that every radial table would be over the panel budget
+RADIAL_HUGE = RadialPowerMeasure.with_total_mass(2.0, 1e150, 1.0, dim=2)
+ANISO_HUGE = AnisotropicPowerMeasure.with_total_mass((1.0, 1.0), (1e150, 1e150), 1.0)
 
 
 def ball_ratio_sq(z):
@@ -215,6 +218,24 @@ class TestContinuous:
         m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2)
         with pytest.raises(ValueError, match="dimension mismatch: expected 3, got 2"):
             decay_integral(body, m, [3.0, 3.0])
+
+    @pytest.mark.parametrize("body, m, support, panels", [
+        (Ball(1.0), RADIAL_HUGE, "1e+150", "5.09e+150"),  # R t_2
+        (Ellipsoid((2.0, 1.0)), RADIAL_HUGE, "1e+150", "7.64e+150"),  # R a_1 t_1
+        (Ball(1.0), ANISO_HUGE, "1.41421e+150", "6.37e+150"),  # |t o b|
+        (Ellipsoid((2.0, 1.0)), ANISO_HUGE, "1.41421e+150", "9.18e+150"),  # |a o t o b|
+    ], ids=["ball-radial", "ellipsoid-radial", "ball-aniso", "ellipsoid-aniso"])
+    def test_panel_budget_checked_before_the_level_loop(self, body, m, support, panels,
+                                                        monkeypatch):
+        # the largest z = rho c of any direction, over pi/4, is over the
+        # budget: no angular level runs
+        def no_levels(*args, **kwargs):
+            raise AssertionError("the level loop ran before the panel budget was checked")
+
+        monkeypatch.setattr(rates, "refined_orthant_integral", no_levels)
+        with pytest.raises(quadrature.QuadratureBudgetError) as err:
+            decay_integral(body, m, [3.0, 4.0])
+        assert f"support {support} at t=[3.0, 4.0] needs {panels} panels" in str(err.value)
 
 
 def weber_schafheitlin(nu, lam):

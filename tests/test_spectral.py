@@ -113,6 +113,14 @@ class TestNeighborhoods:
         with pytest.raises(ValueError):
             BoxNeighborhood.from_inverse([1.0, 0.0])
 
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls", [EllipsoidNeighborhood, BoxNeighborhood])
+    def test_non_finite_sizes_refused(self, cls, size):
+        # a nan size once gave an atomic mass of 0.0 and a continuous one
+        # that raised only inside the quadrature
+        with pytest.raises(ValueError, match="must be finite"):
+            cls((size, 0.1))
+
     def test_radial_profile_box(self):
         hood = BoxNeighborhood(halfwidths=(1.0, 1.0))
         # along the diagonal the boundary sits at the corner, radius sqrt(2)
