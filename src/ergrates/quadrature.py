@@ -7,7 +7,15 @@ singular-end segment rules), and every angular integral over the unit
 sphere, which all go through `orthant_integral`, with breaks, order and
 refinement set here: the fixed kink rule for neighborhood masses and the
 singular integral's outer piece, the level loop for decay integrals.
-Callers pass only their integrand and its kinks.  Budgets are enforced
+Callers pass only their integrand and its kinks.  Segment rules are built
+for many break lists at once (`line_rules`; `segment_rules` is its one-line
+case): the interior segments are one broadcast of the cached
+Gauss-Legendre rule, the singular end segments one Gauss-Jacobi call per
+end, and each rule is bit for bit `end_power_rule` on its segment.  In
+d = 3 every theta line's rule comes from one such call, the integrand
+takes the directions in consecutive chunks of at most `_ROWS_PER_CALL`
+rows, which may cut across lines, each theta line is summed as np.sum sums
+it alone, and the lines are added up in phi order.  Budgets are enforced
 loudly, never silently.  Every root and peak search (ray zeros and peaks,
 level sets) is one of the 1-D bracketed searches at the end, which work
 on many brackets at once.
@@ -22,6 +30,7 @@ singular-end rule never pay it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -30,9 +39,9 @@ __all__ = [
     "QuadratureBudgetError",
     "gl_edges_rule",
     "end_power_rule",
+    "line_rules",
     "segment_rules",
     "graded_breaks",
-    "orthant_directions",
     "orthant_integral",
     "kink_orthant_integral",
     "refined_orthant_integral",
@@ -77,13 +86,16 @@ def gl_edges_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
     return nodes, weights
 
 
-def end_power_rule(a: float, b: float, exponent: float, at_lower: bool, order: int):
+def end_power_rule(a: float, b: float, exponent: float, at_lower: bool, order: int,
+                   scale=None):
     """Rule on [a, b] for integrands ~ (x-a)^exponent or (b-x)^exponent.
 
     Returned weights apply to the full integrand (the singular factor is
     divided back out at the nodes), so callers never special-case ends.
     exponent = 0 gives the plain Gauss-Legendre rule on [a, b].  Column
-    arrays a, b of shape (N, 1) give N rules at once, one per row.
+    arrays a, b of shape (N, 1) give N rules at once, one per row; `scale`,
+    when given, is the column of ((b-a)/2)^(exponent+1) factors of the
+    weights, which numpy's array power can round apart from the scalar one.
     """
     if exponent == 0.0:
         x, w = _gl(order)
@@ -93,25 +105,64 @@ def end_power_rule(a: float, b: float, exponent: float, at_lower: bool, order: i
     nodes = a + half * (x + 1.0)
     if exponent == 0.0:
         return nodes, half * w
+    if scale is None:
+        scale = half ** (exponent + 1.0)
     dist = nodes - a if at_lower else b - nodes
-    return nodes, w * (half ** (exponent + 1.0)) / dist ** exponent
+    return nodes, w * scale / dist ** exponent
+
+
+def _end_rules(a, b, exponent: float, at_lower: bool, order: int):
+    """`end_power_rule` on the end segments [a, b]: one scalar call for the
+    end of one line, else one column-array call for an array of lines,
+    whose scale is taken per line as a Python float, as the scalar call
+    takes it."""
+    if not isinstance(a, np.ndarray):
+        return end_power_rule(float(a), float(b), exponent, at_lower, order)
+    scale = np.array([h ** (exponent + 1.0) for h in (0.5 * (b - a)).tolist()])
+    return end_power_rule(a[:, None], b[:, None], exponent, at_lower, order, scale[:, None])
+
+
+def _segment_rows(lo, hi, first, last, exp_lo: float, exp_hi: float, order: int):
+    """Flat (nodes, weights) of one rule per segment [lo_i, hi_i], in order:
+    Gauss-Legendre, one broadcast for all, except the segments `first`,
+    singular as (x - lo)^exp_lo, and `last`, singular as (hi - x)^exp_hi."""
+    x, w = _gl(order)
+    half = 0.5 * (hi - lo)
+    nodes = lo[:, None] + half[:, None] * (x + 1.0)
+    weights = half[:, None] * w
+    for exponent, rows, at_lower in ((exp_lo, first, True), (exp_hi, last, False)):
+        if exponent != 0.0:
+            nodes[rows], weights[rows] = _end_rules(lo[rows], hi[rows], exponent, at_lower, order)
+    return nodes.ravel(), weights.ravel()
+
+
+_ONE_SEGMENT = "a break list of one segment cannot absorb two singular ends"
 
 
 def segment_rules(breaks: list[float], exp_lo: float, exp_hi: float, order: int):
-    """Per-segment rules on [breaks[0], breaks[-1]] with singular ends; the
-    breaks must strictly increase."""
-    nodes, weights = [], []
-    n_seg = len(breaks) - 1
-    for i in range(n_seg):
-        a, b = breaks[i], breaks[i + 1]
-        if i == 0 and exp_lo != 0.0:
-            nd, wt = end_power_rule(a, b, exp_lo, at_lower=True, order=order)
-        else:
-            exponent = exp_hi if i == n_seg - 1 else 0.0
-            nd, wt = end_power_rule(a, b, exponent, at_lower=False, order=order)
-        nodes.append(nd)
-        weights.append(wt)
-    return np.concatenate(nodes), np.concatenate(weights)
+    """Per-segment rules on [breaks[0], breaks[-1]], which must strictly
+    increase, with singular ends of exponents exp_lo and exp_hi: each rule
+    bit for bit `end_power_rule` on its segment.  A single segment cannot
+    absorb two singular ends: ValueError."""
+    if exp_lo != 0.0 and exp_hi != 0.0 and len(breaks) == 2:
+        raise ValueError(_ONE_SEGMENT)
+    edges = np.asarray(breaks, dtype=float)
+    return _segment_rows(edges[:-1], edges[1:], 0, edges.size - 2, exp_lo, exp_hi, order)
+
+
+def line_rules(lines, exp_lo: float, exp_hi: float, order: int):
+    """`segment_rules` of every break list in `lines` at once: flat (nodes,
+    weights), one line after another, and the node count of each line.
+    The end segments of all lines are one column-array call per end."""
+    n_seg = np.array([len(tb) - 1 for tb in lines])
+    if exp_lo != 0.0 and exp_hi != 0.0 and np.any(n_seg == 1):
+        raise ValueError(_ONE_SEGMENT)
+    edges = np.fromiter(itertools.chain.from_iterable(lines), float)
+    stop = np.cumsum(n_seg)  # one past each line's last segment
+    last_break = stop + np.arange(n_seg.size)
+    nodes, weights = _segment_rows(np.delete(edges, last_break), np.delete(edges, last_break - n_seg),
+                                   stop - n_seg, stop - 1, exp_lo, exp_hi, order)
+    return nodes, weights, n_seg * order
 
 
 def graded_breaks(first: float, limit: float, ratio: float) -> list[float]:
@@ -124,20 +175,8 @@ def graded_breaks(first: float, limit: float, ratio: float) -> list[float]:
     return out
 
 
-def orthant_directions(phi, theta=None) -> np.ndarray:
-    """Unit directions (rows) in the first orthant of the sphere.
-
-    d = 2: (cos phi, sin phi) for an array of phi.  d = 3: an array of polar angles
-    theta, measured from the x_3 axis, and azimuths phi that broadcast to it.
-    """
-    if theta is None:
-        return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
-
-
-# rows of directions per call of the angular integrand in d = 3: whole phi
-# lines are batched up to this count, which bounds the transient arrays
+# rows of directions per call of the angular integrand in d = 3, which bounds
+# the transient arrays; chunks need not follow phi lines
 _ROWS_PER_CALL = 4096
 
 
@@ -150,9 +189,15 @@ def orthant_integral(alphas, g, breaks, order: int, theta_breaks=None) -> float:
     e_1 (breaks and order unused).  In d = 2 and 3 the azimuth phi runs
     over `breaks`; in d = 3 the polar angle theta of the i-th phi node runs
     over `theta_breaks(phi)[i]`, where phi is the array of every phi node,
-    and the sin(theta) surface element is included.
-    g is called on batches of rows (in d = 3, of whole phi lines), so it
-    must treat every row on its own.
+    and the sin(theta) surface element is included: the directions are
+    (sin theta cos phi, sin theta sin phi, cos theta).
+    In d = 3 the theta rules of all phi nodes come from one `line_rules`
+    call, and g is called on consecutive chunks of at most _ROWS_PER_CALL
+    rows that may cut across phi lines, so it must treat every row on its
+    own.  Each phi line's theta sum is the one np.sum takes of that line
+    alone (each run of consecutive lines of one length is summed as the
+    rows of one 2-D view), and the lines are added up in phi order, one
+    after another.
     """
     d = len(alphas)
     if d == 1:
@@ -163,24 +208,27 @@ def orthant_integral(alphas, g, breaks, order: int, theta_breaks=None) -> float:
     # phi end behavior: sin(phi)^(a2-1) at 0, cos(phi)^(a1-1) at pi/2
     phi, w_phi = segment_rules(breaks, exp_lo=a2 - 1.0, exp_hi=a1 - 1.0, order=order)
     if d == 2:
-        return 4.0 * float(np.sum(g(orthant_directions(phi)) * w_phi))
+        return 4.0 * float(np.sum(g(np.stack([np.cos(phi), np.sin(phi)], axis=-1)) * w_phi))
     # theta end behavior: sin(theta)^(a1+a2-1) at 0, cos(theta)^(a3-1) at pi/2
-    rules = [segment_rules(tb, exp_lo=a1 + a2 - 1.0, exp_hi=alphas[2] - 1.0, order=order)
-             for tb in theta_breaks(phi)]
-    # one call of g per batch of whole phi lines, at most _ROWS_PER_CALL rows
-    per_call = max(1, _ROWS_PER_CALL // max(th.size for th, _ in rules))
+    theta, terms, sizes = line_rules(theta_breaks(phi), a1 + a2 - 1.0, alphas[2] - 1.0, order)
+    line = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)  # the phi node of each row
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    for i in range(0, theta.size, _ROWS_PER_CALL):
+        rows = slice(i, i + _ROWS_PER_CALL)
+        th, k = theta[rows], line[rows]
+        st = np.sin(th)
+        om = np.stack([st * cos_phi[k], st * sin_phi[k], np.cos(th)], axis=-1)
+        terms[rows] = g(om) * st * terms[rows]  # the weights become g sin(theta) w_theta
+    # each run of lines of one length is summed as the rows of one 2-D view
+    stop = np.cumsum(sizes)
+    runs = np.flatnonzero(np.diff(sizes)) + 1
+    sums = np.empty(sizes.size)
+    for a, b in zip([0, *runs.tolist()], [*runs.tolist(), sizes.size]):
+        sums[a:b] = terms[stop[a] - sizes[a]:stop[b - 1]].reshape(b - a, -1).sum(axis=1)
     total = 0.0
-    for i in range(0, len(rules), per_call):
-        batch = range(i, min(i + per_call, len(rules)))
-        sizes = [rules[k][0].size for k in batch]
-        vals = g(orthant_directions(np.repeat(phi[batch.start:batch.stop], sizes),
-                                    np.concatenate([rules[k][0] for k in batch])))
-        start = 0
-        for k in batch:
-            th, w_th = rules[k]
-            total += w_phi[k] * float(np.sum(vals[start:start + th.size] * np.sin(th) * w_th))
-            start += th.size
-    return 8.0 * float(total)
+    for v in (w_phi * sums).tolist():  # sequential, in phi order
+        total += v
+    return 8.0 * total
 
 
 # -- the break policy of the angular integrals ---------------------------------

@@ -109,10 +109,12 @@ def _checked_scale(total: float, scale) -> float:
 def _box_extent(halfwidths, om: np.ndarray) -> np.ndarray:
     """Distance to the boundary of the box |x_k| <= h_k along unit directions (rows)."""
     om = np.abs(np.atleast_2d(om))
-    h = np.asarray(halfwidths)
-    with np.errstate(divide="ignore"):
-        ratios = np.where(om > 0.0, h[None, :] / om, np.inf)
-    return np.min(ratios, axis=1)
+    # column by column: the axis reduction costs ~10x more on rows this short
+    with np.errstate(divide="ignore"):  # h_k / 0 is inf: no bound along that axis
+        out = halfwidths[0] / om[:, 0]
+        for k in range(1, len(halfwidths)):
+            out = np.minimum(out, halfwidths[k] / om[:, k])
+    return out
 
 
 # Both power families give the angular-radial quadratures one interface: along
@@ -211,8 +213,13 @@ class AnisotropicPowerMeasure:
         return self.alphas
 
     def angular_density(self, om: np.ndarray) -> np.ndarray:
-        al = np.asarray(self.alphas)
-        return self.scale * np.prod(np.abs(om) ** (al[None, :] - 1.0), axis=1)
+        # the powers on the whole array: a column power with a scalar exponent
+        # of 0.5 or 2 takes numpy's sqrt or square path and rounds apart
+        factors = np.abs(om) ** (np.asarray(self.alphas)[None, :] - 1.0)
+        out = factors[:, 0]
+        for k in range(1, self.dim):  # column by column, in the order np.prod takes
+            out = out * factors[:, k]
+        return self.scale * out
 
     def support_profile(self, om: np.ndarray) -> np.ndarray:
         return _box_extent(self.halfwidths, om)

@@ -7,6 +7,9 @@ constants of a homogeneous comparison function on a sector.  `decimals`
 draws the short decimal values the spec-grammar round trips are built from.
 `extent_switches` finds the kinks of a radial extent by a dense scan of
 which boundary piece is nearest, never through quadratic forms.
+`segment_rules_loop` and `orthant_integral_3d_loop` build the angular rules
+one segment and one phi line at a time, the loops the vectorised builders
+must reproduce bit for bit.
 """
 
 import functools
@@ -16,6 +19,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ergrates.geometry import Cube
+from ergrates.quadrature import end_power_rule
 from ergrates.spectral import EllipsoidNeighborhood, RadialPowerMeasure
 
 # orders double from the first until two agree to this absolute difference
@@ -128,6 +132,43 @@ def extent_switches(shapes, phi=None) -> list[float]:
                 hi = mid
         out.append(0.5 * (lo + hi))
     return out
+
+
+# -- angular rules one segment and one line at a time ----------------------------
+
+
+def segment_rules_loop(breaks, exp_lo: float, exp_hi: float, order: int):
+    """Per-segment rules on the break list, one `end_power_rule` call per
+    segment: (x - breaks[0])^exp_lo on the first, (breaks[-1] - x)^exp_hi
+    on the last, plain Gauss-Legendre between."""
+    nodes, weights = [], []
+    n_seg = len(breaks) - 1
+    for i in range(n_seg):
+        a, b = breaks[i], breaks[i + 1]
+        if i == 0 and exp_lo != 0.0:
+            nd, wt = end_power_rule(a, b, exp_lo, at_lower=True, order=order)
+        else:
+            exponent = exp_hi if i == n_seg - 1 else 0.0
+            nd, wt = end_power_rule(a, b, exponent, at_lower=False, order=order)
+        nodes.append(nd)
+        weights.append(wt)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def orthant_integral_3d_loop(alphas, g, breaks, order: int, theta_breaks) -> float:
+    """8 times the integral of g over the first octant of the unit sphere:
+    the phi and theta rules of `segment_rules_loop`, g called once per phi
+    line, each line summed by np.sum and the lines added in phi order."""
+    a1, a2, a3 = alphas
+    phi, w_phi = segment_rules_loop(breaks, a2 - 1.0, a1 - 1.0, order)
+    total = 0.0
+    for p, wp, tb in zip(phi, w_phi, theta_breaks(phi)):
+        th, w_th = segment_rules_loop(tb, a1 + a2 - 1.0, a3 - 1.0, order)
+        st = np.sin(th)
+        om = np.stack([st * np.cos(np.full(th.size, p)), st * np.sin(np.full(th.size, p)),
+                       np.cos(th)], axis=-1)
+        total += wp * float(np.sum(g(om) * st * w_th))
+    return 8.0 * float(total)
 
 
 # -- sector sandwich constants -------------------------------------------------

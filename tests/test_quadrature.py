@@ -1,14 +1,18 @@
 """Panel and end rules, orthant integrals with their break policy, and the
 bracketed searches."""
 
+import functools
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from ergrates import quadrature
-from ergrates.geometry import Ball
+from ergrates.geometry import Ball, Cube
 from ergrates.quadrature import (
     QuadratureBudgetError,
     bisect,
@@ -17,6 +21,8 @@ from ergrates.quadrature import (
     end_power_rule,
     gl_edges_rule,
     graded_breaks,
+    kink_orthant_integral,
+    line_rules,
     orthant_integral,
     refined_orthant_integral,
     segment_rules,
@@ -24,8 +30,10 @@ from ergrates.quadrature import (
 from ergrates.rates import decay_integral
 from ergrates.spectral import (
     AnisotropicPowerMeasure,
+    BoxNeighborhood,
     EllipsoidNeighborhood,
     RadialPowerMeasure,
+    extent_kinks,
     mass,
     singular_integral,
 )
@@ -60,6 +68,65 @@ def test_segment_rules_absorb_both_singular_ends():
     want = math.gamma(0.6) * math.gamma(1.7) / math.gamma(2.3)
     assert got == pytest.approx(want, rel=1e-12)
     assert nodes.size == 3 * 10 and np.all((nodes > 0.0) & (nodes < 1.0))
+
+
+def test_one_segment_cannot_absorb_two_singular_ends():
+    # a lone segment's Jacobi rule absorbs only one of two singular ends
+    with pytest.raises(ValueError, match="one segment cannot absorb two singular ends"):
+        segment_rules([0.0, 1.0], exp_lo=-0.4, exp_hi=0.7, order=8)
+    with pytest.raises(ValueError, match="one segment cannot absorb two singular ends"):
+        line_rules([[0.0, 0.5, 1.0], [0.0, 1.0]], exp_lo=-0.4, exp_hi=0.7, order=8)
+    # one singular end on a lone segment is the end rule itself
+    for exp_lo, exp_hi, at_lower in ((-0.4, 0.0, True), (0.0, 0.7, False)):
+        nodes, weights = segment_rules([0.5, 2.0], exp_lo, exp_hi, order=8)
+        want = end_power_rule(0.5, 2.0, exp_lo + exp_hi, at_lower=at_lower, order=8)
+        assert np.array_equal(nodes, want[0]) and np.array_equal(weights, want[1])
+
+
+def test_angular_break_lists_have_two_segments_or_more():
+    # no caller gives a lone segment: the kink rule splits every angle at
+    # pi/32 or pi/16, and the level loop's first level (1 in `rates`) at pi/4
+    for d in (2, 3):
+        assert len(quadrature._kink_breaks(d, [], singular_ends=True)) - 1 >= 8
+    g, sizes = _scripted([1.0])
+    with pytest.raises(QuadratureBudgetError):
+        refined_orthant_integral((0.5, 1.5), g, set(), order=4, levels=range(1, 2),
+                                 rel_tol=1e-6, label="x")
+    assert sizes == [2 * 4]
+    with pytest.raises(ValueError, match="one segment"):
+        refined_orthant_integral((0.5, 1.5), g, set(), order=4, levels=range(0, 3),
+                                 rel_tol=1e-6, label="x")
+
+
+def _break_lines(seed: int, n_lines: int, both_singular: bool) -> list[list[float]]:
+    """n_lines strictly increasing break lists of 2 to 70 breaks (3 or more
+    when both ends are singular), with gaps from 1e-9 to 1."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for n in rng.integers(3 if both_singular else 2, 71, size=n_lines):
+        gaps = 10.0 ** rng.uniform(-9.0, 0.0, n - 1)
+        line = np.cumsum(np.concatenate(([rng.uniform(-2.0, 2.0)], gaps))).tolist()
+        assert all(a < b for a, b in zip(line, line[1:]))
+        lines.append(line)
+    return lines
+
+
+# end exponents in (-1, 3); scipy's Gauss-Jacobi nodes turn NaN as one nears -1
+_EXPONENTS = st.one_of(st.just(0.0), st.floats(-0.999, 3.0, exclude_max=True))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_lines=st.integers(1, 300),
+       exp_lo=_EXPONENTS, exp_hi=_EXPONENTS, order=st.integers(4, 24))
+def test_line_rules_equal_the_per_segment_loop(seed, n_lines, exp_lo, exp_hi, order):
+    lines = _break_lines(seed, n_lines, exp_lo != 0.0 and exp_hi != 0.0)
+    nodes, weights, sizes = line_rules(lines, exp_lo, exp_hi, order)
+    want = [reference.segment_rules_loop(tb, exp_lo, exp_hi, order) for tb in lines]
+    assert sizes.tolist() == [nd.size for nd, _ in want]
+    assert np.array_equal(nodes, np.concatenate([nd for nd, _ in want]))
+    assert np.array_equal(weights, np.concatenate([wt for _, wt in want]))
+    one = segment_rules(lines[0], exp_lo, exp_hi, order)
+    assert np.array_equal(one[0], want[0][0]) and np.array_equal(one[1], want[0][1])
 
 
 @pytest.mark.parametrize("cached", [lambda: quadrature._gl(8),
@@ -111,6 +178,79 @@ def test_orthant_integral_matches_sphere_moments(alphas):
             got = orthant_integral(alphas, g, breaks, order, theta_breaks=lambda phi: [breaks] * phi.size)
             assert type(got) is float
             assert got == pytest.approx(want, rel=1e-13), (n_seg, order)
+
+
+# -- d = 3: every theta line at once, the integrand in chunks of rows --------------
+
+
+def _recorded(g, calls: list):
+    def rec(om):
+        calls.append(om.copy())
+        return g(om)
+    return rec
+
+
+def _checked_against_the_loop(monkeypatch, values: list):
+    """Make every orthant_integral call check itself against the one-line-
+    at-a-time loop: g sees at most _ROWS_PER_CALL rows a call, every node
+    exactly once and in the loop's order, and the value is the loop's."""
+    real = quadrature.orthant_integral
+
+    def checked(alphas, g, breaks, order, theta_breaks=None):
+        got, want = [], []
+        value = real(alphas, _recorded(g, got), breaks, order, theta_breaks)
+        expected = reference.orthant_integral_3d_loop(alphas, _recorded(g, want), breaks, order,
+                                                      theta_breaks)
+        assert max(om.shape[0] for om in got) <= quadrature._ROWS_PER_CALL
+        assert np.array_equal(np.concatenate(got), np.concatenate(want))
+        assert value == expected
+        values.append(value)
+        return value
+
+    monkeypatch.setattr(quadrature, "orthant_integral", checked)
+
+
+_M3 = AnisotropicPowerMeasure((0.7, 1.4, 1.9), (0.8, 1.1, 0.6), 1.0)
+_HOOD3 = BoxNeighborhood((0.9, 0.3, 0.7))
+_RADIAL3 = RadialPowerMeasure.with_total_mass(1.7, 1.0, 1.0, dim=3)
+_HOOD3_RUNS = BoxNeighborhood((0.9, 0.5, 0.7))  # theta lines of two lengths in eight runs
+
+
+def _mass_integrand(m, hood):
+    def g(om):
+        rho = np.minimum(hood.radial_profile(om), m.support_profile(om))
+        return m.angular_density(om) * rho ** m.radial_order / m.radial_order
+    return g
+
+
+@pytest.mark.parametrize("rows_per_call", [None, 7], ids=["default", "7"])
+@pytest.mark.parametrize("m, hood", [(_M3, _HOOD3), (_RADIAL3, _HOOD3_RUNS)],
+                         ids=["aniso-singular-ends", "radial-runs-of-lengths"])
+def test_d3_chunks_cover_every_node_once_as_the_line_loop(monkeypatch, rows_per_call, m, hood):
+    if rows_per_call is not None:
+        monkeypatch.setattr(quadrature, "_ROWS_PER_CALL", rows_per_call)
+    values = []
+    _checked_against_the_loop(monkeypatch, values)
+    aniso = isinstance(m, AnisotropicPowerMeasure)
+    g = _mass_integrand(m, hood)
+    kink = kink_orthant_integral(m.angular_alphas, g, functools.partial(extent_kinks, [hood, m]),
+                                 singular_ends=aniso)
+    level = refined_orthant_integral(m.angular_alphas, g, set(), order=12, levels=range(3, 5),
+                                     rel_tol=1.0, label="x")
+    assert len(values) == 3 and values[0] == kink and values[2] == level  # kink, levels 3, 4
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: mass(_M3, _HOOD3),
+    lambda: mass(RadialPowerMeasure.with_total_mass(1.7, 1.0, 1.0, dim=3),
+                 EllipsoidNeighborhood((0.2, 0.25, 0.15))),
+    lambda: singular_integral(_M3, 2.0),
+    lambda: decay_integral(Cube(3), _M3, [3.0, 5.0, 4.0], rel_tol=1e-3),
+], ids=["aniso-box-mass", "radial-ellipsoid-mass", "singular", "decay"])
+def test_d3_values_do_not_depend_on_the_chunk_size(monkeypatch, compute):
+    want = compute()
+    monkeypatch.setattr(quadrature, "_ROWS_PER_CALL", 7)
+    assert compute() == want
 
 
 # -- the break policy ---------------------------------------------------------

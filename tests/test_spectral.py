@@ -128,6 +128,63 @@ class TestNeighborhoods:
         assert hood.radial_profile(om)[0] == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
 
+def _directions_with_zeros(dim: int, rng, zeros_per_row: int) -> np.ndarray:
+    """Random unit rows of both signs, then copies of them with
+    `zeros_per_row` components set to +0.0 or -0.0."""
+    om = rng.standard_normal((300, dim))
+    om /= np.linalg.norm(om, axis=1)[:, None]
+    edge = om[:90].copy()
+    for i, row in enumerate(edge):
+        for j in range(min(zeros_per_row, dim - 1)):
+            row[(i + j) % dim] = 0.0 if i % 2 else -0.0
+    return np.concatenate([om, edge])
+
+
+class TestColumnKernels:
+    """The box extent and the aniso density combine their columns directly;
+    row by row in Python they give the same bits."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_box_extent_row_by_row(self, dim):
+        rng = np.random.default_rng(7 + dim)
+        hood = BoxNeighborhood(tuple(rng.uniform(0.1, 2.0, dim).tolist()))
+        om = np.concatenate([_directions_with_zeros(dim, rng, 2), np.eye(dim)])
+        # omega_k = 0 sets no bound along axis k: its ratio is infinite
+        want = [min(h / abs(w) if w != 0.0 else math.inf for h, w in zip(hood.halfwidths, row))
+                for row in om.tolist()]
+        got = hood.radial_profile(om)
+        assert got.tolist() == want
+        assert got[-dim:].tolist() == list(hood.halfwidths)  # along an axis: that halfwidth
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_aniso_density_row_by_row(self, dim):
+        rng = np.random.default_rng(11 + dim)
+        # no factor is 1; exponents 0.5 and 2 have numpy sqrt and square paths
+        alphas = [[0.6], [1.5, 0.4], [0.4, 1.6, 3.0]][dim - 1]
+        m = AnisotropicPowerMeasure(tuple(alphas), (1.0,) * dim, 1.7)
+        om = _directions_with_zeros(dim, rng, 1)
+        al = np.asarray(alphas)
+
+        def row_density(row):
+            factors = np.abs(row) ** (al - 1.0)  # numpy's power, as the package takes it
+            out = factors[0]
+            for f in factors[1:]:
+                out = out * f
+            return m.scale * out
+
+        with np.errstate(divide="ignore"):  # 0 ** (alpha - 1) with alpha < 1
+            got = m.angular_density(om)
+            want = [row_density(row) for row in om]
+        assert got.tolist() == want
+        # omega_k = 0 (one per row) gives an infinite density where alpha_k < 1
+        # and a zero one where alpha_k > 1
+        zero = om == 0.0
+        below = np.asarray(alphas) < 1.0
+        infinite, vanishing = np.any(zero & below, axis=1), np.any(zero & ~below, axis=1)
+        assert np.all(np.isinf(got[infinite])) and np.all(got[vanishing] == 0.0)
+        assert np.all(np.isfinite(got[~infinite])) and infinite.any() == (dim > 1)
+
+
 class TestAtomicMass:
     def test_membership_sum(self):
         m = AtomicMeasure(
