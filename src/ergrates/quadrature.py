@@ -261,9 +261,11 @@ def _kink_breaks(d: int, kinks, singular_ends: bool) -> list[float]:
 def kink_orthant_integral(alphas, g, kinks, singular_ends: bool) -> float:
     """`orthant_integral` of g under the fixed kink rule: kinks() gives the
     azimuths where g kinks and, in d = 3, kinks(phi) the polar angles at each
-    azimuth in phi; `singular_ends` when g has |omega_k|^(alpha_k - 1) factors."""
+    azimuth in phi; `singular_ends` when g has |omega_k|^(alpha_k - 1) factors.
+    Azimuths with the same polar kinks share one break list."""
+    theta_breaks = functools.cache(lambda k: _kink_breaks(3, k, singular_ends))
     return orthant_integral(alphas, g, _kink_breaks(len(alphas), kinks(), singular_ends), 24,
-                            lambda phi: [_kink_breaks(3, k, singular_ends) for k in kinks(phi)])
+                            lambda phi: [theta_breaks(tuple(k)) for k in kinks(phi)])
 
 
 def refined_orthant_integral(alphas, g, base_breaks, order: int, levels: range,

@@ -252,9 +252,12 @@ _MAX_RADIAL_PANELS = 1 << 20
 # cancel, and the rounding error grows like (max_i a_i / a_k)^2.  Such
 # factors are expanded instead in the series
 # sinc^2(x) = sum_n C_n x^(2n), C_n = (-1)^n 2^(2n+1) / (2n+2)!; a term of
-# total order N over the small factors shifts s to s + 2N on the m' others
-# (all orders in one table call, sharing its nodes and cosine remainders),
-# or is rho^(s+2N) / (s+2N) when m' = 0.
+# total order N over the small factors shifts s to s + 2N on the m' others,
+# or is rho^(s+2N) / (s+2N) when m' = 0.  Directions are grouped by the
+# number of small factors, not by which ones, since each keeps its factors
+# in axis order: the rows with the same count share one table call for all
+# 13 orders, its nodes and its cosine remainders, so a level makes one call
+# per count below d.
 #
 # Each table holds its integral at the quarter periods k pi/4 of g^2 (and
 # eighth periods of cos): Gauss-Jacobi-16 on the first panel absorbs the
@@ -282,11 +285,30 @@ _SINC2_SERIES = np.array([(-1.0) ** n * 2.0 ** (2 * n + 1) / math.factorial(2 * 
                           for n in range(_SINC2_ORDERS)])
 
 
+# numpy's x ** e with a scalar e of -1, 0.5 or 2 is a reciprocal, square
+# root or square, which can round apart from the pow that an exponent array
+# of the same value takes
+_SCALAR_POWERS = (-1.0, 0.5, 2.0)
+
+
+def _powers(x: np.ndarray, exps) -> np.ndarray:
+    """x ** e for each e in exps, stacked on a new first axis, each rounded as x ** e."""
+    if len(exps) == 1:
+        return (x ** exps[0])[None]
+    out = x ** np.reshape(exps, (-1,) + (1,) * x.ndim)
+    for i, e in enumerate(exps):
+        if e in _SCALAR_POWERS:
+            out[i] = x ** e
+    return out
+
+
+@functools.cache
 def _taylor_order(m: int, s: float) -> int:
     """Smallest n >= -1 with s - 2m + 2n + 2 > 0: K_{s,m} subtracts T_2n."""
     return max(-1, math.floor(m - 1 - s / 2.0) + 1)
 
 
+@functools.cache
 def _end_exponent(kind: str, key: int, s: float) -> float:
     """Power of u at u = 0 that the table's first-panel Jacobi rule absorbs."""
     if kind == "ball":
@@ -295,22 +317,36 @@ def _end_exponent(kind: str, key: int, s: float) -> float:
 
 
 @functools.cache
-def _remainder_series(n: int) -> np.ndarray:
-    """Coefficients in v = u^2 of (cos u - T_2n(u)) / u^(2n+2)."""
-    return np.array([(-1.0) ** (n + 1 + i) / math.factorial(2 * (n + 1 + i))
-                     for i in range(_SERIES_TERMS)])
+def _remainder_series(n: int) -> tuple[float, ...]:
+    """Coefficients in v = u^2 of (cos u - T_2n(u)) / u^(2n+2), lowest first."""
+    return tuple((-1.0) ** (n + 1 + i) / math.factorial(2 * (n + 1 + i))
+                 for i in range(_SERIES_TERMS))
 
 
 def _cosine_remainder(n: int, u: np.ndarray) -> np.ndarray:
-    """(cos u - T_2n(u)) / u^(2n+2), smooth and even; cos u when n = -1."""
+    """(cos u - T_2n(u)) / u^(2n+2), smooth and even; cos u when n = -1.
+
+    The closed form is taken on every node, then the nodes below
+    _SERIES_TOP, where it cancels, are overwritten by the series (Horner
+    in v = u^2, highest coefficient first).
+    """
     if n < 0:
         return np.cos(u)
-    out = np.empty(u.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        taylor = 1.0  # T_2n(u), term by term
+        for i in range(1, n + 1):
+            term = u ** (2 * i) / math.factorial(2 * i)
+            taylor = taylor - term if i % 2 else taylor + term
+        out = (np.cos(u) - taylor) / u ** (2 * n + 2)
     near = u < _SERIES_TOP
-    out[near] = np.polynomial.polynomial.polyval(u[near] ** 2, _remainder_series(n))
-    far = u[~near]
-    taylor = sum((-1.0) ** i * far ** (2 * i) / math.factorial(2 * i) for i in range(n + 1))
-    out[~near] = (np.cos(far) - taylor) / far ** (2 * n + 2)
+    if near.any():
+        v = u[near] ** 2
+        coefs = _remainder_series(n)
+        acc = np.full(v.shape, coefs[-1])
+        for c in coefs[-2::-1]:
+            acc *= v
+            acc += c
+        out[near] = acc
     return out
 
 
@@ -354,27 +390,26 @@ def _cumulative(kind: str, key: int, orders, z: np.ndarray) -> np.ndarray:
     a table entry plus one partial cell.
 
     The partial cell is Gauss-Legendre-8 on [floor(z / (pi/4)) pi/4, z],
-    shared by all orders; below pi/4 the whole of [0, z] is one
+    its nodes and each Taylor order's smooth factor shared by all orders,
+    every order's cells one stacked power and sum over every z.  Below
+    pi/4 that cell is then replaced: the whole of [0, z] is one
     Gauss-Jacobi-16 rule per order.
     """
     k = np.floor(z / _QUARTER).astype(np.int64)
-    k_top = int(np.max(k))
-    out = np.empty((len(orders), z.size))
-    first = k == 0
-    rest = ~first
-    kr = k[rest]
-    u, w = end_power_rule(_QUARTER * kr[:, None], z[rest, None], 0.0, at_lower=True,
+    u, w = end_power_rule(_QUARTER * k[:, None], z[:, None], 0.0, at_lower=True,
                           order=_PANEL_ORDER)
-    factors = {n: _smooth_factor(kind, key, n, u) for n in {_taylor_order(key, s) for s in orders}}
-    for i, s in enumerate(orders):
-        if kr.size < z.size:
+    taylor = [_taylor_order(key, s) for s in orders]
+    factors = {n: _smooth_factor(kind, key, n, u) for n in set(taylor)}
+    rem = np.stack([factors[n] for n in taylor])
+    cells = np.sum(_powers(u, [_end_exponent(kind, key, s) for s in orders]) * rem * w, axis=2)
+    k_top = int(np.max(k))
+    out = np.stack([_table(kind, key, s, k_top)[k] for s in orders]) + cells
+    first = np.flatnonzero(k == 0)
+    if first.size:
+        for i, s in enumerate(orders):
             uf, wf = end_power_rule(0.0, z[first, None], _end_exponent(kind, key, s),
                                     at_lower=True, order=_FIRST_ORDER)
             out[i, first] = np.sum(_table_integrand(kind, key, s, uf) * wf, axis=1)
-        if kr.size:
-            rem = factors[_taylor_order(key, s)]
-            cell = np.sum(u ** _end_exponent(kind, key, s) * rem * w, axis=1)
-            out[i, rest] = _table(kind, key, s, k_top)[kr] + cell
     return out
 
 
@@ -394,16 +429,19 @@ def _cosine_sum_radial(a: np.ndarray, rho: np.ndarray, orders) -> np.ndarray:
     sigma, coef = _cosine_terms(m)
     w = np.abs((2.0 * a) @ sigma.T)
     z = w * rho[:, None]
+    lift = 2 * m - np.asarray(orders, dtype=float)  # 2m - s per order
     # the constant 1 of the product, and any term with w = 0, integrates
     # r^(s-1-2m) when nothing is subtracted (n = -1), else it cancels
-    flat = np.array([rho ** (s - 2 * m) / (s - 2 * m) if _taylor_order(m, s) < 0
-                     else 0.0 * rho for s in orders])
-    terms = np.repeat(flat[:, :, None], z.shape[1], axis=2)
+    flat = np.zeros((lift.size, rho.size))
+    loose = [i for i, s in enumerate(orders) if _taylor_order(m, s) < 0]
+    if loose:
+        flat[loose] = _powers(rho, -lift[loose]) / -lift[loose, None]
+    # a term with z = 0 takes that limit; its power and table read are
+    # taken at w = z = 1 and discarded
     pos = z > 0.0
-    if np.any(pos):
-        wp = w[pos]
-        terms[:, pos] = (np.array([wp ** (2 * m - s) for s in orders])
-                         * _cumulative("cube", m, orders, z[pos]))
+    wp, zp = np.where(pos, w, 1.0), np.where(pos, z, 1.0)
+    cum = _cumulative("cube", m, orders, zp.ravel()).reshape(-1, *z.shape)
+    terms = np.where(pos, _powers(wp, lift) * cum, flat[:, :, None])
     # summed per row: a BLAS product's rounding would depend on the batch
     return (np.sum(terms * coef, axis=2) + flat) / np.prod(2.0 * a * a, axis=1)
 
@@ -411,34 +449,35 @@ def _cosine_sum_radial(a: np.ndarray, rho: np.ndarray, orders) -> np.ndarray:
 def _cube_radial(a: np.ndarray, rho: np.ndarray, s: float) -> np.ndarray:
     """int_0^rho prod_k sinc^2(a_k r) r^(s-1) dr for rows of a > 0 and rho.
 
-    Directions are grouped by which factors are near their axis
-    (a_k rho < 1); those take the sinc^2 series, all of its orders together.
+    Directions are grouped by how many factors are near their axis
+    (a_k rho < 1), not by which ones: every row keeps its factors in
+    ascending axis order, so a group's far factors and its small ones are
+    two (rows, count) arrays.  The small factors take the sinc^2 series,
+    and the far ones all of its orders in one table call per group.
     """
     small = a * rho[:, None] < _SMALL_AXIS
-    code = small @ (1 << np.arange(a.shape[1]))
+    count = np.count_nonzero(small, axis=1)
     out = np.empty(rho.shape)
-    for c in np.flatnonzero(np.bincount(code)):
-        rows = code == c
-        mask = small[np.argmax(rows)]
-        ar, rr = a[rows], rho[rows]
-        full = ar[:, ~mask]
-        if not mask.any():
+    for c in np.flatnonzero(np.bincount(count)):
+        rows = count == c
+        ar, rr, near = a[rows], rho[rows], small[rows]
+        full = ar[~near].reshape(rr.size, -1)
+        if c == 0:
             out[rows] = _cosine_sum_radial(full, rr, [s])[0]
             continue
-        # series coefficients of prod over the small factors, by total order
-        coef = np.zeros((rr.size, _SINC2_ORDERS))
-        coef[:, 0] = 1.0
-        for x2 in (ar[:, mask] ** 2).T:
+        # series coefficients of prod over the small factors, by total order:
+        # the first factor's own, convolved with each further one
+        coef = None
+        for x2 in (ar[near] ** 2).reshape(rr.size, c).T:
             powers = _SINC2_SERIES[None, :] * x2[:, None] ** np.arange(_SINC2_ORDERS)
-            coef = np.stack([np.sum(coef[:, :j + 1] * powers[:, j::-1], axis=1)
-                             for j in range(_SINC2_ORDERS)], axis=1)
-        orders = [s + 2.0 * order for order in range(_SINC2_ORDERS)]
-        rest = ([rr ** s_n / s_n for s_n in orders] if full.shape[1] == 0
-                else _cosine_sum_radial(full, rr, orders))
-        total = np.zeros(rr.size)
-        for order in range(_SINC2_ORDERS):
-            total += coef[:, order] * rest[order]
-        out[rows] = total
+            coef = powers if coef is None else np.stack(
+                [np.sum(coef[:, :j + 1] * powers[:, j::-1], axis=1)
+                 for j in range(_SINC2_ORDERS)], axis=1)
+        orders = s + 2.0 * np.arange(_SINC2_ORDERS)
+        rest = (_powers(rr, orders) / orders[:, None] if c == a.shape[1]
+                else _cosine_sum_radial(full, rr, orders.tolist()))
+        # added order by order, as a sequential running sum
+        out[rows] = np.cumsum(coef.T * rest, axis=0)[-1]
     return out
 
 

@@ -9,7 +9,10 @@ draws the short decimal values the spec-grammar round trips are built from.
 which boundary piece is nearest, never through quadratic forms.
 `segment_rules_loop` and `orthant_integral_3d_loop` build the angular rules
 one segment and one phi line at a time, the loops the vectorised builders
-must reproduce bit for bit.
+must reproduce bit for bit.  `cube_radial_loop` and
+`cosine_remainder_masked` evaluate the cube's radial kernel one mask of
+near-axis factors, one series order and one masked part of the nodes at a
+time, the loops the grouped kernel must reproduce bit for bit.
 """
 
 import functools
@@ -18,6 +21,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from ergrates import rates
 from ergrates.geometry import Cube
 from ergrates.quadrature import end_power_rule
 from ergrates.spectral import EllipsoidNeighborhood, RadialPowerMeasure
@@ -169,6 +173,94 @@ def orthant_integral_3d_loop(alphas, g, breaks, order: int, theta_breaks) -> flo
                        np.cos(th)], axis=-1)
         total += wp * float(np.sum(g(om) * st * w_th))
     return 8.0 * float(total)
+
+
+# -- the cube's radial kernel one mask and one order at a time --------------------
+
+
+def cosine_remainder_masked(n: int, u: np.ndarray) -> np.ndarray:
+    """(cos u - T_2n(u)) / u^(2n+2): the series on u < _SERIES_TOP and the
+    closed form on the rest, each computed on its own masked part only."""
+    if n < 0:
+        return np.cos(u)
+    out = np.empty(u.shape)
+    near = u < rates._SERIES_TOP
+    out[near] = np.polynomial.polynomial.polyval(u[near] ** 2, rates._remainder_series(n))
+    far = u[~near]
+    taylor = sum((-1.0) ** i * far ** (2 * i) / math.factorial(2 * i) for i in range(n + 1))
+    out[~near] = (np.cos(far) - taylor) / far ** (2 * n + 2)
+    return out
+
+
+def _cube_cumulative_loop(m: int, orders, z: np.ndarray) -> np.ndarray:
+    """K_{s,m}(z) a row per s in orders, each order's cells and table read
+    on their own."""
+    k = np.floor(z / rates._QUARTER).astype(np.int64)
+    k_top = int(np.max(k))
+    out = np.empty((len(orders), z.size))
+    first = k == 0
+    rest = ~first
+    kr = k[rest]
+    u, w = end_power_rule(rates._QUARTER * kr[:, None], z[rest, None], 0.0, at_lower=True,
+                          order=rates._PANEL_ORDER)
+    for i, s in enumerate(orders):
+        n, e = rates._taylor_order(m, s), rates._end_exponent("cube", m, s)
+        if kr.size < z.size:
+            uf, wf = end_power_rule(0.0, z[first, None], e, at_lower=True,
+                                    order=rates._FIRST_ORDER)
+            out[i, first] = np.sum(uf ** e * cosine_remainder_masked(n, uf) * wf, axis=1)
+        if kr.size:
+            cell = np.sum(u ** e * cosine_remainder_masked(n, u) * w, axis=1)
+            out[i, rest] = rates._table("cube", m, s, k_top)[kr] + cell
+    return out
+
+
+def _cosine_sum_radial_loop(a: np.ndarray, rho: np.ndarray, orders) -> np.ndarray:
+    """The K_{s,m} cosine sum, a row per s, each order's power on its own."""
+    m = a.shape[1]
+    sigma, coef = rates._cosine_terms(m)
+    w = np.abs((2.0 * a) @ sigma.T)
+    z = w * rho[:, None]
+    flat = np.array([rho ** (s - 2 * m) / (s - 2 * m) if rates._taylor_order(m, s) < 0
+                     else 0.0 * rho for s in orders])
+    terms = np.repeat(flat[:, :, None], z.shape[1], axis=2)
+    pos = z > 0.0
+    if np.any(pos):
+        wp = w[pos]
+        terms[:, pos] = (np.array([wp ** (2 * m - s) for s in orders])
+                         * _cube_cumulative_loop(m, orders, z[pos]))
+    return (np.sum(terms * coef, axis=2) + flat) / np.prod(2.0 * a * a, axis=1)
+
+
+def cube_radial_loop(a: np.ndarray, rho: np.ndarray, s: float) -> np.ndarray:
+    """int_0^rho prod_k sinc^2(a_k r) r^(s-1) dr, rows grouped by which
+    factors are small (a_k rho < _SMALL_AXIS): one group per mask, every
+    small factor convolved into the series, the orders added one by one."""
+    small = a * rho[:, None] < rates._SMALL_AXIS
+    code = small @ (1 << np.arange(a.shape[1]))
+    out = np.empty(rho.shape)
+    for c in np.flatnonzero(np.bincount(code)):
+        rows = code == c
+        mask = small[np.argmax(rows)]
+        ar, rr = a[rows], rho[rows]
+        full = ar[:, ~mask]
+        if not mask.any():
+            out[rows] = _cosine_sum_radial_loop(full, rr, [s])[0]
+            continue
+        coef = np.zeros((rr.size, rates._SINC2_ORDERS))
+        coef[:, 0] = 1.0
+        for x2 in (ar[:, mask] ** 2).T:
+            powers = rates._SINC2_SERIES[None, :] * x2[:, None] ** np.arange(rates._SINC2_ORDERS)
+            coef = np.stack([np.sum(coef[:, :j + 1] * powers[:, j::-1], axis=1)
+                             for j in range(rates._SINC2_ORDERS)], axis=1)
+        orders = [s + 2.0 * order for order in range(rates._SINC2_ORDERS)]
+        rest = ([rr ** s_n / s_n for s_n in orders] if full.shape[1] == 0
+                else _cosine_sum_radial_loop(full, rr, orders))
+        total = np.zeros(rr.size)
+        for order in range(rates._SINC2_ORDERS):
+            total += coef[:, order] * rest[order]
+        out[rows] = total
+    return out
 
 
 # -- sector sandwich constants -------------------------------------------------

@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -443,9 +444,8 @@ class TestCubeKernel:
             single = [rates._cube_radial(a[i:i + 1], rho[i:i + 1], s)[0] for i in range(rho.size)]
             assert np.array_equal(batch, single)
 
-    def test_one_table_call_per_row_group(self, monkeypatch):
-        # a level's 13 series orders share one table call, so a d = 2 level
-        # makes at most 3: full rows and rows near either axis
+    @staticmethod
+    def table_calls_per_level(monkeypatch, t) -> float:
         calls = {"level": 0, "table": 0}
 
         def counted(name, fn):
@@ -456,10 +456,78 @@ class TestCubeKernel:
 
         monkeypatch.setattr(rates, "_cube_radial", counted("level", rates._cube_radial))
         monkeypatch.setattr(rates, "_cumulative", counted("table", rates._cumulative))
-        m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2)
-        decay_integral(Cube(2), m, [100.0, 130.0], rel_tol=1e-5)
+        m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=len(t))
+        decay_integral(Cube(len(t)), m, t, rel_tol=1e-5)
         assert calls["level"] >= 2
-        assert calls["table"] <= 3 * calls["level"]
+        return calls["table"] / calls["level"]
+
+    def test_one_table_call_per_row_group(self, monkeypatch):
+        # rows are grouped by how many factors are near their axis, and a
+        # group's 13 series orders share one table call, so a d = 2 level
+        # makes at most 2: full rows and rows near either axis
+        assert self.table_calls_per_level(monkeypatch, [100.0, 130.0]) <= 2
+
+    def test_one_table_call_per_row_group_3d(self, monkeypatch):
+        # at most one per count of near-axis factors below 3
+        assert self.table_calls_per_level(monkeypatch, [100.0, 130.0, 170.0]) <= 3
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 2.2, 3.0, 3.5, 5.0])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_grouped_kernel_is_the_mask_loop(self, d, s):
+        # rows mixing 0 to d small factors (a_k rho < _SMALL_AXIS), some
+        # exactly at it, and frequencies below pi/4 (a_1 = a_2 nearly, and
+        # exactly), against one group per mask and one order at a time
+        rng = np.random.default_rng(2506 + 10 * d)
+        n = 300
+        x = 10.0 ** rng.uniform(-5.0, 3.0, size=(n, d))
+        x[rng.random((n, d)) < 0.08] = rates._SMALL_AXIS
+        x[:20, 1] = x[:20, 0] * (1.0 + rng.uniform(-1e-3, 1e-3, 20))
+        x[20:30, 1] = x[20:30, 0]
+        rho = rng.choice([0.5, 1.0, 2.0], size=n)  # keeps a_k rho exactly at the threshold
+        a = x / rho[:, None]
+        counts = np.count_nonzero(a * rho[:, None] < rates._SMALL_AXIS, axis=1)
+        assert set(counts.tolist()) == set(range(d + 1))
+        assert np.any(a * rho[:, None] == rates._SMALL_AXIS)
+        both_full = np.all(x[:30, :2] >= rates._SMALL_AXIS, axis=1)
+        gap = 2.0 * np.abs(x[:30, 0] - x[:30, 1])  # z of the frequency b_1 - b_2
+        assert np.any(both_full & (gap > 0.0) & (gap < math.pi / 4))  # a first-panel rule
+        assert np.any(both_full & (gap == 0.0))  # a vanishing frequency
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = rates._cube_radial(a, rho, s)
+            want = reference.cube_radial_loop(a, rho, s)
+            # small arrays too: numpy's power rounds apart on those
+            one = [rates._cube_radial(a[i:i + 1], rho[i:i + 1], s)[0] for i in range(0, n, 5)]
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(one, want[::5], equal_nan=True)
+
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])
+    def test_cosine_remainder_is_the_masked_one(self, n):
+        # every Taylor order of d <= 3, from far below _SERIES_TOP to the
+        # panel budget, in arrays of every length up to 17 and a long one
+        u = np.concatenate([np.geomspace(1e-8, 1e6, 4001),
+                            rates._SERIES_TOP * (1.0 + np.array([-1e-16, 0.0, 1e-15]))])
+        assert np.array_equal(rates._cosine_remainder(n, u),
+                              reference.cosine_remainder_masked(n, u))
+        rng = np.random.default_rng(n + 2)
+        for size in range(1, 18):
+            v = 10.0 ** rng.uniform(-8.0, 6.0, size=(size, 8))
+            assert np.array_equal(rates._cosine_remainder(n, v),
+                                  reference.cosine_remainder_masked(n, v))
+
+    def test_no_floating_point_warning(self):
+        # the closed form runs on the near nodes too, under its own errstate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            before = np.geterr()
+            for n in (-1, 0, 1, 2):
+                tiny = rates._cosine_remainder(n, np.array([5e-324, 1e-300, 1e-150, 1e-8]))
+                big = rates._cosine_remainder(n, np.array([1e5, 1e6]))
+                assert np.all(np.isfinite(tiny)) and np.all(np.isfinite(big))
+                rates._cosine_remainder(n, np.array([1e100, 1e300]))
+            assert np.geterr() == before
+            for d, t in ((2, [100.0, 130.0]), (3, [30.0, 45.0, 60.0])):
+                m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=d)
+                assert decay_integral(Cube(d), m, t, rel_tol=1e-5) > 0.0
 
 
 def si_cube_radial2(t):
