@@ -52,6 +52,13 @@ __all__ = [
 ]
 
 
+# (sin w - w cos w) / w^3 times 4 pi as the even series
+# 4 pi sum_{n>=1} (-1)^(n+1) 2n w^(2n-2) / (2n+1)!, in v = w^2, lowest first;
+# for w < 1 the 12th term is below 1e-22 of the sum
+_BALL3_SERIES = tuple(4.0 * math.pi * (-1.0) ** (n + 1) * 2 * n / math.factorial(2 * n + 1)
+                      for n in range(1, 13))
+
+
 def unit_ball_profile(dim: int, w) -> np.ndarray:
     """Radial profile of the unit-ball transform: F[1_B](x) at |x| = w.
 
@@ -66,10 +73,18 @@ def unit_ball_profile(dim: int, w) -> np.ndarray:
         safe = np.where(w < 1e-8, 1.0, w)
         out = np.where(w < 1e-8, 2.0 * (1.0 - w * w / 6.0), 2.0 * np.sin(safe) / safe)
     elif dim == 3:
-        safe = np.where(w < 1e-3, 1.0, w)
-        series = (4.0 * math.pi / 3.0) * (1.0 - w * w / 10.0)
-        direct = 4.0 * math.pi * (np.sin(safe) - safe * np.cos(safe)) / safe ** 3
-        out = np.where(w < 1e-3, series, direct)
+        # the closed form cancels as w -> 0 (relative error about 3e-16 / w^2),
+        # so the rows below 1 take the even series instead
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = 4.0 * math.pi * (np.sin(w) - w * np.cos(w)) / w ** 3
+        near = w < 1.0
+        if near.any():
+            v = w[near] ** 2
+            acc = np.full(v.shape, _BALL3_SERIES[-1])
+            for c in _BALL3_SERIES[-2::-1]:
+                acc *= v
+                acc += c
+            out[near] = acc
     elif dim in (2, 4):
         nu = dim / 2.0
         safe = np.where(w == 0.0, 1.0, w)

@@ -6,7 +6,8 @@ consumers: the radial integrals in the rates machinery (panel and
 singular-end segment rules), and every angular integral over the unit
 sphere, which all go through `orthant_integral`, with breaks, order and
 refinement set here: the fixed kink rule for neighborhood masses and the
-singular integral's outer piece, the level loop for decay integrals.
+singular integral's outer piece, the level loop for decay integrals, whose
+first two levels share one pass of the integrand over their directions.
 Callers pass only their integrand and its kinks.  Segment rules are built
 for many break lists at once (`line_rules`; `segment_rules` is its one-line
 case): the interior segments are one broadcast of the cached
@@ -199,18 +200,32 @@ def orthant_integral(alphas, g, breaks, order: int, theta_breaks=None) -> float:
     rows of one 2-D view), and the lines are added up in phi order, one
     after another.
     """
-    d = len(alphas)
-    if d == 1:
+    if len(alphas) == 1:
         return 2.0 * float(g(np.array([[1.0]]))[0])
+    return _orthant_integrals(alphas, g, [(breaks, theta_breaks)], order)[0]
+
+
+def _orthant_integrals(alphas, g, rules, order: int) -> list[float]:
+    """`orthant_integral` of g on each (breaks, theta_breaks) in `rules`, d = 2
+    or 3, with g called on the directions of all of them at once (in d = 3,
+    in chunks that may cut across them) and each summed on its own."""
+    d = len(alphas)
     if d > 3:
         raise ValueError(f"orthant integrals support d <= 3, got d = {d}")
     a1, a2 = alphas[0], alphas[1]
     # phi end behavior: sin(phi)^(a2-1) at 0, cos(phi)^(a1-1) at pi/2
-    phi, w_phi = segment_rules(breaks, exp_lo=a2 - 1.0, exp_hi=a1 - 1.0, order=order)
+    phis = [segment_rules(breaks, exp_lo=a2 - 1.0, exp_hi=a1 - 1.0, order=order)
+            for breaks, _ in rules]
+    phi = np.concatenate([p for p, _ in phis])
+    ends = np.cumsum([0] + [p.size for p, _ in phis])  # each rule's phi nodes
     if d == 2:
-        return 4.0 * float(np.sum(g(np.stack([np.cos(phi), np.sin(phi)], axis=-1)) * w_phi))
+        vals = g(np.stack([np.cos(phi), np.sin(phi)], axis=-1))
+        return [4.0 * float(np.sum(vals[a:b] * w_phi))
+                for (_, w_phi), a, b in zip(phis, ends[:-1], ends[1:])]
     # theta end behavior: sin(theta)^(a1+a2-1) at 0, cos(theta)^(a3-1) at pi/2
-    theta, terms, sizes = line_rules(theta_breaks(phi), a1 + a2 - 1.0, alphas[2] - 1.0, order)
+    lines = [line_rules(theta_breaks(p), a1 + a2 - 1.0, alphas[2] - 1.0, order)
+             for (p, _), (_, theta_breaks) in zip(phis, rules)]
+    theta, terms, sizes = (np.concatenate(parts) for parts in zip(*lines))
     line = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)  # the phi node of each row
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     for i in range(0, theta.size, _ROWS_PER_CALL):
@@ -225,10 +240,13 @@ def orthant_integral(alphas, g, breaks, order: int, theta_breaks=None) -> float:
     sums = np.empty(sizes.size)
     for a, b in zip([0, *runs.tolist()], [*runs.tolist(), sizes.size]):
         sums[a:b] = terms[stop[a] - sizes[a]:stop[b - 1]].reshape(b - a, -1).sum(axis=1)
-    total = 0.0
-    for v in (w_phi * sums).tolist():  # sequential, in phi order
-        total += v
-    return 8.0 * total
+    out = []
+    for (_, w_phi), a, b in zip(phis, ends[:-1], ends[1:]):
+        total = 0.0
+        for v in (w_phi * sums[a:b]).tolist():  # sequential, in phi order
+            total += v
+        out.append(8.0 * total)
+    return out
 
 
 # -- the break policy of the angular integrals ---------------------------------
@@ -268,24 +286,39 @@ def kink_orthant_integral(alphas, g, kinks, singular_ends: bool) -> float:
                             lambda phi: [theta_breaks(tuple(k)) for k in kinks(phi)])
 
 
+def _bisected(breaks: list[float]) -> list[float]:
+    return sorted(set(breaks) | {(a + b) / 2 for a, b in zip(breaks[:-1], breaks[1:])})
+
+
+def _level(breaks: list[float]):
+    """A level's (breaks, theta_breaks): theta takes the phi breaks at every phi node."""
+    return breaks, lambda phi: [breaks] * phi.size
+
+
 def refined_orthant_integral(alphas, g, base_breaks, order: int, levels: range,
                              rel_tol: float, label: str) -> float:
     """`orthant_integral` of g on {0, pi/2} and base_breaks, every segment
     bisected k times at level k, for phi and theta alike: the first level in
-    `levels` within rel_tol of the one before it.  After the last level it
-    raises QuadratureBudgetError naming `label`.  d = 1 has nothing to refine.
+    `levels` within rel_tol of the one before it.  The first level has none
+    before it to agree with, so it never stops the loop, and the first two
+    levels take one call of g together.  After the last level it raises
+    QuadratureBudgetError naming `label`.  d = 1 has nothing to refine.
     """
     if len(alphas) == 1:
         return orthant_integral(alphas, g, (), 0)
     breaks = sorted({0.0, math.pi / 2} | set(base_breaks))
-    prev = math.nan  # the first level has none before it to agree with
-    for level in range(levels.stop):
-        if level >= levels.start:
-            cur = orthant_integral(alphas, g, breaks, order, lambda phi: [breaks] * phi.size)
-            if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-                return cur
-            prev = cur
-        breaks = sorted(set(breaks) | {(a + b) / 2 for a, b in zip(breaks[:-1], breaks[1:])})
+    for _ in range(levels.start):
+        breaks = _bisected(breaks)
+    values, prev = [], math.nan
+    for i in range(len(levels)):
+        if i == len(values):
+            lists = [breaks, _bisected(breaks)] if i == 0 and len(levels) > 1 else [breaks]
+            values += _orthant_integrals(alphas, g, [_level(b) for b in lists], order)
+            breaks = _bisected(lists[-1])
+        cur = values[i]
+        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+            return cur
+        prev = cur
     raise QuadratureBudgetError(f"angular refinement did not reach rel_tol={rel_tol:g} for {label}")
 
 

@@ -265,12 +265,27 @@ _MAX_RADIAL_PANELS = 1 << 20
 # whole chunks of panels, each continuing the same sequential cumulative
 # sum, so an entry is a pure function of (kind, key, s, k) and no value
 # depends on how far the table had grown before.
+#
+# A read between two entries adds the panel's partial integral from its left
+# edge, F_k(z) = int_{k pi/4}^z f, from the 17 Chebyshev coefficients of F_k
+# on the panel, taken from f at the panel's 16 Chebyshev points and read by
+# Clenshaw's recurrence (Clenshaw 1955; Trefethen, ATAP ch. 3 and 19), so
+# no read past the first panel evaluates the kernel.  The coefficients and
+# the table entry at the panel's left edge are one column of a store, 144
+# bytes a panel, built when a read first lands on the panel: the ladders
+# read a few thousand of the tens of thousands of panels their tables hold.
+# Each coefficient is summed over the nodes in one fixed order, so it too
+# is a pure function of (kind, key, s, k).  Far out a node rounds off its
+# place by up to 1e-13 relative in f, which the slope of f's interpolant
+# corrects before the sum.  Reads below pi/4 keep one Gauss-Jacobi-16 rule
+# on the whole of [0, z].
 
 _QUARTER = math.pi / 4.0
 _FIRST_ORDER = 16
 _PANEL_ORDER = 8
 _CHUNK_PANELS = 1024  # 8192 nodes per growth step: well under 1 MB transient
 _TABLES: dict[tuple[str, int, float], np.ndarray] = {}
+_CHEB_POINTS = 16
 
 # The cube kernel's smooth factor is summed as its Taylor series below
 # _SERIES_TOP, where cos u - T_2n(u) cancels; the last of 24 terms is below
@@ -385,25 +400,120 @@ def _table(kind: str, key: int, s: float, k_top: int) -> np.ndarray:
     return cum
 
 
+@functools.cache
+def _chebyshev_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Chebyshev points cos(pi (i + 1/2) / N) as offsets from a panel's
+    left edge; the (N, N + 1) matrix that takes f at them to the Chebyshev
+    coefficients of F_k, with F_k = 0 at the left edge; and the (N, N) one
+    that takes them to the slope of f's interpolant at each of them."""
+    n, half = _CHEB_POINTS, 0.5 * _QUARTER
+    theta = [math.pi * (i + 0.5) / n for i in range(n)]
+    rule, slope = [], []
+    for th in theta:
+        # f's coefficients from this node alone, then those of its antiderivative
+        c = [1.0 / n] + [2.0 / n * math.cos(j * th) for j in range(1, n)] + [0.0, 0.0]
+        anti = [0.0, c[0] - 0.5 * c[2]] + [(c[j - 1] - c[j + 1]) / (2 * j) for j in range(2, n + 1)]
+        anti[0] = -math.fsum((-1) ** j * anti[j] for j in range(1, n + 1))
+        rule.append([half * v for v in anti])
+        # T_j'(cos t) = j sin(j t) / sin t
+        slope.append([math.fsum(c[j] * j * math.sin(j * t) / math.sin(t) for j in range(1, n)) / half
+                      for t in theta])
+    offsets = np.array([half * (1.0 + math.cos(th)) for th in theta])
+    return offsets, np.array(rule), np.array(slope)
+
+
+class _PanelSeries:
+    """The series of the panels read so far of the tables of one (kind, key).
+
+    Column j of `coef` holds one panel's 17 coefficients and, in its last
+    row, the table entry at the panel's left edge; column 0 is the zero
+    series and entry that reads on the first panel take.  `index[s]` is the
+    int32 column of each panel of the table of s, -1 until it is built.
+    """
+
+    def __init__(self, kind: str, key: int):
+        self.kind, self.key = kind, key
+        self.coef = np.zeros((_CHEB_POINTS + 2, 64))
+        self.used = 1
+        self.index: dict[float, np.ndarray] = {}
+
+    def columns(self, s: float, k: np.ndarray, k_top: int) -> np.ndarray:
+        """The column of each panel k <= k_top of the table of s; panels read
+        for the first time get their series built."""
+        index = self.index.get(s)
+        if index is None or index.size <= k_top:
+            grown = np.full(_table(self.kind, self.key, s, k_top).size, -1, dtype=np.int32)
+            grown[0] = 0
+            if index is not None:
+                grown[:index.size] = index
+            index = self.index[s] = grown
+        cols = index[k]
+        if cols.min() < 0:
+            self._build(s, index, np.unique(k[cols < 0]))
+            cols = index[k]
+        return cols
+
+    def _build(self, s: float, index: np.ndarray, new: np.ndarray) -> None:
+        """Append the series of the panels `new` (sorted, none built yet)."""
+        offsets, rule, slope = _chebyshev_rule()
+        edge = (_QUARTER * new)[:, None]
+        u = edge + offsets
+        f = _table_integrand(self.kind, self.key, s, u)
+        # each node rounds off edge + offset by up to half an ulp of u; the
+        # interpolant's slope takes f back to edge + offset
+        df = f[:, 0, None] * slope[0]
+        for i in range(1, _CHEB_POINTS):  # one node at a time, in one order
+            df += f[:, i, None] * slope[i]
+        f += df * (offsets - (u - edge))  # both differences are exact
+        series = f[:, 0, None] * rule[0]
+        for i in range(1, _CHEB_POINTS):
+            series += f[:, i, None] * rule[i]
+        end = self.used + new.size
+        if end > self.coef.shape[1]:
+            grown = np.zeros((self.coef.shape[0], 3 * end // 2))
+            grown[:, :self.used] = self.coef[:, :self.used]
+            self.coef = grown
+        self.coef[:-1, self.used:end] = series.T
+        self.coef[-1, self.used:end] = _table(self.kind, self.key, s, int(new[-1]))[new]
+        index[new] = np.arange(self.used, end)
+        self.used = end
+
+
+_SERIES: dict[tuple[str, int], _PanelSeries] = {}
+
+
 def _cumulative(kind: str, key: int, orders, z: np.ndarray) -> np.ndarray:
     """Each order's table integral up to each z > 0, a row per s in orders:
-    a table entry plus one partial cell.
+    the Chebyshev series of z's panel plus the table entry at its left edge,
+    both from the panel's column of the store.
 
-    The partial cell is Gauss-Legendre-8 on [floor(z / (pi/4)) pi/4, z],
-    its nodes and each Taylor order's smooth factor shared by all orders,
-    every order's cells one stacked power and sum over every z.  Below
-    pi/4 that cell is then replaced: the whole of [0, z] is one
+    The series of every order are read together by Clenshaw's recurrence,
+    one gather of a coefficient row per step, and the entry is added last.
+    Below pi/4 the read is replaced: the whole of [0, z] is one
     Gauss-Jacobi-16 rule per order.
     """
-    k = np.floor(z / _QUARTER).astype(np.int64)
-    u, w = end_power_rule(_QUARTER * k[:, None], z[:, None], 0.0, at_lower=True,
-                          order=_PANEL_ORDER)
-    taylor = [_taylor_order(key, s) for s in orders]
-    factors = {n: _smooth_factor(kind, key, n, u) for n in set(taylor)}
-    rem = np.stack([factors[n] for n in taylor])
-    cells = np.sum(_powers(u, [_end_exponent(kind, key, s) for s in orders]) * rem * w, axis=2)
+    k = np.floor(z / _QUARTER).astype(np.intp)
+    # z within its panel, on [-1, 1]: z - k pi/4 is exact, as in the table's edges
+    x = (z - _QUARTER * k) * (2.0 / _QUARTER) - 1.0
     k_top = int(np.max(k))
-    out = np.stack([_table(kind, key, s, k_top)[k] for s in orders]) + cells
+    store = _SERIES.get((kind, key))
+    if store is None:
+        store = _SERIES[(kind, key)] = _PanelSeries(kind, key)
+    cols = np.empty((len(orders), z.size), dtype=np.intp)
+    for i, s in enumerate(orders):
+        cols[i] = store.columns(s, k, k_top)
+    coef = store.coef
+    x2 = 2.0 * x
+    b1, b2 = coef[_CHEB_POINTS].take(cols), 0.0
+    for row in coef[_CHEB_POINTS - 1:0:-1]:
+        b = x2 * b1
+        b -= b2
+        b += row.take(cols)
+        b1, b2 = b, b1
+    out = x * b1
+    out -= b2
+    out += coef[0].take(cols)
+    out += coef[-1].take(cols)
     first = np.flatnonzero(k == 0)
     if first.size:
         for i, s in enumerate(orders):
@@ -485,15 +595,18 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
     """Angular-adaptive quadrature of I(t) over the power measure's directions.
 
     Along each angular node the radial integral is read off a cumulative
-    table, one array expression per level: c^(-s) G_s(rho c) for a ball or
+    table, one array expression per call: c^(-s) G_s(rho c) for a ball or
     an ellipsoid, the K_{s,m} cosine sum (with the sinc^2 series for
     factors near their axis) for the cube, after one check of the panel
     budget on the largest z of any direction.  The integrand is even in
     every coordinate of x, so `quadrature.refined_orthant_integral` takes
     the first orthant, from the cube's breaks graded toward each axis in
-    d = 2 (boundary layers of width about 2 pi / (t_k rho)) and an aniso
-    support's corner.  A rel_tol below double precision is refused at once:
-    two levels that agree to the last bit do not show an error that small.
+    d = 2 (boundary layers of width about 2 pi / (t_k rho)), a ball's or an
+    ellipsoid's graded toward the axis of the smaller k = a o t when
+    k_min / k_max < 1/8 (c dips over an angle of about that ratio there),
+    and an aniso support's corner.  A rel_tol below double precision is
+    refused at once: two levels that agree to the last bit do not show an
+    error that small.
     """
     d = m.dim
     t = as_vec(t, dim=d)
@@ -548,6 +661,13 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
         base |= set(graded_breaks(2.0 * math.pi / (t[1] * rho_max), math.pi / 4, 2.0))
         base |= {math.pi / 2 - b for b in graded_breaks(2.0 * math.pi / (t[0] * rho_max),
                                                         math.pi / 4, 2.0)}
+    if d == 2 and not is_cube:
+        # c = |omega o k| with k = a o t dips to k_min within an angle of
+        # about k_min / k_max of the axis where k is small
+        k1, k2 = (body.semi_axes * t).tolist()
+        if min(k1, k2) < max(k1, k2) / 8.0:
+            graded = graded_breaks(min(k1, k2) / max(k1, k2), math.pi / 4, 2.0)
+            base |= set(graded) if k1 < k2 else {math.pi / 2 - b for b in graded}
     if d == 2 and not is_radial:
         # the support box's corner direction is a kink of the radial extent
         base |= set(extent_kinks([m]))

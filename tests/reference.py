@@ -8,22 +8,32 @@ draws the short decimal values the spec-grammar round trips are built from.
 `extent_switches` finds the kinks of a radial extent by a dense scan of
 which boundary piece is nearest, never through quadratic forms.
 `segment_rules_loop` and `orthant_integral_3d_loop` build the angular rules
-one segment and one phi line at a time, the loops the vectorised builders
-must reproduce bit for bit.  `cube_radial_loop` and
+one segment and one phi line at a time, and `refined_orthant_integral_loop`
+runs one level per pass of the integrand: the loops the vectorised builders
+and the level loop must reproduce bit for bit.  `cube_radial_loop` and
 `cosine_remainder_masked` evaluate the cube's radial kernel one mask of
 near-axis factors, one series order and one masked part of the nodes at a
 time, the loops the grouped kernel must reproduce bit for bit.
+`panel_radial` integrates one direction's radial factor by quarter-period
+panels, and `polar_decay_2d` takes scipy's quad over it in d = 2.
+`gauss_cell` is the Gauss-Legendre-8 partial cell that radial reads used
+before the panel series, and `exact_cell` a Gauss-Legendre-40 cell with the
+kernel from its definition in mpmath.
 """
 
 import functools
 import math
+import warnings
 
+import mpmath
 import numpy as np
 from hypothesis import strategies as st
+from scipy import integrate
 
-from ergrates import rates
+from ergrates import quadrature, rates
+from ergrates.fourier import ratio_abs_sq
 from ergrates.geometry import Cube
-from ergrates.quadrature import end_power_rule
+from ergrates.quadrature import end_power_rule, gl_edges_rule
 from ergrates.spectral import EllipsoidNeighborhood, RadialPowerMeasure
 
 # orders double from the first until two agree to this absolute difference
@@ -175,6 +185,27 @@ def orthant_integral_3d_loop(alphas, g, breaks, order: int, theta_breaks) -> flo
     return 8.0 * float(total)
 
 
+def refined_orthant_integral_loop(alphas, g, base_breaks, order: int, levels: range,
+                                  rel_tol: float, label: str) -> float:
+    """The level loop with one `orthant_integral` call, and so one pass of g,
+    per level: each level's breaks bisect the last's, and the first level
+    within rel_tol of the one before it is the value."""
+    if len(alphas) == 1:
+        return quadrature.orthant_integral(alphas, g, (), 0)
+    breaks = sorted({0.0, math.pi / 2} | set(base_breaks))
+    prev = math.nan
+    for level in range(levels.stop):
+        if level >= levels.start:
+            cur = quadrature.orthant_integral(alphas, g, breaks, order,
+                                              lambda phi: [breaks] * phi.size)
+            if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+                return cur
+            prev = cur
+        breaks = sorted(set(breaks) | {(a + b) / 2 for a, b in zip(breaks[:-1], breaks[1:])})
+    raise quadrature.QuadratureBudgetError(
+        f"angular refinement did not reach rel_tol={rel_tol:g} for {label}")
+
+
 # -- the cube's radial kernel one mask and one order at a time --------------------
 
 
@@ -193,26 +224,8 @@ def cosine_remainder_masked(n: int, u: np.ndarray) -> np.ndarray:
 
 
 def _cube_cumulative_loop(m: int, orders, z: np.ndarray) -> np.ndarray:
-    """K_{s,m}(z) a row per s in orders, each order's cells and table read
-    on their own."""
-    k = np.floor(z / rates._QUARTER).astype(np.int64)
-    k_top = int(np.max(k))
-    out = np.empty((len(orders), z.size))
-    first = k == 0
-    rest = ~first
-    kr = k[rest]
-    u, w = end_power_rule(rates._QUARTER * kr[:, None], z[rest, None], 0.0, at_lower=True,
-                          order=rates._PANEL_ORDER)
-    for i, s in enumerate(orders):
-        n, e = rates._taylor_order(m, s), rates._end_exponent("cube", m, s)
-        if kr.size < z.size:
-            uf, wf = end_power_rule(0.0, z[first, None], e, at_lower=True,
-                                    order=rates._FIRST_ORDER)
-            out[i, first] = np.sum(uf ** e * cosine_remainder_masked(n, uf) * wf, axis=1)
-        if kr.size:
-            cell = np.sum(u ** e * cosine_remainder_masked(n, u) * w, axis=1)
-            out[i, rest] = rates._table("cube", m, s, k_top)[kr] + cell
-    return out
+    """K_{s,m}(z) a row per s in orders, each order read on its own."""
+    return np.stack([rates._cumulative("cube", m, [s], z)[0] for s in orders])
 
 
 def _cosine_sum_radial_loop(a: np.ndarray, rho: np.ndarray, orders) -> np.ndarray:
@@ -261,6 +274,123 @@ def cube_radial_loop(a: np.ndarray, rho: np.ndarray, s: float) -> np.ndarray:
             total += coef[:, order] * rest[order]
         out[rows] = total
     return out
+
+
+# -- radial integrals one direction at a time -------------------------------------
+
+
+def panel_radial(body, v, rho, s, order=8):
+    """int_0^rho |ratio(r v)|^2 r^(s-1) dr by panels of a quarter oscillation
+    period: Gauss-Jacobi-16 on the first panel absorbs r^(s-1)."""
+    freq = sum(abs(x) for x in v) if isinstance(body, Cube) else float(
+        2.0 * np.linalg.norm(body.semi_axes * v))
+    edges = np.linspace(0.0, rho, max(4, math.ceil(rho * freq * 4.0 / (2.0 * math.pi))) + 1)
+    r0, w0 = end_power_rule(0.0, edges[1], s - 1.0, at_lower=True, order=16)
+    r1, w1 = gl_edges_rule(edges[1:], order)
+    r, w = np.concatenate([r0, r1]), np.concatenate([w0, w1])
+    return float(np.sum(ratio_abs_sq(body, r[:, None] * v[None, :]) * r ** (s - 1.0) * w))
+
+
+def polar_decay_2d(body, m, t, breaks) -> float:
+    """I(t) in d = 2 as 4 times scipy's quad over phi in [0, pi/2], split at
+    `breaks`, of the measure's angular density times `panel_radial` along
+    (cos phi, sin phi)."""
+    t = np.asarray(t, dtype=float)
+
+    def outer(phi):
+        om = np.array([[math.cos(phi), math.sin(phi)]])
+        rho = float(m.support_profile(om)[0])
+        return float(m.angular_density(om)[0]) * panel_radial(body, om[0] * t, rho,
+                                                               m.radial_order)
+
+    # the inner rule's rounding noise makes quad report roundoff and a loose
+    # estimate (3e-7 here) once its value has settled: asking for 1e-10 and
+    # for 1e-11 gives values 1e-11 apart
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, err = integrate.quad(outer, 0.0, math.pi / 2, points=sorted(breaks), limit=400,
+                                  epsabs=0.0, epsrel=1e-10)
+    assert err <= 1e-6 * abs(val)
+    return 4.0 * val
+
+
+# -- radial partial cells --------------------------------------------------------
+
+_CELL_DPS = 30
+_HANKEL_FROM = 25.0
+
+
+def gauss_cell(kind: str, key: int, s: float, z: np.ndarray) -> np.ndarray:
+    """The table entry at the quarter period k pi/4 below each z plus a
+    Gauss-Legendre-8 cell on [k pi/4, z], the package's kernel at its nodes:
+    the read that the panel series replaced."""
+    k = np.floor(z / rates._QUARTER).astype(np.int64)
+    u, w = end_power_rule(rates._QUARTER * k[:, None], z[:, None], 0.0, at_lower=True, order=8)
+    cells = np.sum(rates._table_integrand(kind, key, s, u) * w, axis=1)
+    return rates._table(kind, key, s, int(np.max(k)))[k] + cells
+
+
+def _j1(x):
+    """J_1(x) in mpmath: its own series below _HANKEL_FROM, else the Hankel
+    expansion (DLMF 10.17.3), whose smallest term there is below 1e-21."""
+    if x < _HANKEL_FROM:
+        return mpmath.besselj(1, x)
+    p = q = mpmath.mpf(0)
+    term, k, tiny = mpmath.mpf(1), 0, mpmath.mpf(10) ** -_CELL_DPS
+    while abs(term) > tiny:
+        if k % 4 == 0:
+            p += term
+        elif k % 4 == 1:
+            q += term
+        elif k % 4 == 2:
+            p -= term
+        else:
+            q -= term
+        k += 1
+        nxt = term * (4 - (2 * k - 1) ** 2) / (k * 8 * x)
+        if abs(nxt) >= abs(term):
+            break
+        term = nxt
+    omega = x - 3 * mpmath.pi / 4
+    return mpmath.sqrt(2 / (mpmath.pi * x)) * (p * mpmath.cos(omega) - q * mpmath.sin(omega))
+
+
+def _kernel_mp(kind: str, key: int, s: float):
+    """The table's integrand in mpmath: u^(s-1) g(u)^2 for the ball of dimension
+    key, u^(s-1-2m) (cos u - T_2n(u)) for the cube's m = key, from the
+    definitions."""
+    if kind == "ball":
+        def profile(u):
+            if key == 2:
+                return 2 * _j1(u) / u
+            return 3 * (mpmath.sin(u) - u * mpmath.cos(u)) / u ** 3
+        return lambda u: u ** (s - 1) * profile(u) ** 2
+    n = -1
+    while s - 2 * key + 2 * n + 2 <= 0:
+        n += 1
+    return lambda u: u ** (s - 1 - 2 * key) * (
+        mpmath.cos(u) - sum((-1) ** i * u ** (2 * i) / mpmath.factorial(2 * i)
+                            for i in range(n + 1)))
+
+
+def exact_cell(kind: str, key: int, s: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table entry below each z plus a Gauss-Legendre-40 cell on
+    [k pi/4, z], nodes and kernel in mpmath at 30 digits from the float edge
+    k pi/4 and z; and the integral of |kernel| over each panel, in floats."""
+    k = np.floor(z / rates._QUARTER).astype(np.int64)
+    table = rates._table(kind, key, s, int(np.max(k)))
+    f = _kernel_mp(kind, key, s)
+    x, w = np.polynomial.legendre.leggauss(40)
+    out = np.empty(z.size)
+    with mpmath.workdps(_CELL_DPS):
+        for i, (ki, zi) in enumerate(zip(k, z)):
+            a = mpmath.mpf(float(rates._QUARTER * ki))
+            half = (mpmath.mpf(float(zi)) - a) / 2
+            cell = half * mpmath.fsum(wj * f(a + half * (1 + xj)) for xj, wj in zip(x, w))
+            out[i] = float(table[ki] + cell)
+    u, wu = end_power_rule(rates._QUARTER * k[:, None], rates._QUARTER * (k[:, None] + 1), 0.0,
+                           at_lower=True, order=40)
+    return out, np.sum(np.abs(rates._table_integrand(kind, key, s, u)) * wu, axis=1)
 
 
 # -- sector sandwich constants -------------------------------------------------

@@ -307,3 +307,18 @@ class TestProfile:
             lo = unit_ball_profile(d, 9.9e-4)
             hi = unit_ball_profile(d, 1.01e-3)
             assert abs(lo - hi) < 1e-5
+
+    def test_d3_profile_matches_mpmath(self):
+        # 4 pi (sin w - w cos w) / w^3 cancels as w -> 0: the even series
+        # takes w < 1, the closed form the rest; error relative to the value,
+        # or to 4 pi / w^2 next to a zero of the profile
+        w = np.concatenate([[0.0, 1e-300, 1e-150, 1e-8, 1.0001e-3, 3e-3, 1e-2],
+                            np.nextafter(1.0, [0.0, 2.0]), np.linspace(0.0, 10.0, 4001)[1:]])
+        got = unit_ball_profile(3, w)
+        with mpmath.workdps(60):
+            want = np.array([float(4 * mpmath.pi / 3) if x < 1e-100 else float(
+                4 * mpmath.pi * (mpmath.sin(mpmath.mpf(x)) - x * mpmath.cos(mpmath.mpf(x))) / x ** 3)
+                for x in w.tolist()])
+        scale = np.maximum(np.abs(want), 4 * math.pi / np.maximum(w, 1.0) ** 2 * 1e-2)
+        assert np.max(np.abs(got - want) / scale) <= 1e-14
+        assert unit_ball_profile(3, 0.0) == 4 * math.pi / 3

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from ergrates import quadrature
+from ergrates import quadrature, rates
 from ergrates.geometry import Ball, Cube
 from ergrates.quadrature import (
     QuadratureBudgetError,
@@ -88,7 +88,7 @@ def test_angular_break_lists_have_two_segments_or_more():
     # pi/32 or pi/16, and the level loop's first level (1 in `rates`) at pi/4
     for d in (2, 3):
         assert len(quadrature._kink_breaks(d, [], singular_ends=True)) - 1 >= 8
-    g, sizes = _scripted([1.0])
+    g, sizes = _scripted([1.0], [8])
     with pytest.raises(QuadratureBudgetError):
         refined_orthant_integral((0.5, 1.5), g, set(), order=4, levels=range(1, 2),
                                  rel_tol=1e-6, label="x")
@@ -191,23 +191,25 @@ def _recorded(g, calls: list):
 
 
 def _checked_against_the_loop(monkeypatch, values: list):
-    """Make every orthant_integral call check itself against the one-line-
-    at-a-time loop: g sees at most _ROWS_PER_CALL rows a call, every node
-    exactly once and in the loop's order, and the value is the loop's."""
-    real = quadrature.orthant_integral
+    """Make every orthant integral check itself against the one-line-at-a-
+    time loop, rule by rule: g sees at most _ROWS_PER_CALL rows a call,
+    every node of every rule exactly once and in the loop's order, and each
+    value is the loop's."""
+    real = quadrature._orthant_integrals
 
-    def checked(alphas, g, breaks, order, theta_breaks=None):
+    def checked(alphas, g, rules, order):
         got, want = [], []
-        value = real(alphas, _recorded(g, got), breaks, order, theta_breaks)
-        expected = reference.orthant_integral_3d_loop(alphas, _recorded(g, want), breaks, order,
-                                                      theta_breaks)
+        out = real(alphas, _recorded(g, got), rules, order)
+        expected = [reference.orthant_integral_3d_loop(alphas, _recorded(g, want), breaks, order,
+                                                       theta_breaks)
+                    for breaks, theta_breaks in rules]
         assert max(om.shape[0] for om in got) <= quadrature._ROWS_PER_CALL
         assert np.array_equal(np.concatenate(got), np.concatenate(want))
-        assert value == expected
-        values.append(value)
-        return value
+        assert out == expected
+        values.extend(out)
+        return out
 
-    monkeypatch.setattr(quadrature, "orthant_integral", checked)
+    monkeypatch.setattr(quadrature, "_orthant_integrals", checked)
 
 
 _M3 = AnisotropicPowerMeasure((0.7, 1.4, 1.9), (0.8, 1.1, 0.6), 1.0)
@@ -237,7 +239,8 @@ def test_d3_chunks_cover_every_node_once_as_the_line_loop(monkeypatch, rows_per_
                                  singular_ends=aniso)
     level = refined_orthant_integral(m.angular_alphas, g, set(), order=12, levels=range(3, 5),
                                      rel_tol=1.0, label="x")
-    assert len(values) == 3 and values[0] == kink and values[2] == level  # kink, levels 3, 4
+    # the kink rule, then levels 3 and 4 from one pass of chunks
+    assert len(values) == 3 and values[0] == kink and values[2] == level
 
 
 @pytest.mark.parametrize("compute", [
@@ -292,37 +295,82 @@ def test_kink_breaks_grade_only_singular_ends():
             == quadrature._kink_breaks(2, far, singular_ends=False))
 
 
-def _scripted(levels):
-    """An integrand on the first quadrant whose orthant integral is 2 pi
-    levels[k] at its k-th call, recording the node count of each call."""
+def _scripted(levels, level_rows):
+    """An integrand on the first quadrant whose orthant integral at its k-th
+    level is 2 pi levels[k], the levels having level_rows[k] nodes each, in
+    the order g sees them; records the row count of each call."""
     sizes = []
+    ends = np.cumsum(level_rows)
 
     def g(om):
+        start = sum(sizes)
         sizes.append(om.shape[0])
-        return np.full(om.shape[0], levels[len(sizes) - 1])
+        level = np.searchsorted(ends, np.arange(start, start + om.shape[0]), side="right")
+        return np.asarray(levels, dtype=float)[level]
 
     return g, sizes
 
 
 def test_level_loop_stops_at_the_first_level_that_agrees():
-    g, sizes = _scripted([1.0, 1.5, 1.25, 1.25 * (1.0 + 1e-7), 9.0])
+    g, sizes = _scripted([1.0, 1.5, 1.25, 1.25 * (1.0 + 1e-7), 9.0], [16, 32, 64, 128, 256])
     got = refined_orthant_integral((1.0, 1.0), g, {0.3}, order=4, levels=range(1, 7),
                                    rel_tol=1e-6, label="x")
     assert got == pytest.approx(2.0 * math.pi * 1.25 * (1.0 + 1e-7), rel=1e-13)
-    # one call per level: {0, 0.3, pi/2} bisected once, then once more per level
-    assert sizes == [4 * 4, 4 * 8, 4 * 16, 4 * 32]
+    # {0, 0.3, pi/2} bisected once, then once more per level; the first
+    # two levels share one call of g, then one call per level
+    assert sizes == [4 * 4 + 4 * 8, 4 * 16, 4 * 32]
 
 
 def test_level_loop_raises_after_the_last_level():
-    g, sizes = _scripted([1.0, 2.0, 3.0, 4.0, 5.0])
+    g, sizes = _scripted([1.0, 2.0, 3.0, 4.0, 5.0], [16, 32, 64, 128, 256])
     with pytest.raises(QuadratureBudgetError, match=r"did not reach rel_tol=1e-06 for t=\[1\]"):
         refined_orthant_integral((1.0, 1.0), g, set(), order=4, levels=range(2, 5),
                                  rel_tol=1e-6, label="t=[1]")
-    assert sizes == [4 * 4, 4 * 8, 4 * 16]
+    assert sizes == [4 * 4 + 4 * 8, 4 * 16]
+
+
+_M2 = AnisotropicPowerMeasure((0.6, 1.8), (1.0, 0.7), 1.0)
+_HOOD2 = BoxNeighborhood((0.8, 0.3))
+
+
+@pytest.mark.parametrize("rel_tol", [1e-3, 1e-8, 1e-15])
+@pytest.mark.parametrize("m, hood, levels", [
+    (_M2, _HOOD2, range(1, 7)), (_M2, _HOOD2, range(3, 6)), (_M2, _HOOD2, range(2, 3)),
+    (_M3, _HOOD3, range(1, 4)), (_M3, _HOOD3, range(2, 3)),
+    (_RADIAL3, _HOOD3_RUNS, range(1, 4)), (_RADIAL3, _HOOD3_RUNS, range(3, 4)),
+], ids=["2d-1-6", "2d-3-5", "2d-one-level", "3d-aniso-1-3", "3d-aniso-one-level",
+        "3d-radial-1-3", "3d-radial-one-level"])
+def test_level_loop_is_the_one_call_per_level_loop(m, hood, levels, rel_tol):
+    # the same value, or the same refusal, as one orthant_integral per level
+    g = _mass_integrand(m, hood)
+    order = 16 if m.dim == 2 else 12
+
+    def run(loop):
+        try:
+            return loop(m.angular_alphas, g, {0.4}, order, levels, rel_tol, "x")
+        except QuadratureBudgetError as err:
+            return str(err)
+
+    assert run(refined_orthant_integral) == run(reference.refined_orthant_integral_loop)
+
+
+@pytest.mark.parametrize("body, m, t, rel_tol", [
+    (Ball(1.0), RadialPowerMeasure.with_total_mass(2.5, 1.0, 1.0, dim=2), [30.0, 70.0], 1e-6),
+    (Cube(2), RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2), [100.0, 130.0], 1e-6),
+    (Ball(1.0), _M2, [40.0, 25.0], 1e-6),
+    (Cube(3), RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=3), [30.0, 45.0, 60.0], 1e-6),
+    (Ball(1.0, dim=3), _M3, [10.0, 13.0, 7.0], 1e-4),
+], ids=["ball-radial", "cube-radial", "ball-aniso", "cube-3d", "ball-aniso-3d"])
+def test_decay_integrals_are_those_of_the_one_call_per_level_loop(monkeypatch, body, m, t,
+                                                                  rel_tol):
+    # g treats each row on its own, so sharing a call changes no bit
+    want = decay_integral(body, m, t, rel_tol)
+    monkeypatch.setattr(rates, "refined_orthant_integral", reference.refined_orthant_integral_loop)
+    assert decay_integral(body, m, t, rel_tol) == want
 
 
 def test_level_loop_in_d1_takes_the_one_direction():
-    g, sizes = _scripted([0.75])
+    g, sizes = _scripted([0.75], [1])
     got = refined_orthant_integral((1.0,), g, set(), order=4, levels=range(1, 7),
                                    rel_tol=1e-6, label="x")
     assert got == 1.5 and sizes == [1]
@@ -331,7 +379,8 @@ def test_level_loop_in_d1_takes_the_one_direction():
 def test_decay_refinement_failure_names_t(monkeypatch):
     # levels that never agree: the real loop gives up after its last level
     calls = iter(range(1, 100))
-    monkeypatch.setattr(quadrature, "orthant_integral", lambda *args: float(next(calls)))
+    monkeypatch.setattr(quadrature, "_orthant_integrals",
+                        lambda alphas, g, rules, order: [float(next(calls)) for _ in rules])
     m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2)
     with pytest.raises(QuadratureBudgetError) as err:
         decay_integral(Ball(1.0), m, [3.0, 4.0])

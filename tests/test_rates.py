@@ -4,13 +4,16 @@ Oracles: QUADPACK on the polar reduction of I(t) with scipy's own Bessel
 evaluations (independent of the panel rules and the profile code under
 test), the distribution-function route against the quadrature route, the
 exact Weber-Schafheitlin large-t constant of radial measures on balls,
-a test-local per-direction panel rule against the cumulative tables,
-mpmath for the cube's radial integrals one direction at a time, for the
-cube a Cartesian Si-function reference (radial) and the separable product
-of 1-D QUADPACK integrals (aniso) with the Gradshteyn-Ryzhik 3.823 limit,
-and synthetic ladders with known exponents for the fitter.
+a per-direction panel rule against the cumulative tables, Gauss-Legendre-40
+cells in mpmath against the panel series, scipy's quad over phi for
+eccentric d = 2 decays, mpmath for the cube's radial integrals one
+direction at a time, for the cube a Cartesian Si-function reference
+(radial) and the separable product of 1-D QUADPACK integrals (aniso) with
+the Gradshteyn-Ryzhik 3.823 limit, and synthetic ladders with known
+exponents for the fitter.
 """
 
+import hashlib
 import math
 import os
 import subprocess
@@ -51,6 +54,7 @@ from ergrates.spectral import (
     AtomicMeasure,
     RadialPowerMeasure,
     SumMeasure,
+    parse_measure,
     total_mass,
 )
 
@@ -239,6 +243,41 @@ class TestContinuous:
         assert f"support {support} at t=[3.0, 4.0] needs {panels} panels" in str(err.value)
 
 
+class TestEccentricDecays:
+    """d = 2 balls and ellipsoids at t of aspect up to 400: c = |omega o a o t|
+    dips within k_min / k_max of one axis, and breaks graded toward it find
+    the dip; scipy's quad over phi, split at the same graded points, is the
+    reference."""
+
+    @pytest.mark.parametrize("body, spec, t", [
+        (Ball(1.0), "radial:2.5,1,1", (10.0, 1000.0)),
+        (Ball(1.0), "radial:2.5,1,1", (10.0, 4000.0)),
+        (Ball(1.0), "radial:2.5,1,1", (1000.0, 10.0)),
+        (Ellipsoid((2.0, 1.0)), "radial:2.5,1,1", (10.0, 1000.0)),
+        (Ball(1.0), "aniso:1.5,0.7;1,1;1", (10.0, 1000.0)),
+    ], ids=["ball-100", "ball-400", "ball-mirrored", "ellipsoid-100", "ball-aniso-100"])
+    def test_matches_polar_quad_with_graded_breaks(self, body, spec, t):
+        m = parse_measure(spec, dim=2)
+        k = body.semi_axes * np.array(t)
+        graded = quadrature.graded_breaks(min(k) / max(k), math.pi / 4, 2.0)
+        breaks = graded if k[0] < k[1] else [math.pi / 2 - b for b in graded]
+        want = reference.polar_decay_2d(body, m, t, breaks)
+        got = decay_integral(body, m, t, rel_tol=1e-9)
+        assert abs(got - want) <= 1e-8 * want
+
+    def test_no_grading_below_the_aspect(self, monkeypatch):
+        # at k_min / k_max >= 1/8 the breaks are the plain ones
+        seen = []
+        real = rates.refined_orthant_integral
+        monkeypatch.setattr(rates, "refined_orthant_integral",
+                            lambda alphas, g, base, *rest: seen.append(set(base))
+                            or real(alphas, g, base, *rest))
+        m = RadialPowerMeasure.with_total_mass(2.5, 1.0, 1.0, dim=2)
+        decay_integral(Ellipsoid((2.0, 1.0)), m, [10.0, 160.0])  # k = (20, 160)
+        decay_integral(Ellipsoid((2.0, 1.0)), m, [10.0, 161.0])
+        assert seen[0] == set() and len(seen[1]) == 3  # 1/8.05: pi/4 > 2^j / 8.05 for j < 3
+
+
 def weber_schafheitlin(nu, lam):
     """int_0^inf J_nu(u)^2 u^(-lam) du for 0 < lam < 2 nu + 1 (DLMF 10.22.57)."""
     g = mpmath.gamma
@@ -274,30 +313,14 @@ class TestWeberSchafheitlinLimit:
         assert math.log10(hi / lo) == pytest.approx(-(d + 1 - gamma), abs=0.05)
 
 
-def panel_radial(body, v, rho, s, order=8):
-    """int_0^rho |ratio(r v)|^2 r^(s-1) dr by panels of a quarter oscillation
-    period: Gauss-Jacobi-16 on the first panel absorbs r^(s-1)."""
-    freq = sum(abs(x) for x in v) if isinstance(body, Cube) else float(
-        2.0 * np.linalg.norm(body.semi_axes * v))
-    edges = np.linspace(0.0, rho, max(4, math.ceil(rho * freq * 4.0 / (2.0 * math.pi))) + 1)
-    r0, w0 = quadrature.end_power_rule(0.0, edges[1], s - 1.0, at_lower=True, order=16)
-    r1, w1 = quadrature.gl_edges_rule(edges[1:], order)
-    r, w = np.concatenate([r0, r1]), np.concatenate([w0, w1])
-    return float(np.sum(ratio_abs_sq(body, r[:, None] * v[None, :]) * r ** (s - 1.0) * w))
-
-
 class TestCumulativeProfile:
     """The G_s table against a per-direction panel rule, and its history."""
 
-    # The d = 3 closed form of the profile cancels for small u (relative
-    # error about 3e-16 / u^2, 3e-10 at its series switch u = 1e-3).  Both
-    # rules sample that noise at different nodes, and u^(s-1) weights it
-    # most for s <= 1, so there the two can agree only to about 1e-11.
     @pytest.mark.parametrize("d, s_values, rel", [
         (1, (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5), 1e-12),
         (2, (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5), 1e-12),
         (3, (1.5, 2.0, 2.5, 3.0, 3.5), 1e-12),
-        (3, (0.5, 1.0), 3e-11),
+        (3, (0.5, 1.0), 1e-12),
     ])
     def test_matches_per_direction_panel_rule(self, d, s_values, rel):
         rng = np.random.default_rng(8080 + d)
@@ -314,14 +337,20 @@ class TestCumulativeProfile:
                 c = float(np.linalg.norm(body.semi_axes * v))
                 table = c ** (-s) * rates._cumulative("ball", d, [s], zs)[0]
                 for z, got in zip(zs, table):
-                    want = panel_radial(body, v, z / c, s)
+                    want = reference.panel_radial(body, v, z / c, s)
                     worst = max(worst, abs(got - want) / want)
         assert worst <= rel
+
+    @staticmethod
+    def cold(monkeypatch):
+        """No table and no panel series built yet."""
+        monkeypatch.setattr(rates, "_TABLES", {})
+        monkeypatch.setattr(rates, "_SERIES", {})
 
     def test_values_independent_of_table_growth(self, monkeypatch):
         zs = np.array([0.3, 0.9, 7.5, 100.25, 2000.0])
         for kind, key in (("ball", 2), ("cube", 2)):
-            monkeypatch.setattr(rates, "_TABLES", {})
+            self.cold(monkeypatch)
             before = rates._cumulative(kind, key, [2.5], zs)
             small_table = rates._TABLES[(kind, key, 2.5)].copy()
             rates._cumulative(kind, key, [2.5], np.array([3.0e5]))
@@ -329,13 +358,14 @@ class TestCumulativeProfile:
             assert grown.size > 100 * small_table.size
             assert np.array_equal(grown[:small_table.size], small_table)
             assert np.array_equal(rates._cumulative(kind, key, [2.5], zs), before)
-            # and a table built large in one go holds the same entries
-            monkeypatch.setattr(rates, "_TABLES", {})
+            # and a table built large in one go holds the same entries and reads
+            self.cold(monkeypatch)
             rates._cumulative(kind, key, [2.5], np.array([3.0e5]))
             assert np.array_equal(rates._TABLES[(kind, key, 2.5)], grown)
+            assert np.array_equal(rates._cumulative(kind, key, [2.5], zs), before)
 
     def test_decay_integral_independent_of_history_and_process(self, monkeypatch):
-        monkeypatch.setattr(rates, "_TABLES", {})
+        self.cold(monkeypatch)
         m = RadialPowerMeasure.with_total_mass(2.5, 1.0, 1.0, dim=2)
         first = [decay_integral(body, m, [100.0, 130.0], rel_tol=1e-6)
                  for body in (Ellipsoid((2.0, 1.0)), Cube(2))]
@@ -353,6 +383,88 @@ class TestCumulativeProfile:
         res = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=60)
         assert res.stdout.strip() == repr(first), res.stderr
+
+
+# s from 0.5 to 5, and near-axis orders s + 2j up to s + 12
+_SERIES_ORDERS = (0.5, 1.0, 1.5, 2.5, 3.0, 3.5, 5.0, 6.0, 10.0, 14.0, 17.0)
+
+
+def _panel_series(kind, key, s, ks):
+    """The stored column of each panel in ks: its Chebyshev series and table entry."""
+    store = rates._SERIES[(kind, key)]
+    return store.coef[:, store.index[s][ks]].T
+
+
+class TestPanelSeries:
+    """Reads past the first panel: a table entry plus the panel's Chebyshev
+    series, against the Gauss-Legendre-8 cell it replaced and a GL-40 cell
+    in mpmath, and the store's history."""
+
+    @pytest.mark.parametrize("kind, key", [("ball", 2), ("ball", 3), ("cube", 1), ("cube", 2)])
+    def test_read_within_twice_the_gauss_cell(self, kind, key):
+        # every panel k <= 32, next to its right edge (the whole panel) and
+        # at a seeded point, and seeded z up to 5000; e = |read - ref| /
+        # max(|ref|, int_panel |f|)
+        rng = np.random.default_rng(2606 + 10 * key + len(kind))
+        q = rates._QUARTER
+        k = np.arange(1, 33)
+        z = np.concatenate([q * (k + 1.0 - 1e-9), q * (k + rng.random(32)),
+                            np.exp(rng.uniform(math.log(33 * q), math.log(5000.0), 8))])
+        panel = np.floor(z / q)
+        for s in _SERIES_ORDERS:
+            ref, scale = reference.exact_cell(kind, key, s, z)
+            scale = np.maximum(np.abs(ref), scale)
+            e_read = np.abs(rates._cumulative(kind, key, [s], z)[0] - ref) / scale
+            e_gauss = np.abs(reference.gauss_cell(kind, key, s, z) - ref) / scale
+            # both can be exact to the last bit: twice GL-8, or a rounding unit
+            assert e_read.max() <= 2.0 * max(e_gauss.max(), 2.0 ** -52), s
+            assert e_read[panel >= 4].max() <= 4e-15, s
+
+    @pytest.mark.parametrize("kind, key", [("ball", 2), ("cube", 2)])
+    def test_store_is_a_function_of_the_panel(self, monkeypatch, kind, key):
+        # panels built one read at a time, in one read, in reverse order, and
+        # with another order's panels in between hold the same series
+        ks = np.array([1, 2, 3, 7, 40, 41, 900, 3000])
+        z = rates._QUARTER * (ks + 0.5)
+        one_by_one = [[k] for k in ks]
+        series = []
+        for plan, other in ((one_by_one, None), ([ks], None), (one_by_one[::-1], None),
+                            ([ks[::2], ks[1::2]], 3.5)):
+            monkeypatch.setattr(rates, "_SERIES", {})
+            for part in plan:
+                if other is not None:
+                    rates._cumulative(kind, key, [other], rates._QUARTER * (np.asarray(part) + 0.3))
+                rates._cumulative(kind, key, [2.5], rates._QUARTER * (np.asarray(part) + 0.5))
+            series.append(_panel_series(kind, key, 2.5, ks))
+        assert all(np.array_equal(series[0], other) for other in series[1:])
+        assert np.array_equal(rates._cumulative(kind, key, [2.5], z),
+                              rates._cumulative(kind, key, [2.5], z[::-1])[:, ::-1])
+        code = ("import hashlib, numpy as np\n"
+                "from ergrates import rates\n"
+                f"ks = np.array({ks.tolist()})\n"
+                f"rates._cumulative({kind!r}, {key}, [2.5], rates._QUARTER * (ks + 0.5))\n"
+                f"store = rates._SERIES[({kind!r}, {key})]\n"
+                "series = store.coef[:, store.index[2.5][ks]].T\n"
+                "print(hashlib.sha256(np.ascontiguousarray(series).tobytes()).hexdigest())\n")
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        digest = hashlib.sha256(np.ascontiguousarray(series[0]).tobytes()).hexdigest()
+        assert res.stdout.strip() == digest, res.stderr
+
+    def test_warm_reads_evaluate_no_kernel(self, monkeypatch):
+        z = np.array([0.8, 3.7, 42.0, 613.5, 5000.0])
+        for kind, key in (("ball", 2), ("ball", 3), ("cube", 2)):
+            want = rates._cumulative(kind, key, [0.5, 2.5], z)
+
+            def no_kernel(*args, **kwargs):
+                raise AssertionError("a warm read past the first panel evaluated the kernel")
+
+            with monkeypatch.context() as patch:
+                for name in ("_smooth_factor", "_cosine_remainder", "unit_ball_profile",
+                             "_table_integrand"):
+                    patch.setattr(rates, name, no_kernel)
+                assert np.array_equal(rates._cumulative(kind, key, [0.5, 2.5], z), want)
 
 
 def mp_cube_radial(a, rho, s):
@@ -408,7 +520,7 @@ class TestCubeKernel:
                 t = rng.uniform(5.0, 900.0, size=d)
                 rho, s = rng.uniform(0.3, 1.5), float(rng.choice([0.5, 1.0, 2.2, 3.0, 3.5]))
                 got = rates._cube_radial(0.5 * (om * t)[None, :], np.array([rho]), s)[0]
-                want = panel_radial(Cube(d), om * t, rho, s)
+                want = reference.panel_radial(Cube(d), om * t, rho, s)
                 worst[d] = max(worst[d], abs(got - want) / want)
         assert worst[2] <= 1e-11 and worst[3] <= 1e-9
 
@@ -445,8 +557,8 @@ class TestCubeKernel:
             assert np.array_equal(batch, single)
 
     @staticmethod
-    def table_calls_per_level(monkeypatch, t) -> float:
-        calls = {"level": 0, "table": 0}
+    def table_calls_per_integrand_call(monkeypatch, t, rel_tol) -> float:
+        calls = {"integrand": 0, "table": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -454,22 +566,24 @@ class TestCubeKernel:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(rates, "_cube_radial", counted("level", rates._cube_radial))
+        monkeypatch.setattr(rates, "_cube_radial", counted("integrand", rates._cube_radial))
         monkeypatch.setattr(rates, "_cumulative", counted("table", rates._cumulative))
         m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=len(t))
-        decay_integral(Cube(len(t)), m, t, rel_tol=1e-5)
-        assert calls["level"] >= 2
-        return calls["table"] / calls["level"]
+        decay_integral(Cube(len(t)), m, t, rel_tol=rel_tol)
+        # the first call holds levels 1 and 2, each later one a level (in
+        # d = 3, a chunk of rows of them)
+        assert calls["integrand"] >= 2
+        return calls["table"] / calls["integrand"]
 
     def test_one_table_call_per_row_group(self, monkeypatch):
         # rows are grouped by how many factors are near their axis, and a
-        # group's 13 series orders share one table call, so a d = 2 level
-        # makes at most 2: full rows and rows near either axis
-        assert self.table_calls_per_level(monkeypatch, [100.0, 130.0]) <= 2
+        # group's 13 series orders share one table call, so a d = 2 integrand
+        # call makes at most 2: full rows and rows near either axis
+        assert self.table_calls_per_integrand_call(monkeypatch, [100.0, 130.0], 1e-14) <= 2
 
     def test_one_table_call_per_row_group_3d(self, monkeypatch):
         # at most one per count of near-axis factors below 3
-        assert self.table_calls_per_level(monkeypatch, [100.0, 130.0, 170.0]) <= 3
+        assert self.table_calls_per_integrand_call(monkeypatch, [100.0, 130.0, 170.0], 1e-6) <= 3
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 2.2, 3.0, 3.5, 5.0])
     @pytest.mark.parametrize("d", [2, 3])
