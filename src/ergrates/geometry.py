@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 # Closed forms below are only trusted for d <= 4; the angular quadratures
-# (quadrature.orthant_integral) stop at d <= 3.
+# (quadrature.kink_orthant_integral and refined_orthant_integral) stop at d <= 3.
 MAX_DIM = 4
 
 # Relative tolerance for "p lies on the boundary" in the defining equation.

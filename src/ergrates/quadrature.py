@@ -4,13 +4,13 @@ break policy, and vectorised bracketed searches.
 The only place 1-D Gauss-Legendre and Gauss-Jacobi rules are built.  Two
 consumers: the radial integrals in the rates machinery (panel and
 singular-end segment rules), and every angular integral over the unit
-sphere, which all go through `orthant_integral`, with breaks, order and
-refinement set here: the fixed kink rule for neighborhood masses and the
-singular integral's outer piece, the level loop for decay integrals, whose
-first two levels share one pass of the integrand over their directions.
+sphere, by one of two policies that set breaks, order and refinement
+here: `kink_orthant_integral` for neighborhood masses and the singular
+integral's outer piece, and `refined_orthant_integral`, the level loop of
+decay integrals, whose first two levels share one pass of the integrand.
 Callers pass only their integrand and its kinks.  Segment rules are built
-for many break lists at once (`line_rules`; `segment_rules` is its one-line
-case): the interior segments are one broadcast of the cached
+for many break lists at once (`_line_rules`; `_segment_rules` is its
+one-line case): the interior segments are one broadcast of the cached
 Gauss-Legendre rule, the singular end segments one Gauss-Jacobi call per
 end, and each rule is bit for bit `end_power_rule` on its segment.  In
 d = 3 every theta line's rule comes from one such call, the integrand
@@ -40,10 +40,7 @@ __all__ = [
     "QuadratureBudgetError",
     "gl_edges_rule",
     "end_power_rule",
-    "line_rules",
-    "segment_rules",
     "graded_breaks",
-    "orthant_integral",
     "kink_orthant_integral",
     "refined_orthant_integral",
     "bisect",
@@ -140,7 +137,7 @@ def _segment_rows(lo, hi, first, last, exp_lo: float, exp_hi: float, order: int)
 _ONE_SEGMENT = "a break list of one segment cannot absorb two singular ends"
 
 
-def segment_rules(breaks: list[float], exp_lo: float, exp_hi: float, order: int):
+def _segment_rules(breaks: list[float], exp_lo: float, exp_hi: float, order: int):
     """Per-segment rules on [breaks[0], breaks[-1]], which must strictly
     increase, with singular ends of exponents exp_lo and exp_hi: each rule
     bit for bit `end_power_rule` on its segment.  A single segment cannot
@@ -151,8 +148,8 @@ def segment_rules(breaks: list[float], exp_lo: float, exp_hi: float, order: int)
     return _segment_rows(edges[:-1], edges[1:], 0, edges.size - 2, exp_lo, exp_hi, order)
 
 
-def line_rules(lines, exp_lo: float, exp_hi: float, order: int):
-    """`segment_rules` of every break list in `lines` at once: flat (nodes,
+def _line_rules(lines, exp_lo: float, exp_hi: float, order: int):
+    """`_segment_rules` of every break list in `lines` at once: flat (nodes,
     weights), one line after another, and the node count of each line.
     The end segments of all lines are one column-array call per end."""
     n_seg = np.array([len(tb) - 1 for tb in lines])
@@ -181,40 +178,32 @@ def graded_breaks(first: float, limit: float, ratio: float) -> list[float]:
 _ROWS_PER_CALL = 4096
 
 
-def orthant_integral(alphas, g, breaks, order: int, theta_breaks=None) -> float:
-    """2^d times the integral of g over the first orthant of the unit sphere.
+def _orthant_integrals(alphas, g, rules, order: int) -> list[float]:
+    """2^d times the integral of g over the first orthant of the unit sphere,
+    d = 2 or 3, on each (breaks, theta_breaks) in `rules`: g is called on
+    the directions of all of them at once and each is summed on its own.
 
     g maps unit directions (rows) to the full angular integrand, including
     its |omega_k|^(alpha_k - 1) axis factors; the alphas tell the segment
-    rules which end singularities to absorb.  d = 1 is the one direction
-    e_1 (breaks and order unused).  In d = 2 and 3 the azimuth phi runs
-    over `breaks`; in d = 3 the polar angle theta of the i-th phi node runs
-    over `theta_breaks(phi)[i]`, where phi is the array of every phi node,
-    and the sin(theta) surface element is included: the directions are
-    (sin theta cos phi, sin theta sin phi, cos theta).
-    In d = 3 the theta rules of all phi nodes come from one `line_rules`
-    call, and g is called on consecutive chunks of at most _ROWS_PER_CALL
-    rows that may cut across phi lines, so it must treat every row on its
-    own.  Each phi line's theta sum is the one np.sum takes of that line
-    alone (each run of consecutive lines of one length is summed as the
-    rows of one 2-D view), and the lines are added up in phi order, one
-    after another.
+    rules which end singularities to absorb.  The azimuth phi runs over
+    `breaks`; in d = 3 the polar angle theta of the i-th phi node runs over
+    `theta_breaks(phi)[i]`, where phi is the array of every phi node of the
+    rule, and the sin(theta) surface element is included: the directions
+    are (sin theta cos phi, sin theta sin phi, cos theta).
+    In d = 3 the theta rules of all phi nodes come from one `_line_rules`
+    call per rule, and g is called on consecutive chunks of at most
+    _ROWS_PER_CALL rows that may cut across phi lines and rules, so it must
+    treat every row on its own.  Each phi line's theta sum is the one np.sum
+    takes of that line alone (each run of consecutive lines of one length
+    is summed as the rows of one 2-D view), and the lines are added up in
+    phi order, one after another.
     """
-    if len(alphas) == 1:
-        return 2.0 * float(g(np.array([[1.0]]))[0])
-    return _orthant_integrals(alphas, g, [(breaks, theta_breaks)], order)[0]
-
-
-def _orthant_integrals(alphas, g, rules, order: int) -> list[float]:
-    """`orthant_integral` of g on each (breaks, theta_breaks) in `rules`, d = 2
-    or 3, with g called on the directions of all of them at once (in d = 3,
-    in chunks that may cut across them) and each summed on its own."""
     d = len(alphas)
     if d > 3:
         raise ValueError(f"orthant integrals support d <= 3, got d = {d}")
     a1, a2 = alphas[0], alphas[1]
     # phi end behavior: sin(phi)^(a2-1) at 0, cos(phi)^(a1-1) at pi/2
-    phis = [segment_rules(breaks, exp_lo=a2 - 1.0, exp_hi=a1 - 1.0, order=order)
+    phis = [_segment_rules(breaks, exp_lo=a2 - 1.0, exp_hi=a1 - 1.0, order=order)
             for breaks, _ in rules]
     phi = np.concatenate([p for p, _ in phis])
     ends = np.cumsum([0] + [p.size for p, _ in phis])  # each rule's phi nodes
@@ -223,7 +212,7 @@ def _orthant_integrals(alphas, g, rules, order: int) -> list[float]:
         return [4.0 * float(np.sum(vals[a:b] * w_phi))
                 for (_, w_phi), a, b in zip(phis, ends[:-1], ends[1:])]
     # theta end behavior: sin(theta)^(a1+a2-1) at 0, cos(theta)^(a3-1) at pi/2
-    lines = [line_rules(theta_breaks(p), a1 + a2 - 1.0, alphas[2] - 1.0, order)
+    lines = [_line_rules(theta_breaks(p), a1 + a2 - 1.0, alphas[2] - 1.0, order)
              for (p, _), (_, theta_breaks) in zip(phis, rules)]
     theta, terms, sizes = (np.concatenate(parts) for parts in zip(*lines))
     line = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)  # the phi node of each row
@@ -257,6 +246,11 @@ def _orthant_integrals(alphas, g, rules, order: int) -> list[float]:
 # step to a singular end is graded away from it by factors of 4 up to the
 # step: otherwise the plain Gauss segment after the thin end rule meets the
 # end singularity just outside itself and can be off by 1e-3.
+#
+# The level loop (decay integrals): (Gauss order, levels) by d.  Without
+# breaks d = 3 splits each angle into 2 to 16 equal segments; adequate for
+# the moderate |t| it sees (the acceptance-scale sweeps are all 2-D).
+_LEVELS = {2: (16, range(1, 7)), 3: (12, range(1, 5))}
 
 
 def _kink_breaks(d: int, kinks, singular_ends: bool) -> list[float]:
@@ -277,13 +271,14 @@ def _kink_breaks(d: int, kinks, singular_ends: bool) -> list[float]:
 
 
 def kink_orthant_integral(alphas, g, kinks, singular_ends: bool) -> float:
-    """`orthant_integral` of g under the fixed kink rule: kinks() gives the
+    """`_orthant_integrals` of g under the fixed kink rule: kinks() gives the
     azimuths where g kinks and, in d = 3, kinks(phi) the polar angles at each
     azimuth in phi; `singular_ends` when g has |omega_k|^(alpha_k - 1) factors.
     Azimuths with the same polar kinks share one break list."""
     theta_breaks = functools.cache(lambda k: _kink_breaks(3, k, singular_ends))
-    return orthant_integral(alphas, g, _kink_breaks(len(alphas), kinks(), singular_ends), 24,
-                            lambda phi: [theta_breaks(tuple(k)) for k in kinks(phi)])
+    rule = (_kink_breaks(len(alphas), kinks(), singular_ends),
+            lambda phi: [theta_breaks(tuple(k)) for k in kinks(phi)])
+    return _orthant_integrals(alphas, g, [rule], 24)[0]
 
 
 def _bisected(breaks: list[float]) -> list[float]:
@@ -295,17 +290,17 @@ def _level(breaks: list[float]):
     return breaks, lambda phi: [breaks] * phi.size
 
 
-def refined_orthant_integral(alphas, g, base_breaks, order: int, levels: range,
-                             rel_tol: float, label: str) -> float:
-    """`orthant_integral` of g on {0, pi/2} and base_breaks, every segment
+def refined_orthant_integral(alphas, g, base_breaks, rel_tol: float, label: str) -> float:
+    """`_orthant_integrals` of g on {0, pi/2} and base_breaks, every segment
     bisected k times at level k, for phi and theta alike: the first level in
-    `levels` within rel_tol of the one before it.  The first level has none
+    `_LEVELS` within rel_tol of the one before it.  The first level has none
     before it to agree with, so it never stops the loop, and the first two
     levels take one call of g together.  After the last level it raises
-    QuadratureBudgetError naming `label`.  d = 1 has nothing to refine.
+    QuadratureBudgetError naming `label`.  d = 1 is the one direction e_1.
     """
     if len(alphas) == 1:
-        return orthant_integral(alphas, g, (), 0)
+        return 2.0 * float(g(np.array([[1.0]]))[0])
+    order, levels = _LEVELS[min(len(alphas), 3)]  # d > 3 is refused by _orthant_integrals
     breaks = sorted({0.0, math.pi / 2} | set(base_breaks))
     for _ in range(levels.start):
         breaks = _bisected(breaks)

@@ -40,7 +40,6 @@ from .quadrature import (
     gl_edges_rule,
     graded_breaks,
     refined_orthant_integral,
-    segment_rules,
 )
 from .spectral import (
     AnisotropicPowerMeasure,
@@ -377,15 +376,19 @@ def _table_integrand(kind: str, key: int, s: float, u: np.ndarray) -> np.ndarray
     return u ** _end_exponent(kind, key, s) * _smooth_factor(kind, key, _taylor_order(key, s), u)
 
 
+def _first_panel(kind: str, key: int, s: float, z):
+    """The integral up to z <= pi/4 (a float or a column) by one Gauss-Jacobi-16 rule."""
+    u, w = end_power_rule(0.0, z, _end_exponent(kind, key, s), at_lower=True, order=_FIRST_ORDER)
+    return np.sum(_table_integrand(kind, key, s, u) * w, axis=-1)
+
+
 def _table(kind: str, key: int, s: float, k_top: int) -> np.ndarray:
     """The integral up to k pi/4 for k = 0, 1, ... and at least up to k_top (read-only)."""
     cum = _TABLES.get((kind, key, s))
     if cum is not None and cum.size > k_top:
         return cum
     if cum is None:
-        u, w = end_power_rule(0.0, _QUARTER, _end_exponent(kind, key, s), at_lower=True,
-                              order=_FIRST_ORDER)
-        cum = np.array([0.0, np.sum(_table_integrand(kind, key, s, u) * w)])
+        cum = np.array([0.0, _first_panel(kind, key, s, _QUARTER)])
     chunks = [cum]
     k0 = cum.size - 1  # the next panel is [k0 pi/4, (k0 + 1) pi/4]
     while k0 < k_top:
@@ -517,9 +520,7 @@ def _cumulative(kind: str, key: int, orders, z: np.ndarray) -> np.ndarray:
     first = np.flatnonzero(k == 0)
     if first.size:
         for i, s in enumerate(orders):
-            uf, wf = end_power_rule(0.0, z[first, None], _end_exponent(kind, key, s),
-                                    at_lower=True, order=_FIRST_ORDER)
-            out[i, first] = np.sum(_table_integrand(kind, key, s, uf) * wf, axis=1)
+            out[i, first] = _first_panel(kind, key, s, z[first, None])
     return out
 
 
@@ -604,9 +605,9 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
     d = 2 (boundary layers of width about 2 pi / (t_k rho)), a ball's or an
     ellipsoid's graded toward the axis of the smaller k = a o t when
     k_min / k_max < 1/8 (c dips over an angle of about that ratio there),
-    and an aniso support's corner.  A rel_tol below double precision is
-    refused at once: two levels that agree to the last bit do not show an
-    error that small.
+    and an aniso support's corner, graded away from the end it is near.  A
+    rel_tol below double precision is refused at once: two levels that agree
+    to the last bit do not show an error that small.
     """
     d = m.dim
     t = as_vec(t, dim=d)
@@ -669,14 +670,12 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
             graded = graded_breaks(min(k1, k2) / max(k1, k2), math.pi / 4, 2.0)
             base |= set(graded) if k1 < k2 else {math.pi / 2 - b for b in graded}
     if d == 2 and not is_radial:
-        # the support box's corner direction is a kink of the radial extent
-        base |= set(extent_kinks([m]))
-    # d = 3 bisects phi and theta alike into 2 to 16 equal segments at a
-    # fixed order; adequate for the moderate |t| this path sees (the
-    # acceptance-scale sweeps are all 2-D)
-    order, levels = (16, range(1, 7)) if d == 2 else (12, range(1, 5))
-    return refined_orthant_integral(alphas, angular_value, base, order, levels, rel_tol,
-                                    f"t={t.tolist()}")
+        # the support box's corner direction is a kink of the radial extent,
+        # graded away from the end it is near, as the kink rule grades masses
+        for c in extent_kinks([m]):
+            base |= {c, *graded_breaks(4.0 * c, math.pi / 4, 4.0), *(
+                math.pi / 2 - b for b in graded_breaks(4.0 * (math.pi / 2 - c), math.pi / 4, 4.0))}
+    return refined_orthant_integral(alphas, angular_value, base, rel_tol, f"t={t.tolist()}")
 
 
 def decay_integral(body: ConvexBody, m: SpectralMeasure, t, rel_tol: float = 1e-5) -> float:
@@ -732,19 +731,20 @@ def decay_integral_levelform(body: Ball, m: RadialPowerMeasure, t) -> float:
         u_dir = np.array([t[0]])
         w_dir = np.array([2.0])
     elif d == 2:
-        phi, w_phi = segment_rules(list(np.linspace(0, math.pi / 2, 9)), 0.0, 0.0, order=8)
+        e = np.linspace(0, math.pi / 2, 9)
+        phi, w_phi = (a.ravel() for a in end_power_rule(e[:-1, None], e[1:, None], 0.0, True, 8))
         om = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
         u_dir = np.linalg.norm(om * t[None, :], axis=1)
         w_dir = 4.0 * w_phi
     else:
-        th, w_th = segment_rules(list(np.linspace(0, math.pi / 2, 5)), 0.0, 0.0, order=8)
-        ph, w_ph = segment_rules(list(np.linspace(0, math.pi / 2, 5)), 0.0, 0.0, order=8)
-        TH, PH = np.meshgrid(th, ph, indexing="ij")
+        e = np.linspace(0, math.pi / 2, 5)  # theta and phi take one grid
+        th, w_th = (a.ravel() for a in end_power_rule(e[:-1, None], e[1:, None], 0.0, True, 8))
+        TH, PH = np.meshgrid(th, th, indexing="ij")
         om = np.stack(
             [np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1
         ).reshape(-1, 3)
         u_dir = np.linalg.norm(om * t[None, :], axis=1)
-        w_dir = 8.0 * (np.sin(TH) * w_th[:, None] * w_ph[None, :]).ravel()
+        w_dir = 8.0 * (np.sin(TH) * w_th[:, None] * w_th[None, :]).ravel()
 
     coeff = m.scale / m.gamma
 

@@ -4,7 +4,11 @@ Each module's underscore names are its own business; a helper another
 module needs belongs in that module's public surface (or in the shared
 `quadrature` layer).  The scan reads the sources with `ast`, so it sees
 `from .mod import _name` as well as `mod._name` through any alias bound
-to a package module.  Dunders such as `__version__` are exempt.
+to a package module.  Dunders such as `__version__` are exempt.  The
+angular segment rules are private to `quadrature`, so the same scan shows
+that no other module builds them: angular integrals go through its two
+policies, and the level-set cross-check of I(t) builds its fixed plain
+grids from the public `end_power_rule`.
 
 Input checks raise; they never assert, because `python -O` strips assert
 statements and the check with them.
@@ -100,7 +104,7 @@ def test_scanner_catches_each_form():
         "import ergrates.rates",
         "import ergrates.spectral as spec",
         "from . import rates as rates_mod, __version__",
-        "from .spectral import _segment_rules, parse_measure",
+        "from .quadrature import _line_rules, graded_breaks",
         "from .cli import _helper as renamed",
         "from .own import _mine",
         "rates_mod._decay_auto(1)",
@@ -112,79 +116,11 @@ def test_scanner_catches_each_form():
     ])
     found = cross_module_private_uses(source, "own")
     assert found == [
-        "line 4: from .spectral import _segment_rules",
+        "line 4: from .quadrature import _line_rules",
         "line 5: from .cli import _helper",
         "line 7: rates_mod._decay_auto",
         "line 8: spec._support_profile",
         "line 9: ergrates.rates._map_ordered",
-    ]
-
-
-# -- one angular layer -------------------------------------------------------
-#
-# Angular integrals go through `quadrature.orthant_integral`.  The only other
-# caller of the segment rules is the level-set route, which must stay on its
-# own fixed grids: it is the independent reference the quadrature route of
-# I(t) is checked against.
-
-LAYER_RULE = "segment_rules"
-LAYER_EXEMPT = ("rates", "decay_integral_levelform")
-
-
-def segment_rule_uses(source: str, module: str) -> list[str]:
-    """Every reference in `source` (module `module`) to the segment rules, or to
-    a name they are imported as, outside the exempt function, in line order."""
-    tree = ast.parse(source)
-    names = {LAYER_RULE}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            names |= {alias.asname for alias in node.names
-                      if alias.name == LAYER_RULE and alias.asname}
-    exempt: set[int] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and (module, node.name) == LAYER_EXEMPT:
-            exempt |= {id(inner) for inner in ast.walk(node)}
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        else:
-            continue
-        if name in names and id(node) not in exempt:
-            found.append((node.lineno, name))
-    return [f"line {line}: {name}" for line, name in sorted(found)]
-
-
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem != "quadrature"),
-                         ids=lambda p: p.name)
-def test_segment_rules_only_in_quadrature_and_levelform(path):
-    assert segment_rule_uses(path.read_text(encoding="utf-8"), path.stem) == []
-
-
-def test_segment_rule_scanner_catches_each_form():
-    source = "\n".join([
-        "from .quadrature import segment_rules, segment_rules as sr",
-        "from . import quadrature",
-        "def decay_integral_levelform():",
-        "    return segment_rules([0, 1], 0.0, 0.0, 8)",
-        "def level_value():",
-        "    return segment_rules([0, 1], 0.0, 0.0, 8)",
-        "def other():",
-        "    return sr([0, 1], 0.0, 0.0, 8), quadrature.segment_rules",
-    ])
-    assert segment_rule_uses(source, "rates") == [
-        "line 6: segment_rules",
-        "line 8: segment_rules",
-        "line 8: sr",
-    ]
-    # the exemption holds in rates only
-    assert segment_rule_uses(source, "spectral") == [
-        "line 4: segment_rules",
-        "line 6: segment_rules",
-        "line 8: segment_rules",
-        "line 8: sr",
     ]
 
 

@@ -22,10 +22,7 @@ from ergrates.quadrature import (
     gl_edges_rule,
     graded_breaks,
     kink_orthant_integral,
-    line_rules,
-    orthant_integral,
     refined_orthant_integral,
-    segment_rules,
 )
 from ergrates.rates import decay_integral
 from ergrates.spectral import (
@@ -63,7 +60,8 @@ def test_oscillatory_at_quarter_period_panels():
 def test_segment_rules_absorb_both_singular_ends():
     # x^-0.4 (1 - x)^0.7 on [0, 1] split at two inner breaks: the Jacobi ends
     # make it exact, the Beta function B(0.6, 1.7)
-    nodes, weights = segment_rules([0.0, 0.3, 0.6, 1.0], exp_lo=-0.4, exp_hi=0.7, order=10)
+    nodes, weights = quadrature._segment_rules([0.0, 0.3, 0.6, 1.0], exp_lo=-0.4, exp_hi=0.7,
+                                               order=10)
     got = float(np.sum(weights * nodes ** -0.4 * (1.0 - nodes) ** 0.7))
     want = math.gamma(0.6) * math.gamma(1.7) / math.gamma(2.3)
     assert got == pytest.approx(want, rel=1e-12)
@@ -73,29 +71,30 @@ def test_segment_rules_absorb_both_singular_ends():
 def test_one_segment_cannot_absorb_two_singular_ends():
     # a lone segment's Jacobi rule absorbs only one of two singular ends
     with pytest.raises(ValueError, match="one segment cannot absorb two singular ends"):
-        segment_rules([0.0, 1.0], exp_lo=-0.4, exp_hi=0.7, order=8)
+        quadrature._segment_rules([0.0, 1.0], exp_lo=-0.4, exp_hi=0.7, order=8)
     with pytest.raises(ValueError, match="one segment cannot absorb two singular ends"):
-        line_rules([[0.0, 0.5, 1.0], [0.0, 1.0]], exp_lo=-0.4, exp_hi=0.7, order=8)
+        quadrature._line_rules([[0.0, 0.5, 1.0], [0.0, 1.0]], exp_lo=-0.4, exp_hi=0.7, order=8)
     # one singular end on a lone segment is the end rule itself
     for exp_lo, exp_hi, at_lower in ((-0.4, 0.0, True), (0.0, 0.7, False)):
-        nodes, weights = segment_rules([0.5, 2.0], exp_lo, exp_hi, order=8)
+        nodes, weights = quadrature._segment_rules([0.5, 2.0], exp_lo, exp_hi, order=8)
         want = end_power_rule(0.5, 2.0, exp_lo + exp_hi, at_lower=at_lower, order=8)
         assert np.array_equal(nodes, want[0]) and np.array_equal(weights, want[1])
 
 
-def test_angular_break_lists_have_two_segments_or_more():
+def test_angular_break_lists_have_two_segments_or_more(monkeypatch):
     # no caller gives a lone segment: the kink rule splits every angle at
-    # pi/32 or pi/16, and the level loop's first level (1 in `rates`) at pi/4
+    # pi/32 or pi/16, and the level loop's first level (1 in every d) at pi/4
     for d in (2, 3):
         assert len(quadrature._kink_breaks(d, [], singular_ends=True)) - 1 >= 8
+        assert quadrature._LEVELS[d][1].start >= 1
     g, sizes = _scripted([1.0], [8])
+    monkeypatch.setitem(quadrature._LEVELS, 2, (4, range(1, 2)))
     with pytest.raises(QuadratureBudgetError):
-        refined_orthant_integral((0.5, 1.5), g, set(), order=4, levels=range(1, 2),
-                                 rel_tol=1e-6, label="x")
+        refined_orthant_integral((0.5, 1.5), g, set(), rel_tol=1e-6, label="x")
     assert sizes == [2 * 4]
+    monkeypatch.setitem(quadrature._LEVELS, 2, (4, range(0, 3)))
     with pytest.raises(ValueError, match="one segment"):
-        refined_orthant_integral((0.5, 1.5), g, set(), order=4, levels=range(0, 3),
-                                 rel_tol=1e-6, label="x")
+        refined_orthant_integral((0.5, 1.5), g, set(), rel_tol=1e-6, label="x")
 
 
 def _break_lines(seed: int, n_lines: int, both_singular: bool) -> list[list[float]]:
@@ -120,12 +119,12 @@ _EXPONENTS = st.one_of(st.just(0.0), st.floats(-0.999, 3.0, exclude_max=True))
        exp_lo=_EXPONENTS, exp_hi=_EXPONENTS, order=st.integers(4, 24))
 def test_line_rules_equal_the_per_segment_loop(seed, n_lines, exp_lo, exp_hi, order):
     lines = _break_lines(seed, n_lines, exp_lo != 0.0 and exp_hi != 0.0)
-    nodes, weights, sizes = line_rules(lines, exp_lo, exp_hi, order)
+    nodes, weights, sizes = quadrature._line_rules(lines, exp_lo, exp_hi, order)
     want = [reference.segment_rules_loop(tb, exp_lo, exp_hi, order) for tb in lines]
     assert sizes.tolist() == [nd.size for nd, _ in want]
     assert np.array_equal(nodes, np.concatenate([nd for nd, _ in want]))
     assert np.array_equal(weights, np.concatenate([wt for _, wt in want]))
-    one = segment_rules(lines[0], exp_lo, exp_hi, order)
+    one = quadrature._segment_rules(lines[0], exp_lo, exp_hi, order)
     assert np.array_equal(one[0], want[0][0]) and np.array_equal(one[1], want[0][1])
 
 
@@ -175,7 +174,8 @@ def test_orthant_integral_matches_sphere_moments(alphas):
     for n_seg in (2, 4, 8):
         breaks = list(np.linspace(0.0, math.pi / 2, n_seg + 1))
         for order in (12, 16, 24):
-            got = orthant_integral(alphas, g, breaks, order, theta_breaks=lambda phi: [breaks] * phi.size)
+            rule = (breaks, lambda phi: [breaks] * phi.size)
+            got = quadrature._orthant_integrals(alphas, g, [rule], order)[0]
             assert type(got) is float
             assert got == pytest.approx(want, rel=1e-13), (n_seg, order)
 
@@ -237,8 +237,8 @@ def test_d3_chunks_cover_every_node_once_as_the_line_loop(monkeypatch, rows_per_
     g = _mass_integrand(m, hood)
     kink = kink_orthant_integral(m.angular_alphas, g, functools.partial(extent_kinks, [hood, m]),
                                  singular_ends=aniso)
-    level = refined_orthant_integral(m.angular_alphas, g, set(), order=12, levels=range(3, 5),
-                                     rel_tol=1.0, label="x")
+    monkeypatch.setitem(quadrature._LEVELS, 3, (12, range(3, 5)))
+    level = refined_orthant_integral(m.angular_alphas, g, set(), rel_tol=1.0, label="x")
     # the kink rule, then levels 3 and 4 from one pass of chunks
     assert len(values) == 3 and values[0] == kink and values[2] == level
 
@@ -311,21 +311,21 @@ def _scripted(levels, level_rows):
     return g, sizes
 
 
-def test_level_loop_stops_at_the_first_level_that_agrees():
+def test_level_loop_stops_at_the_first_level_that_agrees(monkeypatch):
     g, sizes = _scripted([1.0, 1.5, 1.25, 1.25 * (1.0 + 1e-7), 9.0], [16, 32, 64, 128, 256])
-    got = refined_orthant_integral((1.0, 1.0), g, {0.3}, order=4, levels=range(1, 7),
-                                   rel_tol=1e-6, label="x")
+    monkeypatch.setitem(quadrature._LEVELS, 2, (4, range(1, 7)))
+    got = refined_orthant_integral((1.0, 1.0), g, {0.3}, rel_tol=1e-6, label="x")
     assert got == pytest.approx(2.0 * math.pi * 1.25 * (1.0 + 1e-7), rel=1e-13)
     # {0, 0.3, pi/2} bisected once, then once more per level; the first
     # two levels share one call of g, then one call per level
     assert sizes == [4 * 4 + 4 * 8, 4 * 16, 4 * 32]
 
 
-def test_level_loop_raises_after_the_last_level():
+def test_level_loop_raises_after_the_last_level(monkeypatch):
     g, sizes = _scripted([1.0, 2.0, 3.0, 4.0, 5.0], [16, 32, 64, 128, 256])
+    monkeypatch.setitem(quadrature._LEVELS, 2, (4, range(2, 5)))
     with pytest.raises(QuadratureBudgetError, match=r"did not reach rel_tol=1e-06 for t=\[1\]"):
-        refined_orthant_integral((1.0, 1.0), g, set(), order=4, levels=range(2, 5),
-                                 rel_tol=1e-6, label="t=[1]")
+        refined_orthant_integral((1.0, 1.0), g, set(), rel_tol=1e-6, label="t=[1]")
     assert sizes == [4 * 4 + 4 * 8, 4 * 16]
 
 
@@ -340,14 +340,14 @@ _HOOD2 = BoxNeighborhood((0.8, 0.3))
     (_RADIAL3, _HOOD3_RUNS, range(1, 4)), (_RADIAL3, _HOOD3_RUNS, range(3, 4)),
 ], ids=["2d-1-6", "2d-3-5", "2d-one-level", "3d-aniso-1-3", "3d-aniso-one-level",
         "3d-radial-1-3", "3d-radial-one-level"])
-def test_level_loop_is_the_one_call_per_level_loop(m, hood, levels, rel_tol):
-    # the same value, or the same refusal, as one orthant_integral per level
+def test_level_loop_is_the_one_call_per_level_loop(monkeypatch, m, hood, levels, rel_tol):
+    # the same value, or the same refusal, as one pass of g per level
     g = _mass_integrand(m, hood)
-    order = 16 if m.dim == 2 else 12
+    monkeypatch.setitem(quadrature._LEVELS, m.dim, (quadrature._LEVELS[m.dim][0], levels))
 
     def run(loop):
         try:
-            return loop(m.angular_alphas, g, {0.4}, order, levels, rel_tol, "x")
+            return loop(m.angular_alphas, g, {0.4}, rel_tol, "x")
         except QuadratureBudgetError as err:
             return str(err)
 
@@ -371,21 +371,23 @@ def test_decay_integrals_are_those_of_the_one_call_per_level_loop(monkeypatch, b
 
 def test_level_loop_in_d1_takes_the_one_direction():
     g, sizes = _scripted([0.75], [1])
-    got = refined_orthant_integral((1.0,), g, set(), order=4, levels=range(1, 7),
-                                   rel_tol=1e-6, label="x")
+    got = refined_orthant_integral((1.0,), g, set(), rel_tol=1e-6, label="x")
     assert got == 1.5 and sizes == [1]
 
 
-def test_decay_refinement_failure_names_t(monkeypatch):
-    # levels that never agree: the real loop gives up after its last level
+@pytest.mark.parametrize("t, n_levels", [([3.0, 4.0], 6), ([3.0, 4.0, 5.0], 4)],
+                         ids=["d2", "d3"])
+def test_decay_refinement_failure_names_t(monkeypatch, t, n_levels):
+    # levels that never agree: the real loop gives up after its last level,
+    # level 6 in d = 2 and level 4 in d = 3
     calls = iter(range(1, 100))
     monkeypatch.setattr(quadrature, "_orthant_integrals",
                         lambda alphas, g, rules, order: [float(next(calls)) for _ in rules])
-    m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2)
+    m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=len(t))
     with pytest.raises(QuadratureBudgetError) as err:
-        decay_integral(Ball(1.0), m, [3.0, 4.0])
-    assert str(err.value) == "angular refinement did not reach rel_tol=1e-05 for t=[3.0, 4.0]"
-    assert next(calls) == 7  # levels 1 to 6
+        decay_integral(Ball(1.0, dim=len(t)), m, t)
+    assert str(err.value) == f"angular refinement did not reach rel_tol=1e-05 for t={t}"
+    assert next(calls) == n_levels + 1  # levels 1 to n_levels
 
 
 @pytest.mark.parametrize("compute", [
