@@ -247,22 +247,29 @@ def _orthant_integrals(alphas, g, rules, order: int) -> list[float]:
 # step: otherwise the plain Gauss segment after the thin end rule meets the
 # end singularity just outside itself and can be off by 1e-3.
 #
-# The level loop (decay integrals): (Gauss order, levels) by d.  Without
-# breaks d = 3 splits each angle into 2 to 16 equal segments; adequate for
-# the moderate |t| it sees (the acceptance-scale sweeps are all 2-D).
+# The level loop (decay integrals): (Gauss order, levels) by d, and kinks
+# graded away from an end up to pi/4.  Without breaks d = 3 splits each angle
+# into 2 to 16 equal segments; adequate for the moderate |t| it sees.
 _LEVELS = {2: (16, range(1, 7)), 3: (12, range(1, 5))}
+
+
+def _graded_kinks(kinks, near: float = math.pi / 2, limit: float = math.pi / 4) -> list[float]:
+    """0, pi/2 and the kinks strictly between them, sorted, with the kink
+    nearest each end, when closer to it than `near`, graded away from it by
+    factors of 4 up to limit; by default as the level loop grades them."""
+    breaks = sorted({0.0, math.pi / 2} | {float(b) for b in kinks if 0.0 < b < math.pi / 2})
+    graded = []
+    for gap, end, sign in ((breaks[1], 0.0, 1.0), (math.pi / 2 - breaks[-2], math.pi / 2, -1.0)):
+        if gap < near:
+            graded += [end + sign * x for x in graded_breaks(4.0 * gap, limit, 4.0)]
+    return sorted(set(breaks + graded))
 
 
 def _kink_breaks(d: int, kinks, singular_ends: bool) -> list[float]:
     """Breaks of one angle on [0, pi/2] under the fixed kink rule."""
     step = math.pi / 32 if d == 2 else math.pi / 16
-    base = {0.0, math.pi / 2} if d == 2 else {0.0, math.pi / 4, math.pi / 2}
-    breaks = sorted(base | {float(b) for b in kinks if 0.0 < b < math.pi / 2})
-    graded = []
-    for gap, end, sign in ((breaks[1], 0.0, 1.0), (math.pi / 2 - breaks[-2], math.pi / 2, -1.0)):
-        if singular_ends and gap < step / 16:
-            graded += [end + sign * x for x in graded_breaks(4.0 * gap, step, 4.0)]
-    breaks = sorted(set(breaks + graded))
+    breaks = _graded_kinks([*kinks, math.pi / 4] if d == 3 else kinks,
+                           step / 16 if singular_ends else 0.0, step)
     out = []
     for a, b in zip(breaks[:-1], breaks[1:]):
         n = max(1, math.ceil((b - a) / step))
@@ -285,30 +292,31 @@ def _bisected(breaks: list[float]) -> list[float]:
     return sorted(set(breaks) | {(a + b) / 2 for a, b in zip(breaks[:-1], breaks[1:])})
 
 
-def _level(breaks: list[float]):
-    """A level's (breaks, theta_breaks): theta takes the phi breaks at every phi node."""
-    return breaks, lambda phi: [breaks] * phi.size
-
-
-def refined_orthant_integral(alphas, g, base_breaks, rel_tol: float, label: str) -> float:
-    """`_orthant_integrals` of g on {0, pi/2} and base_breaks, every segment
-    bisected k times at level k, for phi and theta alike: the first level in
-    `_LEVELS` within rel_tol of the one before it.  The first level has none
-    before it to agree with, so it never stops the loop, and the first two
-    levels take one call of g together.  After the last level it raises
-    QuadratureBudgetError naming `label`.  d = 1 is the one direction e_1.
+def refined_orthant_integral(alphas, g, base_breaks, kinks, rel_tol: float, label: str) -> float:
+    """`_orthant_integrals` of g on base_breaks and the kinks of g, graded
+    away from an end they are near, every segment bisected k times at level
+    k, for phi and theta alike: the first level in `_LEVELS` within rel_tol
+    of the one before it.  The first level has none before it to agree with,
+    so it never stops the loop, and the first two levels take one call of g
+    together.  After the last level it raises QuadratureBudgetError naming
+    `label`.  d = 1 is the one direction e_1.
     """
-    if len(alphas) == 1:
+    d = len(alphas)
+    if d == 1:
         return 2.0 * float(g(np.array([[1.0]]))[0])
-    order, levels = _LEVELS[min(len(alphas), 3)]  # d > 3 is refused by _orthant_integrals
-    breaks = sorted({0.0, math.pi / 2} | set(base_breaks))
+    if d > 3:
+        raise ValueError(f"orthant integrals support d <= 3, got d = {d}")
+    order, levels = _LEVELS[d]
+    breaks = sorted(set(_graded_kinks(kinks)) | set(base_breaks))
     for _ in range(levels.start):
         breaks = _bisected(breaks)
     values, prev = [], math.nan
     for i in range(len(levels)):
         if i == len(values):
             lists = [breaks, _bisected(breaks)] if i == 0 and len(levels) > 1 else [breaks]
-            values += _orthant_integrals(alphas, g, [_level(b) for b in lists], order)
+            # theta takes a level's phi breaks at every phi node
+            rules = [(b, lambda phi, b=b: [b] * phi.size) for b in lists]
+            values += _orthant_integrals(alphas, g, rules, order)
             breaks = _bisected(lists[-1])
         cur = values[i]
         if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):

@@ -605,7 +605,7 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
     d = 2 (boundary layers of width about 2 pi / (t_k rho)), a ball's or an
     ellipsoid's graded toward the axis of the smaller k = a o t when
     k_min / k_max < 1/8 (c dips over an angle of about that ratio there),
-    and an aniso support's corner, graded away from the end it is near.  A
+    with an aniso support's corner in d = 2 as the kink it grades.  A
     rel_tol below double precision is refused at once: two levels that agree
     to the last bit do not show an error that small.
     """
@@ -669,13 +669,9 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
         if min(k1, k2) < max(k1, k2) / 8.0:
             graded = graded_breaks(min(k1, k2) / max(k1, k2), math.pi / 4, 2.0)
             base |= set(graded) if k1 < k2 else {math.pi / 2 - b for b in graded}
-    if d == 2 and not is_radial:
-        # the support box's corner direction is a kink of the radial extent,
-        # graded away from the end it is near, as the kink rule grades masses
-        for c in extent_kinks([m]):
-            base |= {c, *graded_breaks(4.0 * c, math.pi / 4, 4.0), *(
-                math.pi / 2 - b for b in graded_breaks(4.0 * (math.pi / 2 - c), math.pi / 4, 4.0))}
-    return refined_orthant_integral(alphas, angular_value, base, rel_tol, f"t={t.tolist()}")
+    # in d = 2 the support box's corner direction is a kink of the radial extent
+    kinks = extent_kinks([m]) if d == 2 and not is_radial else []
+    return refined_orthant_integral(alphas, angular_value, base, kinks, rel_tol, f"t={t.tolist()}")
 
 
 def decay_integral(body: ConvexBody, m: SpectralMeasure, t, rel_tol: float = 1e-5) -> float:

@@ -185,15 +185,16 @@ def orthant_integral_3d_loop(alphas, g, breaks, order: int, theta_breaks) -> flo
     return 8.0 * float(total)
 
 
-def refined_orthant_integral_loop(alphas, g, base_breaks, rel_tol: float, label: str) -> float:
+def refined_orthant_integral_loop(alphas, g, base_breaks, kinks, rel_tol: float,
+                                  label: str) -> float:
     """The level loop with one orthant integral, and so one pass of g, per
-    level, at the order and over the levels of `quadrature._LEVELS`: each
-    level's breaks bisect the last's, and the first level within rel_tol of
-    the one before it is the value."""
+    level, at the order and over the levels of `quadrature._LEVELS`, from
+    base_breaks and the graded kinks: each level's breaks bisect the last's, and the
+    first level within rel_tol of the one before it is the value."""
     if len(alphas) == 1:
         return 2.0 * float(g(np.array([[1.0]]))[0])
     order, levels = quadrature._LEVELS[len(alphas)]
-    breaks = sorted({0.0, math.pi / 2} | set(base_breaks))
+    breaks = sorted(set(quadrature._graded_kinks(kinks)) | set(base_breaks))
     prev = math.nan
     for level in range(levels.stop):
         if level >= levels.start:

@@ -90,11 +90,11 @@ def test_angular_break_lists_have_two_segments_or_more(monkeypatch):
     g, sizes = _scripted([1.0], [8])
     monkeypatch.setitem(quadrature._LEVELS, 2, (4, range(1, 2)))
     with pytest.raises(QuadratureBudgetError):
-        refined_orthant_integral((0.5, 1.5), g, set(), rel_tol=1e-6, label="x")
+        refined_orthant_integral((0.5, 1.5), g, set(), (), rel_tol=1e-6, label="x")
     assert sizes == [2 * 4]
     monkeypatch.setitem(quadrature._LEVELS, 2, (4, range(0, 3)))
     with pytest.raises(ValueError, match="one segment"):
-        refined_orthant_integral((0.5, 1.5), g, set(), rel_tol=1e-6, label="x")
+        refined_orthant_integral((0.5, 1.5), g, set(), (), rel_tol=1e-6, label="x")
 
 
 def _break_lines(seed: int, n_lines: int, both_singular: bool) -> list[list[float]]:
@@ -238,7 +238,7 @@ def test_d3_chunks_cover_every_node_once_as_the_line_loop(monkeypatch, rows_per_
     kink = kink_orthant_integral(m.angular_alphas, g, functools.partial(extent_kinks, [hood, m]),
                                  singular_ends=aniso)
     monkeypatch.setitem(quadrature._LEVELS, 3, (12, range(3, 5)))
-    level = refined_orthant_integral(m.angular_alphas, g, set(), rel_tol=1.0, label="x")
+    level = refined_orthant_integral(m.angular_alphas, g, set(), (), rel_tol=1.0, label="x")
     # the kink rule, then levels 3 and 4 from one pass of chunks
     assert len(values) == 3 and values[0] == kink and values[2] == level
 
@@ -314,18 +314,30 @@ def _scripted(levels, level_rows):
 def test_level_loop_stops_at_the_first_level_that_agrees(monkeypatch):
     g, sizes = _scripted([1.0, 1.5, 1.25, 1.25 * (1.0 + 1e-7), 9.0], [16, 32, 64, 128, 256])
     monkeypatch.setitem(quadrature._LEVELS, 2, (4, range(1, 7)))
-    got = refined_orthant_integral((1.0, 1.0), g, {0.3}, rel_tol=1e-6, label="x")
+    got = refined_orthant_integral((1.0, 1.0), g, {0.3}, (), rel_tol=1e-6, label="x")
     assert got == pytest.approx(2.0 * math.pi * 1.25 * (1.0 + 1e-7), rel=1e-13)
     # {0, 0.3, pi/2} bisected once, then once more per level; the first
     # two levels share one call of g, then one call per level
     assert sizes == [4 * 4 + 4 * 8, 4 * 16, 4 * 32]
 
 
+def test_level_loop_grades_kinks_away_from_the_ends():
+    # the kink nearest each end is graded away from it by factors of 4 up
+    # to pi/4; a kink at an end or past it is dropped, so no grading starts
+    # from a zero gap
+    assert quadrature._graded_kinks([1e-3]) == [
+        0.0, *(1e-3 * 4.0 ** j for j in range(5)), math.pi / 2]
+    top = quadrature._graded_kinks([math.pi / 2 - 1e-3])
+    assert [math.pi / 2 - b for b in reversed(top[1:-1])] == pytest.approx(
+        [1e-3 * 4.0 ** j for j in range(5)], rel=1e-12)
+    assert quadrature._graded_kinks([0.0, math.pi / 2, -1.0, 2.0]) == [0.0, math.pi / 2]
+
+
 def test_level_loop_raises_after_the_last_level(monkeypatch):
     g, sizes = _scripted([1.0, 2.0, 3.0, 4.0, 5.0], [16, 32, 64, 128, 256])
     monkeypatch.setitem(quadrature._LEVELS, 2, (4, range(2, 5)))
     with pytest.raises(QuadratureBudgetError, match=r"did not reach rel_tol=1e-06 for t=\[1\]"):
-        refined_orthant_integral((1.0, 1.0), g, set(), rel_tol=1e-6, label="t=[1]")
+        refined_orthant_integral((1.0, 1.0), g, set(), (), rel_tol=1e-6, label="t=[1]")
     assert sizes == [4 * 4 + 4 * 8, 4 * 16]
 
 
@@ -347,7 +359,7 @@ def test_level_loop_is_the_one_call_per_level_loop(monkeypatch, m, hood, levels,
 
     def run(loop):
         try:
-            return loop(m.angular_alphas, g, {0.4}, rel_tol, "x")
+            return loop(m.angular_alphas, g, {0.4}, [0.01], rel_tol, "x")
         except QuadratureBudgetError as err:
             return str(err)
 
@@ -371,7 +383,7 @@ def test_decay_integrals_are_those_of_the_one_call_per_level_loop(monkeypatch, b
 
 def test_level_loop_in_d1_takes_the_one_direction():
     g, sizes = _scripted([0.75], [1])
-    got = refined_orthant_integral((1.0,), g, set(), rel_tol=1e-6, label="x")
+    got = refined_orthant_integral((1.0,), g, set(), (), rel_tol=1e-6, label="x")
     assert got == 1.5 and sizes == [1]
 
 

@@ -250,15 +250,6 @@ ECCENTRIC_BOXES = ["aniso:1.5,1.5;1,3e-3;1", "aniso:1.5,1.5;1,1e-4;1",
 ECCENTRIC_BOX_T = [(10.0, 10.0), (40.0, 25.0), (100.0, 130.0)]
 
 
-def _corner_grading(m) -> list[float]:
-    """Breaks graded from the support box's corner direction away from the
-    end it is near by factors of 4, up to pi/4 from that end."""
-    c = math.atan2(m.halfwidths[1], m.halfwidths[0])
-    return [*quadrature.graded_breaks(4.0 * c, math.pi / 4, 4.0),
-            *(math.pi / 2 - b for b in quadrature.graded_breaks(4.0 * (math.pi / 2 - c),
-                                                                math.pi / 4, 4.0))]
-
-
 class TestEccentricDecays:
     """d = 2 balls and ellipsoids at t of aspect up to 400: c = |omega o a o t|
     dips within k_min / k_max of one axis, and breaks graded toward it find
@@ -285,10 +276,30 @@ class TestEccentricDecays:
         graded = quadrature.graded_breaks(min(k) / max(k), math.pi / 4, 2.0)
         breaks = graded if k[0] < k[1] else [math.pi / 2 - b for b in graded]
         if isinstance(m, AnisotropicPowerMeasure):
-            breaks += _corner_grading(m)
+            # the breaks the level loop grades from the support box's corner
+            corner = math.atan2(m.halfwidths[1], m.halfwidths[0])
+            breaks += set(quadrature._graded_kinks([corner])) - {
+                0.0, corner, math.pi / 2}
         want = reference.polar_decay_2d(body, m, t, breaks)
         got = decay_integral(body, m, t, rel_tol=1e-9)
         assert abs(got - want) <= 1e-8 * want
+
+    @pytest.mark.parametrize("body", [Ball(1.0), Cube(2)], ids=["ball", "cube"])
+    def test_box_of_aspect_1e17_finishes(self, body):
+        # the corner of halfwidths (1, 1e-17) lies 1e-17 above phi = 0 and is
+        # graded from there; that of (1e-17, 1) rounds to pi/2, where no
+        # float azimuth resolves it: the levels refuse it, nothing is graded
+        # from a zero gap
+        m = AnisotropicPowerMeasure.with_total_mass((1.5, 1.5), (1.0, 1e-17), 1.0)
+        if isinstance(body, Cube):
+            want = m.scale * math.prod(2.0 * sinc_moment(10.0, 1.5, h) for h in m.halfwidths)
+        else:
+            want = reference.polar_decay_2d(
+                body, m, (10.0, 10.0), quadrature._graded_kinks([1e-17])[1:-1])
+        assert decay_integral(body, m, [10.0, 10.0], 1e-9) == pytest.approx(want, rel=1e-12)
+        mirrored = AnisotropicPowerMeasure.with_total_mass((1.5, 1.5), (1e-17, 1.0), 1.0)
+        with pytest.raises(quadrature.QuadratureBudgetError, match="angular refinement"):
+            decay_integral(body, mirrored, [10.0, 10.0], 1e-9)
 
     def test_no_grading_below_the_aspect(self, monkeypatch):
         # at k_min / k_max >= 1/8 the breaks are the plain ones
