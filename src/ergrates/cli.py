@@ -252,7 +252,7 @@ def _ladder(cfg: dict) -> tuple:
 def _cmd_rates(cfg: dict) -> int:
     dim, body, measure, p, direction, tol = _ladder(cfg)
     grid = rates_mod.ray_grid(direction, p)
-    vals = np.array([rates_mod.decay_integral(body, measure, t, tol) for t in grid])
+    vals = rates_mod.decay_integral(body, measure, grid, tol)
     # running rate slope from the first k+1 points; nan until 8 accumulate
     theta = np.full(p.size, math.nan)
     for k in range(7, p.size):
@@ -268,16 +268,14 @@ def _cmd_simulate(cfg: dict) -> int:
         raise ConfigError("simulate needs an action spec (try action = demo20)")
     dim = _num(cfg, "dim", int)
     body = parse_body(cfg["body"], dim=dim)
-    ts = [as_vec(_vec("t", chunk), dim=dim) for chunk in cfg["t"].split("|")]
+    ts = np.array([as_vec(_vec("t", chunk), dim=dim) for chunk in cfg["t"].split("|")])
     action = parse_action(cfg["action"], dim=dim)
     measure = induced_measure(action)
-    rows = []
-    for t in ts:
-        norm_sq = average_norm_sq(action, body, t)
-        atomic = rates_mod.decay_integral_atomic(body, measure, t)
-        rows.append([*t, norm_sq, atomic, abs(norm_sq - atomic)])
+    norm_sq = np.array([average_norm_sq(action, body, t) for t in ts])
+    atomic = rates_mod.decay_integral_atomic(body, measure, ts)
+    rows = np.column_stack([ts, norm_sq, atomic, np.abs(norm_sq - atomic)])
     header = [f"t_{k + 1}" for k in range(dim)] + ["norm_sq", "i_k_atomic", "abs_diff"]
-    _write(cfg["out"], _csv_text(header, _float_lines(np.array(rows)), cfg))
+    _write(cfg["out"], _csv_text(header, _float_lines(rows), cfg))
     return 0
 
 

@@ -150,11 +150,18 @@ class Sector:
         if self.bound < 1.0:
             raise ValueError("sector bound must be >= 1")
 
-    def contains(self, t) -> bool:
-        t = as_vec(t)
-        if np.any(t <= 0.0):
-            return False
-        return float(np.max(t)) <= self.bound * float(np.min(t)) * (1.0 + 1e-12)
+    def contains(self, t):
+        """Whether t is in X_B, within a relative slack of 1e-12.
+
+        t is one vector (a bool comes back) or rows (N, d) of them (N bools
+        come back).  Both take the same path, so a row has the same answer
+        alone as among rows; a t with an entry <= 0 is outside, and a
+        non-finite entry raises ValueError.
+        """
+        rows, one = _dilation_rows(t)
+        inside = np.all(rows > 0.0, axis=1) & (
+            np.max(rows, axis=1) <= self.bound * np.min(rows, axis=1) * (1.0 + 1e-12))
+        return bool(inside[0]) if one else inside
 
 
 def p_ladder(p_lo: float, p_hi: float) -> np.ndarray:
@@ -187,9 +194,9 @@ def sector_grid(bound: float, dim: int, p_values) -> np.ndarray:
         else:
             vec[-1] = 1.0 + (bound - 1.0) * (2.0 * f - 1.0)
         dirs.append(vec / np.linalg.norm(vec))
-    rows = [d * p for p in np.asarray(p_values, dtype=float) for d in dirs]
-    out = np.asarray(rows)
-    if not all(sec.contains(r) for r in out):
+    p = np.asarray(p_values, dtype=float)
+    out = (p[:, None, None] * np.array(dirs)[None]).reshape(-1, dim)  # p outer, direction inner
+    if not np.all(sec.contains(out)):
         raise ValueError(f"sector grid leaves the sector X_{bound:g}; p values must be positive")
     return out
 
@@ -197,17 +204,54 @@ def sector_grid(bound: float, dim: int, p_values) -> np.ndarray:
 # -- decay integrals ---------------------------------------------------------
 
 
-def decay_integral_atomic(body: ConvexBody, m: AtomicMeasure, t) -> float:
-    """I(t) for atomic sigma: exact weighted sum of damping factors."""
+def _dilation_rows(t, dim: int | None = None) -> tuple[np.ndarray, bool]:
+    """t as rows (N, d) of dilations, and whether t was one vector.
+
+    Each row is checked as `as_vec` checks one vector, so a bad row raises
+    the ValueError it raises alone.
+    """
+    rows = np.asarray(t, dtype=float)
+    if rows.ndim != 2:
+        return as_vec(rows, dim=dim)[None, :], True
+    bad_width = rows.shape[1] == 0 or (dim is not None and rows.shape[1] != dim)
+    if bad_width or not np.all(np.isfinite(rows)):
+        # the first bad row raises; an empty grid is checked for its width alone
+        for row in rows if len(rows) else np.ones((1, rows.shape[1])):
+            as_vec(row, dim=dim)
+    return rows, False
+
+
+# the most atom products one ratio_abs_sq call takes: rows are cut into chunks
+# of _ATOMIC_CHUNK // n, so a long grid on a large measure stays a few MB
+_ATOMIC_CHUNK = 1 << 16
+
+
+def _atomic_rows(body: ConvexBody, m: AtomicMeasure, rows: np.ndarray) -> np.ndarray:
+    """I(t) for each row t: every product x_j o t of a chunk in one ratio_abs_sq
+    call, each row's weighted sum over its n atoms in the pairwise order of
+    np.sum over those n alone."""
+    n = len(m.points)
+    out = np.zeros(len(rows))
+    if not n:
+        return out
+    locs, w = m.locations, m.weight_array
+    step = max(1, _ATOMIC_CHUNK // n)
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo:lo + step]
+        pts = (locs[None, :, :] * chunk[:, None, :]).reshape(-1, m.dim)
+        out[lo:lo + step] = np.sum(w * ratio_abs_sq(body, pts).reshape(-1, n), axis=1)
+    return out
+
+
+def decay_integral_atomic(body: ConvexBody, m: AtomicMeasure, t):
+    """I(t) for atomic sigma: exact weighted sum of damping factors.
+
+    t is one dilation (a float comes back) or rows (N, d) of them (an (N,)
+    array comes back), through the same path as `decay_integral`.
+    """
     if not isinstance(m, AtomicMeasure):
         raise TypeError("decay_integral_atomic needs an atomic measure")
-    t = as_vec(t, dim=m.dim)
-    if np.any(t <= 0):
-        raise ValueError("t must be positive in every coordinate")
-    if not m.points:
-        return 0.0
-    pts = m.locations * t[None, :]
-    return float(np.sum(m.weight_array * ratio_abs_sq(body, pts)))
+    return decay_integral(body, m, t)
 
 
 # One budget for every radial integral: 2^20 table panels of a quarter
@@ -592,8 +636,9 @@ def _cube_radial(a: np.ndarray, rho: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
-    """Angular-adaptive quadrature of I(t) over the power measure's directions.
+def _decay_integral_continuous(body: ConvexBody, m, t: np.ndarray, rel_tol: float) -> float:
+    """Angular-adaptive quadrature of I(t) over the power measure's directions,
+    for one checked dilation t.
 
     Along each angular node the radial integral is read off a cumulative
     table, one array expression per call: c^(-s) G_s(rho c) for a ball or
@@ -610,9 +655,6 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
     to the last bit do not show an error that small.
     """
     d = m.dim
-    t = as_vec(t, dim=d)
-    if np.any(t <= 0):
-        raise ValueError("t must be positive in every coordinate")
     if rel_tol < np.finfo(float).eps:
         raise QuadratureBudgetError(
             f"rel_tol={rel_tol:g} is below double precision; no refinement can confirm it"
@@ -674,25 +716,45 @@ def _decay_integral_continuous(body: ConvexBody, m, t, rel_tol: float) -> float:
     return refined_orthant_integral(alphas, angular_value, base, kinks, rel_tol, f"t={t.tolist()}")
 
 
-def decay_integral(body: ConvexBody, m: SpectralMeasure, t, rel_tol: float = 1e-5) -> float:
+def _decay_rows(body: ConvexBody, m: SpectralMeasure, rows: np.ndarray, rel_tol: float) -> np.ndarray:
+    if isinstance(m, AtomicMeasure):
+        return _atomic_rows(body, m, rows)
+    if isinstance(m, SumMeasure):
+        total = np.zeros(len(rows))  # the parts added in order, as Python's sum adds them
+        for part in m.parts:
+            total = total + _decay_rows(body, part, rows, rel_tol)
+        return total
+    if isinstance(m, (RadialPowerMeasure, AnisotropicPowerMeasure)):
+        return np.array([_decay_integral_continuous(body, m, t, rel_tol) for t in rows])
+    raise TypeError(f"unknown measure {m!r}")
+
+
+def decay_integral(body: ConvexBody, m: SpectralMeasure, t, rel_tol: float = 1e-5):
     """I(t) for any supported measure; dispatches per family.
 
-    Atomic parts are exact sums; continuous parts use angular-radial
-    quadrature in d <= 3 (else ValueError).  Along each direction the
-    radial integral is read off a cached cumulative table: the profile G_s
-    for a ball or an ellipsoid, the cosine kernel K_{s,m} for the cube; the
-    angular levels are `quadrature.refined_orthant_integral`'s.  Raises
+    t is one dilation (a float comes back) or rows (N, d) of them (an (N,)
+    array comes back).  Both take the same path, so a row has the same bits
+    alone as among rows; each row is checked as one t is (finite, positive,
+    of the measure's dimension) before any is computed.
+
+    Atomic parts are exact sums, every row's atom products in one
+    `ratio_abs_sq` call per chunk of rows; the parts of a sum are added as
+    arrays; continuous parts use angular-radial quadrature in d <= 3 (else
+    ValueError), one t at a time.  Along each direction the radial integral
+    is read off a cached cumulative table: the profile G_s for a ball or an
+    ellipsoid, the cosine kernel K_{s,m} for the cube; the angular levels
+    are `quadrature.refined_orthant_integral`'s.  Raises
     QuadratureBudgetError when the angular refinement cannot reach rel_tol
     (or rel_tol is below double precision), or, before any level, when some
     direction's radial integral would need more panels than the budget.
     """
-    if isinstance(m, AtomicMeasure):
-        return decay_integral_atomic(body, m, t)
-    if isinstance(m, SumMeasure):
-        return float(sum(decay_integral(body, p, t, rel_tol) for p in m.parts))
-    if isinstance(m, (RadialPowerMeasure, AnisotropicPowerMeasure)):
-        return _decay_integral_continuous(body, m, t, rel_tol)
-    raise TypeError(f"unknown measure {m!r}")
+    if not isinstance(m, (AtomicMeasure, SumMeasure, RadialPowerMeasure, AnisotropicPowerMeasure)):
+        raise TypeError(f"unknown measure {m!r}")
+    rows, one = _dilation_rows(t, m.dim)
+    if np.any(rows <= 0.0):
+        raise ValueError("t must be positive in every coordinate")
+    vals = _decay_rows(body, m, rows, rel_tol)
+    return float(vals[0]) if one else vals
 
 
 # -- distribution-function route ---------------------------------------------
@@ -935,7 +997,7 @@ def check_rate_equivalence(body: ConvexBody, m: SpectralMeasure,
     grid = grid[order]
     p = np.linalg.norm(grid, axis=1)
 
-    i_vals = np.array([decay_integral(body, m, t, rel_tol) for t in grid])
+    i_vals = decay_integral(body, m, grid, rel_tol)
     mass_vals = np.array(
         [mass(m, EllipsoidNeighborhood.from_inverse(t)) for t in grid]
     )
@@ -986,15 +1048,14 @@ def check_critical_rate(body: ConvexBody, m: SpectralMeasure, sector_bound: floa
     """
     grid = np.atleast_2d(np.asarray(t_grid, dtype=float))
     d = grid.shape[1]
-    sec = Sector(sector_bound)
-    in_sector = all(sec.contains(t) for t in grid)
+    in_sector = bool(np.all(Sector(sector_bound).contains(grid)))
     if enforce_sector and not in_sector:
         raise ValueError(f"grid leaves the sector X_{sector_bound:g}")
     order = np.argsort(np.linalg.norm(grid, axis=1), kind="stable")
     grid = grid[order]
     p = np.linalg.norm(grid, axis=1)
 
-    i_vals = np.array([decay_integral(body, m, t, rel_tol) for t in grid])
+    i_vals = decay_integral(body, m, grid, rel_tol)
     ratios = p ** (d + 1) * i_vals
     v = bounded_verdict(p, ratios)
 
@@ -1054,7 +1115,7 @@ def check_supercritical_rate(body: ConvexBody, m: SpectralMeasure, degree: float
             "fit": None,
         }
     grid = ray_grid(s / np.linalg.norm(s), p_values)
-    i_vals = np.array([decay_integral(body, m, t, rel_tol) for t in grid])
+    i_vals = decay_integral(body, m, grid, rel_tol)
     p = np.asarray(p_values, dtype=float)
     # atomic I oscillates along a ray; the robust trend slope keeps the
     # verdict off the oscillation phases the ladder happens to sample

@@ -16,6 +16,7 @@ exponents for the fitter.
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -23,6 +24,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 import ergrates
@@ -248,6 +251,87 @@ class TestContinuous:
 ECCENTRIC_BOXES = ["aniso:1.5,1.5;1,3e-3;1", "aniso:1.5,1.5;1,1e-4;1",
                    "aniso:1.5,0.7;1,1e-3;1", "aniso:1.5,0.7;1e-4,1;1"]
 ECCENTRIC_BOX_T = [(10.0, 10.0), (40.0, 25.0), (100.0, 130.0)]
+
+
+def hex_list(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _bodies(d: int):
+    return (Ball(1.0, dim=d), Ellipsoid(tuple(0.5 + 0.5 * k for k in range(1, d + 1))), Cube(d))
+
+
+@st.composite
+def decay_rows_cases(draw):
+    """(body, measure, rows): atomic measures of 1 to 130 atoms over
+    numpy's 8-element pairwise-sum block, atomic-plus-radial sums, and two or
+    three rows of a continuous measure."""
+    kind = draw(st.sampled_from(("atomic", "atomic", "sum", "continuous")))
+    d = draw(st.integers(1, 3)) if kind == "atomic" else 2
+    body = draw(st.sampled_from(_bodies(d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_rows = draw(st.integers(2, 3)) if kind != "atomic" else draw(st.integers(1, 40))
+    hi = 3.0 if kind == "atomic" else 1.5  # t up to about 1e3, or 30 for quadrature
+    rows = np.exp(rng.uniform(-1.0, hi * math.log(10.0), size=(n_rows, d)))
+    n = draw(st.sampled_from((1, 7, 8, 9, 130)))
+    atomic = AtomicMeasure(points=tuple(map(tuple, rng.uniform(-2.0, 2.0, size=(n, d)))),
+                           weights=tuple(rng.uniform(0.1, 3.0, size=n)), dim=d)
+    radial = RadialPowerMeasure.with_total_mass(float(rng.uniform(1.0, 4.0)), 1.0, 1.0, dim=d)
+    m = {"atomic": atomic, "sum": SumMeasure(parts=(atomic, radial)), "continuous": radial}[kind]
+    return body, m, rows
+
+
+class TestDecayRows:
+    """decay_integral of rows (N, d) against N calls of one t each."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(decay_rows_cases())
+    def test_rows_have_the_bits_of_single_calls(self, case):
+        body, m, rows = case
+        got = decay_integral(body, m, rows)
+        assert isinstance(got, np.ndarray) and got.shape == (len(rows),)
+        assert hex_list(got) == hex_list(decay_integral(body, m, t) for t in rows)
+
+    def test_one_t_is_a_float_and_rows_an_array(self):
+        m = AtomicMeasure(points=((1.0, 0.5),), weights=(2.0,), dim=2)
+        radial = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2)
+        for measure in (m, radial, SumMeasure(parts=(m, radial))):
+            assert type(decay_integral(Ball(1.0), measure, [3.0, 4.0])) is float
+            rows = decay_integral(Ball(1.0), measure, [[3.0, 4.0]])
+            assert type(rows) is np.ndarray and rows.shape == (1,)
+        assert type(decay_integral_atomic(Ball(1.0), m, [3.0, 4.0])) is float
+        assert decay_integral_atomic(Ball(1.0), m, [[3.0, 4.0], [5.0, 6.0]]).shape == (2,)
+
+    def test_empty_atomic_measure_is_zero_on_every_row(self):
+        empty = AtomicMeasure(points=(), weights=(), dim=2)
+        got = decay_integral(Cube(2), empty, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert type(got) is np.ndarray
+        np.testing.assert_array_equal(got, np.zeros(3))
+        assert decay_integral(Cube(2), empty, [1.0, 2.0]) == 0.0
+
+    @pytest.mark.parametrize("bad", [[0.0, 2.0], [-1.0, 2.0], [math.nan, 2.0], [2.0, math.inf],
+                                     [1.0, 2.0, 3.0], [1.0]])
+    @pytest.mark.parametrize("measure", [
+        AtomicMeasure(points=((1.0, 0.5),), weights=(2.0,), dim=2),
+        RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2),
+    ], ids=["atomic", "radial"])
+    def test_a_bad_row_raises_what_it_raises_alone(self, bad, measure):
+        with pytest.raises(ValueError) as alone:
+            decay_integral(Ball(1.0), measure, bad)
+        good = [3.0, 4.0] + [5.0] * (len(bad) - 2)
+        rows = [good, bad, good] if len(bad) == 2 else [bad, bad]
+        with pytest.raises(ValueError, match=re.escape(str(alone.value))):
+            decay_integral(Ball(1.0), measure, rows)
+
+    def test_grid_longer_than_one_chunk(self):
+        rng = np.random.default_rng(28)
+        n = 130
+        m = AtomicMeasure(points=tuple(map(tuple, rng.uniform(-2.0, 2.0, size=(n, 3)))),
+                          weights=tuple(rng.uniform(0.1, 3.0, size=n)), dim=3)
+        rows = np.exp(rng.uniform(0.0, 6.0, size=(rates._ATOMIC_CHUNK // n * 2 + 11, 3)))
+        for body in (Ball(1.0, dim=3), Cube(3)):
+            got = decay_integral(body, m, rows)
+            assert hex_list(got) == hex_list(decay_integral(body, m, t) for t in rows)
 
 
 class TestEccentricDecays:
@@ -944,6 +1028,28 @@ class TestSector:
         for t in pts:
             assert sec.contains(t)
 
+    def test_rows_answer_as_single_points(self):
+        rng = np.random.default_rng(11)
+        for bound in (1.0, 2.0, 7.5):
+            edge = bound * (1.0 + 1e-12)
+            rows = np.concatenate([
+                np.exp(rng.uniform(-1.0, 1.0, size=(40, 3))),
+                [[1.0, edge, 1.0], [edge, 1.0, edge], [1.0, np.nextafter(edge, 2.0 * edge), 1.0],
+                 [0.0, 1.0, 1.0], [2.0, 0.0, 0.0], [-1.0, 1.0, 1.0], [3.0, 3.0, 3.0]],
+            ])
+            sec = Sector(bound)
+            got = sec.contains(rows)
+            assert type(got) is np.ndarray and got.dtype == bool
+            assert got.tolist() == [sec.contains(t) for t in rows]
+            assert type(sec.contains(rows[0])) is bool
+            assert sec.contains(rows[40]) and not sec.contains(rows[42])
+
+    def test_non_finite_rows_raise(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Sector(2.0).contains([[1.0, 1.0], [1.0, math.nan]])
+        with pytest.raises(ValueError, match="non-finite"):
+            Sector(2.0).contains([1.0, math.inf])
+
 
 class TestGrids:
     def test_ray_and_diagonal(self):
@@ -1054,6 +1160,36 @@ class TestSupercriticalChecker:
         m = AtomicMeasure(points=((1.0, 0.0),), weights=(1.0,), dim=2)
         with pytest.raises(ValueError, match="supercritical"):
             check_supercritical_rate(Ball(1.0), m, -2.0, [1.0, 1.0], p_ladder(3.0, 400.0))
+
+
+class TestCheckerGrids:
+    """Each checker's decay_integral list has the bits of one call per row of its grid."""
+
+    MEASURES = [AtomicMeasure(points=((1.0, 0.5), (0.7, -0.9), (-0.3, 1.4)),
+                              weights=(1.0, 2.0, 0.5), dim=2),
+                RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2)]
+
+    @pytest.mark.parametrize("m", MEASURES, ids=["atomic", "radial"])
+    def test_equivalence(self, m):
+        res = check_rate_equivalence(Ball(1.0), m, power_phi(2.0),
+                                     ray_grid([1.0, 1.5], p_ladder(2.0, 300.0)[::-1]))
+        want = [decay_integral(Ball(1.0), m, t, 1e-4) for t in res["t_grid"]]
+        assert hex_list(res["decay_integral"]) == hex_list(want)
+
+    @pytest.mark.parametrize("m", MEASURES, ids=["atomic", "radial"])
+    def test_critical(self, m):
+        res = check_critical_rate(Cube(2), m, 2.0, sector_grid(2.0, 2, p_ladder(2.0, 100.0)))
+        assert res["grid_in_sector"]
+        want = [decay_integral(Cube(2), m, t, 1e-4) for t in res["t_grid"]]
+        assert hex_list(res["decay_integral"]) == hex_list(want)
+
+    @pytest.mark.parametrize("m", MEASURES, ids=["atomic", "radial"])
+    def test_supercritical(self, m):
+        p = p_ladder(3.0, 400.0)
+        res = check_supercritical_rate(Ellipsoid((2.0, 0.5)), m, -4.0, [1.0, 2.0], p)
+        grid = ray_grid(np.array([1.0, 2.0]) / math.sqrt(5.0), p)
+        want = [decay_integral(Ellipsoid((2.0, 0.5)), m, t, 1e-4) for t in grid]
+        assert hex_list(res["decay_integral"]) == hex_list(want)
 
 
 class TestPredictedRate:
