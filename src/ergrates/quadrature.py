@@ -8,7 +8,8 @@ sphere, by one of two policies that set breaks, order and refinement
 here: `kink_orthant_integral` for neighborhood masses and the singular
 integral's outer piece, and `refined_orthant_integral`, the level loop of
 decay integrals, whose first two levels share one pass of the integrand.
-Callers pass only their integrand and its kinks.  Segment rules are built
+Callers pass their integrand, its kinks and the widths of its boundary
+layers; one end-grading rule serves both policies.  Segment rules are built
 for many break lists at once (`_line_rules`; `_segment_rules` is its
 one-line case): the interior segments are one broadcast of the cached
 Gauss-Legendre rule, the singular end segments one Gauss-Jacobi call per
@@ -40,7 +41,6 @@ __all__ = [
     "QuadratureBudgetError",
     "gl_edges_rule",
     "end_power_rule",
-    "graded_breaks",
     "kink_orthant_integral",
     "refined_orthant_integral",
     "bisect",
@@ -163,16 +163,6 @@ def _line_rules(lines, exp_lo: float, exp_hi: float, order: int):
     return nodes, weights, n_seg * order
 
 
-def graded_breaks(first: float, limit: float, ratio: float) -> list[float]:
-    """first * ratio^j for j >= 0, strictly below limit: distances from an end
-    (or an axis) of breaks graded away from it."""
-    out = []
-    while first < limit:
-        out.append(first)
-        first *= ratio
-    return out
-
-
 # rows of directions per call of the angular integrand in d = 3, which bounds
 # the transient arrays; chunks need not follow phi lines
 _ROWS_PER_CALL = 4096
@@ -247,10 +237,24 @@ def _orthant_integrals(alphas, g, rules, order: int) -> list[float]:
 # step: otherwise the plain Gauss segment after the thin end rule meets the
 # end singularity just outside itself and can be off by 1e-3.
 #
-# The level loop (decay integrals): (Gauss order, levels) by d, and kinks
-# graded away from an end up to pi/4.  Without breaks d = 3 splits each angle
-# into 2 to 16 equal segments; adequate for the moderate |t| it sees.
+# The level loop (decay integrals): (Gauss order, levels) by d, and kinks and
+# boundary layers graded away from an end up to pi/4.  Without breaks d = 3
+# splits each angle into 2 to 16 equal segments; adequate for the moderate |t|.
 _LEVELS = {2: (16, range(1, 7)), 3: (12, range(1, 5))}
+
+
+def _end_layers(first0: float, first1: float, ratio: float, limit: float) -> list[float]:
+    """Breaks graded away from both ends of [0, pi/2]: 0 + x and pi/2 - x for
+    x = first * ratio^j, j >= 0, strictly below limit, with first0 at 0 and
+    first1 at pi/2.  A first that is not a positive number (0, NaN, inf)
+    grades nothing."""
+    out = []
+    for first, end, sign in ((first0, 0.0, 1.0), (first1, math.pi / 2, -1.0)):
+        x = first if first > 0.0 else math.inf
+        while x < limit:
+            out.append(end + sign * x)
+            x *= ratio
+    return out
 
 
 def _graded_kinks(kinks, near: float = math.pi / 2, limit: float = math.pi / 4) -> list[float]:
@@ -258,10 +262,8 @@ def _graded_kinks(kinks, near: float = math.pi / 2, limit: float = math.pi / 4) 
     nearest each end, when closer to it than `near`, graded away from it by
     factors of 4 up to limit; by default as the level loop grades them."""
     breaks = sorted({0.0, math.pi / 2} | {float(b) for b in kinks if 0.0 < b < math.pi / 2})
-    graded = []
-    for gap, end, sign in ((breaks[1], 0.0, 1.0), (math.pi / 2 - breaks[-2], math.pi / 2, -1.0)):
-        if gap < near:
-            graded += [end + sign * x for x in graded_breaks(4.0 * gap, limit, 4.0)]
+    gaps = (breaks[1], math.pi / 2 - breaks[-2])
+    graded = _end_layers(*(4.0 * gap if gap < near else math.inf for gap in gaps), 4.0, limit)
     return sorted(set(breaks + graded))
 
 
@@ -292,22 +294,29 @@ def _bisected(breaks: list[float]) -> list[float]:
     return sorted(set(breaks) | {(a + b) / 2 for a, b in zip(breaks[:-1], breaks[1:])})
 
 
-def refined_orthant_integral(alphas, g, base_breaks, kinks, rel_tol: float, label: str) -> float:
-    """`_orthant_integrals` of g on base_breaks and the kinks of g, graded
-    away from an end they are near, every segment bisected k times at level
-    k, for phi and theta alike: the first level in `_LEVELS` within rel_tol
-    of the one before it.  The first level has none before it to agree with,
-    so it never stops the loop, and the first two levels take one call of g
-    together.  After the last level it raises QuadratureBudgetError naming
-    `label`.  d = 1 is the one direction e_1.
+def refined_orthant_integral(alphas, g, layers, kinks, rel_tol: float, label: str) -> float:
+    """`_orthant_integrals` of g on the kinks of g, graded away from an end
+    they are near, and on breaks w 2^j below pi/4 from each end, w in
+    `layers`, the widths of g's boundary layers next to phi = 0 and pi/2
+    (inf for none), every segment bisected k times at level k, for phi and
+    theta alike: the first level in `_LEVELS` within rel_tol of the one
+    before it.  The first level has none before it to agree with, so it
+    never stops the loop, and the first two levels take one call of g
+    together.  A rel_tol below double precision is refused at once: two
+    levels that agree to the last bit do not show an error that small.
+    After the last level it raises QuadratureBudgetError naming `label`.
+    d = 1 is the one direction e_1.
     """
+    if rel_tol < np.finfo(float).eps:
+        raise QuadratureBudgetError(f"rel_tol={rel_tol:g} is below double precision; "
+                                    "no refinement can confirm it")
     d = len(alphas)
     if d == 1:
         return 2.0 * float(g(np.array([[1.0]]))[0])
     if d > 3:
         raise ValueError(f"orthant integrals support d <= 3, got d = {d}")
     order, levels = _LEVELS[d]
-    breaks = sorted(set(_graded_kinks(kinks)) | set(base_breaks))
+    breaks = sorted(set(_graded_kinks(kinks)) | set(_end_layers(*layers, 2.0, math.pi / 4)))
     for _ in range(levels.start):
         breaks = _bisected(breaks)
     values, prev = [], math.nan

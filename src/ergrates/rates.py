@@ -38,7 +38,6 @@ from .quadrature import (
     bracketed_roots,
     end_power_rule,
     gl_edges_rule,
-    graded_breaks,
     refined_orthant_integral,
 )
 from .spectral import (
@@ -646,19 +645,13 @@ def _decay_integral_continuous(body: ConvexBody, m, t: np.ndarray, rel_tol: floa
     factors near their axis) for the cube, after one check of the panel
     budget on the largest z of any direction.  The integrand is even in
     every coordinate of x, so `quadrature.refined_orthant_integral` takes
-    the first orthant, from the cube's breaks graded toward each axis in
-    d = 2 (boundary layers of width about 2 pi / (t_k rho)), a ball's or an
-    ellipsoid's graded toward the axis of the smaller k = a o t when
-    k_min / k_max < 1/8 (c dips over an angle of about that ratio there),
-    with an aniso support's corner in d = 2 as the kink it grades.  A
-    rel_tol below double precision is refused at once: two levels that agree
-    to the last bit do not show an error that small.
+    the first orthant, given the widths of its boundary layers next to
+    either axis in d = 2: the cube's about 2 pi / (t_k rho), and a ball's or
+    an ellipsoid's k_min / k_max next to the axis of the smaller k = a o t
+    when that ratio is below 1/8 (c dips over an angle of about that ratio
+    there), with an aniso support's corner in d = 2 as the kink it grades.
     """
     d = m.dim
-    if rel_tol < np.finfo(float).eps:
-        raise QuadratureBudgetError(
-            f"rel_tol={rel_tol:g} is below double precision; no refinement can confirm it"
-        )
     if body.dim != d:
         raise ValueError(f"dimension mismatch: expected {body.dim}, got {d}")
     s = m.radial_order
@@ -670,16 +663,7 @@ def _decay_integral_continuous(body: ConvexBody, m, t: np.ndarray, rel_tol: floa
     # for K = a o B, c = |a o omega o t| and rho omega lies in the support
     if is_cube:
         z_max = rho_max * float(np.linalg.norm(t))
-    elif is_radial:
-        z_max = m.radius * float(np.max(body.semi_axes * t))
-    else:
-        z_max = float(np.linalg.norm(body.semi_axes * t * np.asarray(m.halfwidths)))
-    if not z_max / _QUARTER <= _MAX_RADIAL_PANELS:
-        raise QuadratureBudgetError(
-            f"radial quadrature over support {rho_max:.6g} at t={t.tolist()} needs "
-            f"{z_max / _QUARTER:.3g} panels, over the budget of {_MAX_RADIAL_PANELS}"
-        )
-    if is_cube:
+
         def angular_value(om_rows: np.ndarray) -> np.ndarray:
             a = 0.5 * om_rows * t[None, :]
             with np.errstate(over="ignore", invalid="ignore"):
@@ -692,28 +676,32 @@ def _decay_integral_continuous(body: ConvexBody, m, t: np.ndarray, rel_tol: floa
             return m.angular_density(om_rows) * radial
     else:
         axes = body.semi_axes
+        z_max = (m.radius * float(np.max(axes * t)) if is_radial
+                 else float(np.linalg.norm(axes * t * np.asarray(m.halfwidths))))
 
         def angular_value(om_rows: np.ndarray) -> np.ndarray:
             c = np.linalg.norm(om_rows * (axes * t)[None, :], axis=1)
             z = m.support_profile(om_rows) * c
             return m.angular_density(om_rows) * c ** (-s) * _cumulative("ball", d, [s], z)[0]
 
-    base = set()
+    if not z_max / _QUARTER <= _MAX_RADIAL_PANELS:
+        raise QuadratureBudgetError(
+            f"radial quadrature over support {rho_max:.6g} at t={t.tolist()} needs "
+            f"{z_max / _QUARTER:.3g} panels, over the budget of {_MAX_RADIAL_PANELS}"
+        )
+    # the layers next to phi = 0 (omega_2 -> 0) and phi = pi/2 (omega_1 -> 0)
+    layers = (math.inf, math.inf)
     if d == 2 and is_cube:
-        # phi: omega_2 -> 0 at phi = 0, omega_1 -> 0 at phi = pi/2
-        base |= set(graded_breaks(2.0 * math.pi / (t[1] * rho_max), math.pi / 4, 2.0))
-        base |= {math.pi / 2 - b for b in graded_breaks(2.0 * math.pi / (t[0] * rho_max),
-                                                        math.pi / 4, 2.0)}
-    if d == 2 and not is_cube:
+        layers = (2.0 * math.pi / (t[1] * rho_max), 2.0 * math.pi / (t[0] * rho_max))
+    elif d == 2:
         # c = |omega o k| with k = a o t dips to k_min within an angle of
         # about k_min / k_max of the axis where k is small
-        k1, k2 = (body.semi_axes * t).tolist()
-        if min(k1, k2) < max(k1, k2) / 8.0:
-            graded = graded_breaks(min(k1, k2) / max(k1, k2), math.pi / 4, 2.0)
-            base |= set(graded) if k1 < k2 else {math.pi / 2 - b for b in graded}
+        k1, k2 = (axes * t).tolist()
+        w = min(k1, k2) / max(k1, k2) if min(k1, k2) < max(k1, k2) / 8.0 else math.inf
+        layers = (w, math.inf) if k1 < k2 else (math.inf, w)
     # in d = 2 the support box's corner direction is a kink of the radial extent
     kinks = extent_kinks([m]) if d == 2 and not is_radial else []
-    return refined_orthant_integral(alphas, angular_value, base, kinks, rel_tol, f"t={t.tolist()}")
+    return refined_orthant_integral(alphas, angular_value, layers, kinks, rel_tol, f"t={t.tolist()}")
 
 
 def _decay_rows(body: ConvexBody, m: SpectralMeasure, rows: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -742,8 +730,9 @@ def decay_integral(body: ConvexBody, m: SpectralMeasure, t, rel_tol: float = 1e-
     arrays; continuous parts use angular-radial quadrature in d <= 3 (else
     ValueError), one t at a time.  Along each direction the radial integral
     is read off a cached cumulative table: the profile G_s for a ball or an
-    ellipsoid, the cosine kernel K_{s,m} for the cube; the angular levels
-    are `quadrature.refined_orthant_integral`'s.  Raises
+    ellipsoid, the cosine kernel K_{s,m} for the cube; the angular levels,
+    and the breaks graded across the boundary layers whose widths are passed
+    to them, are `quadrature.refined_orthant_integral`'s.  Raises
     QuadratureBudgetError when the angular refinement cannot reach rel_tol
     (or rel_tol is below double precision), or, before any level, when some
     direction's radial integral would need more panels than the budget.

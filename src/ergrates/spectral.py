@@ -254,10 +254,7 @@ def total_mass(m: SpectralMeasure) -> float:
     if isinstance(m, RadialPowerMeasure):
         return m.scale * unit_sphere_area(m.dim) * m.radius ** m.gamma / m.gamma
     if isinstance(m, AnisotropicPowerMeasure):
-        out = m.scale
-        for a, b in zip(m.alphas, m.halfwidths):
-            out *= 2.0 * b ** a / a
-        return out
+        return _aniso_mass_inside(m, BoxNeighborhood(m.halfwidths))
     if isinstance(m, SumMeasure):
         return float(sum(total_mass(p) for p in m.parts))
     raise TypeError(f"unknown measure {m!r}")

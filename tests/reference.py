@@ -185,16 +185,27 @@ def orthant_integral_3d_loop(alphas, g, breaks, order: int, theta_breaks) -> flo
     return 8.0 * float(total)
 
 
-def refined_orthant_integral_loop(alphas, g, base_breaks, kinks, rel_tol: float,
+def refined_orthant_integral_loop(alphas, g, layers, kinks, rel_tol: float,
                                   label: str) -> float:
     """The level loop with one orthant integral, and so one pass of g, per
-    level, at the order and over the levels of `quadrature._LEVELS`, from
-    base_breaks and the graded kinks: each level's breaks bisect the last's, and the
-    first level within rel_tol of the one before it is the value."""
+    level, at the order and over the levels of `quadrature._LEVELS`, from the
+    graded kinks and breaks w 2^j below pi/4 from each end, w in `layers`:
+    each level's breaks bisect the last's, and the first level within rel_tol
+    of the one before it is the value.  A rel_tol below double precision is
+    refused before anything else."""
+    if rel_tol < np.finfo(float).eps:
+        raise quadrature.QuadratureBudgetError(
+            f"rel_tol={rel_tol:g} is below double precision; no refinement can confirm it")
     if len(alphas) == 1:
         return 2.0 * float(g(np.array([[1.0]]))[0])
     order, levels = quadrature._LEVELS[len(alphas)]
-    breaks = sorted(set(quadrature._graded_kinks(kinks)) | set(base_breaks))
+    breaks = set(quadrature._graded_kinks(kinks))
+    for width, end, sign in zip(layers, (0.0, math.pi / 2), (1.0, -1.0)):
+        j = 0
+        while 0.0 < width * 2.0 ** j < math.pi / 4:
+            breaks.add(end + sign * width * 2.0 ** j)
+            j += 1
+    breaks = sorted(breaks)
     prev = math.nan
     for level in range(levels.stop):
         if level >= levels.start:

@@ -218,6 +218,20 @@ class TestRatesCommand:
         assert f"support {support}" in err and f"t={t}" in err
         assert not out.exists()
 
+    def test_underflowed_layer_width_fails_instead_of_hanging(self, tmp_path):
+        # k_min / k_max of t = (5e-324, 3) p underflows to 0.0: no layer is
+        # graded from it, and the levels refuse the decay; in a subprocess so
+        # that a hang fails the test instead of stalling the suite
+        out = tmp_path / "r.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ergrates", "rates", "--measure", "radial:2.5,1,1",
+             "--direction", "5e-324,3", "--points", "2", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=SRC_DIR), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("ergrates: numeric failure:")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_identity_columns(self, tmp_path):

@@ -20,7 +20,6 @@ from ergrates.quadrature import (
     bracketed_roots,
     end_power_rule,
     gl_edges_rule,
-    graded_breaks,
     kink_orthant_integral,
     refined_orthant_integral,
 )
@@ -34,6 +33,9 @@ from ergrates.spectral import (
     mass,
     singular_integral,
 )
+
+# the level loop given no boundary layer next to either end
+NO_LAYERS = (math.inf, math.inf)
 
 
 def test_polynomial_exactness():
@@ -90,11 +92,11 @@ def test_angular_break_lists_have_two_segments_or_more(monkeypatch):
     g, sizes = _scripted([1.0], [8])
     monkeypatch.setitem(quadrature._LEVELS, 2, (4, range(1, 2)))
     with pytest.raises(QuadratureBudgetError):
-        refined_orthant_integral((0.5, 1.5), g, set(), (), rel_tol=1e-6, label="x")
+        refined_orthant_integral((0.5, 1.5), g, NO_LAYERS, (), rel_tol=1e-6, label="x")
     assert sizes == [2 * 4]
     monkeypatch.setitem(quadrature._LEVELS, 2, (4, range(0, 3)))
     with pytest.raises(ValueError, match="one segment"):
-        refined_orthant_integral((0.5, 1.5), g, set(), (), rel_tol=1e-6, label="x")
+        refined_orthant_integral((0.5, 1.5), g, NO_LAYERS, (), rel_tol=1e-6, label="x")
 
 
 def _break_lines(seed: int, n_lines: int, both_singular: bool) -> list[list[float]]:
@@ -238,7 +240,7 @@ def test_d3_chunks_cover_every_node_once_as_the_line_loop(monkeypatch, rows_per_
     kink = kink_orthant_integral(m.angular_alphas, g, functools.partial(extent_kinks, [hood, m]),
                                  singular_ends=aniso)
     monkeypatch.setitem(quadrature._LEVELS, 3, (12, range(3, 5)))
-    level = refined_orthant_integral(m.angular_alphas, g, set(), (), rel_tol=1.0, label="x")
+    level = refined_orthant_integral(m.angular_alphas, g, NO_LAYERS, (), rel_tol=1.0, label="x")
     # the kink rule, then levels 3 and 4 from one pass of chunks
     assert len(values) == 3 and values[0] == kink and values[2] == level
 
@@ -263,9 +265,19 @@ def test_d3_values_do_not_depend_on_the_chunk_size(monkeypatch, compute):
                                                     (0.5, 0.5, 2.0, 0), (0.7, 0.5, 4.0, 0)])
 def test_graded_breaks_are_exact_powers_strictly_below_the_limit(first, limit, ratio, n):
     # 3/16 * 2^4 = 3 and 1e-3 * 4^5 < 1 < 1e-3 * 4^6: a break at the limit is left out
-    out = graded_breaks(first, limit, ratio)
+    out = quadrature._end_layers(first, math.inf, ratio, limit)
     assert out == [first * ratio ** j for j in range(n)]
     assert all(b < limit for b in out) and first * ratio ** n >= limit
+    # the pi/2 side is exactly pi/2 - first * ratio^j
+    top = quadrature._end_layers(math.inf, first, ratio, limit)
+    assert [b.hex() for b in top] == [(math.pi / 2 - first * ratio ** j).hex() for j in range(n)]
+    assert quadrature._end_layers(first, first, ratio, limit) == out + top
+
+
+@pytest.mark.parametrize("first", [0.0, -0.1, math.nan, math.inf, math.pi / 4, 1.0])
+def test_end_layers_grade_nothing_from_a_first_out_of_range(first):
+    # a zero width (k_min / k_max underflowed) would otherwise grade forever
+    assert quadrature._end_layers(first, first, 2.0, math.pi / 4) == []
 
 
 @pytest.mark.parametrize("d, step", [(2, math.pi / 32), (3, math.pi / 16)])
@@ -314,7 +326,7 @@ def _scripted(levels, level_rows):
 def test_level_loop_stops_at_the_first_level_that_agrees(monkeypatch):
     g, sizes = _scripted([1.0, 1.5, 1.25, 1.25 * (1.0 + 1e-7), 9.0], [16, 32, 64, 128, 256])
     monkeypatch.setitem(quadrature._LEVELS, 2, (4, range(1, 7)))
-    got = refined_orthant_integral((1.0, 1.0), g, {0.3}, (), rel_tol=1e-6, label="x")
+    got = refined_orthant_integral((1.0, 1.0), g, NO_LAYERS, [0.3], rel_tol=1e-6, label="x")
     assert got == pytest.approx(2.0 * math.pi * 1.25 * (1.0 + 1e-7), rel=1e-13)
     # {0, 0.3, pi/2} bisected once, then once more per level; the first
     # two levels share one call of g, then one call per level
@@ -337,7 +349,7 @@ def test_level_loop_raises_after_the_last_level(monkeypatch):
     g, sizes = _scripted([1.0, 2.0, 3.0, 4.0, 5.0], [16, 32, 64, 128, 256])
     monkeypatch.setitem(quadrature._LEVELS, 2, (4, range(2, 5)))
     with pytest.raises(QuadratureBudgetError, match=r"did not reach rel_tol=1e-06 for t=\[1\]"):
-        refined_orthant_integral((1.0, 1.0), g, set(), (), rel_tol=1e-6, label="t=[1]")
+        refined_orthant_integral((1.0, 1.0), g, NO_LAYERS, (), rel_tol=1e-6, label="t=[1]")
     assert sizes == [4 * 4 + 4 * 8, 4 * 16]
 
 
@@ -359,7 +371,7 @@ def test_level_loop_is_the_one_call_per_level_loop(monkeypatch, m, hood, levels,
 
     def run(loop):
         try:
-            return loop(m.angular_alphas, g, {0.4}, [0.01], rel_tol, "x")
+            return loop(m.angular_alphas, g, (0.4, math.inf), [0.01], rel_tol, "x")
         except QuadratureBudgetError as err:
             return str(err)
 
@@ -383,7 +395,7 @@ def test_decay_integrals_are_those_of_the_one_call_per_level_loop(monkeypatch, b
 
 def test_level_loop_in_d1_takes_the_one_direction():
     g, sizes = _scripted([0.75], [1])
-    got = refined_orthant_integral((1.0,), g, set(), (), rel_tol=1e-6, label="x")
+    got = refined_orthant_integral((1.0,), g, NO_LAYERS, (), rel_tol=1e-6, label="x")
     assert got == 1.5 and sizes == [1]
 
 

@@ -357,8 +357,8 @@ class TestEccentricDecays:
     def test_matches_polar_quad_with_graded_breaks(self, body, spec, t):
         m = parse_measure(spec, dim=2)
         k = body.semi_axes * np.array(t)
-        graded = quadrature.graded_breaks(min(k) / max(k), math.pi / 4, 2.0)
-        breaks = graded if k[0] < k[1] else [math.pi / 2 - b for b in graded]
+        layers = (min(k) / max(k), math.inf) if k[0] < k[1] else (math.inf, min(k) / max(k))
+        breaks = quadrature._end_layers(*layers, 2.0, math.pi / 4)
         if isinstance(m, AnisotropicPowerMeasure):
             # the breaks the level loop grades from the support box's corner
             corner = math.atan2(m.halfwidths[1], m.halfwidths[0])
@@ -386,16 +386,19 @@ class TestEccentricDecays:
             decay_integral(body, mirrored, [10.0, 10.0], 1e-9)
 
     def test_no_grading_below_the_aspect(self, monkeypatch):
-        # at k_min / k_max >= 1/8 the breaks are the plain ones
+        # at k_min / k_max >= 1/8 no layer is passed; below it, k_min / k_max
+        # next to phi = 0, where k is small
         seen = []
         real = rates.refined_orthant_integral
         monkeypatch.setattr(rates, "refined_orthant_integral",
-                            lambda alphas, g, base, *rest: seen.append(set(base))
-                            or real(alphas, g, base, *rest))
+                            lambda alphas, g, layers, *rest: seen.append(layers)
+                            or real(alphas, g, layers, *rest))
         m = RadialPowerMeasure.with_total_mass(2.5, 1.0, 1.0, dim=2)
         decay_integral(Ellipsoid((2.0, 1.0)), m, [10.0, 160.0])  # k = (20, 160)
         decay_integral(Ellipsoid((2.0, 1.0)), m, [10.0, 161.0])
-        assert seen[0] == set() and len(seen[1]) == 3  # 1/8.05: pi/4 > 2^j / 8.05 for j < 3
+        assert seen == [(math.inf, math.inf), (20.0 / 161.0, math.inf)]
+        # 1/8.05: pi/4 > 2^j / 8.05 for j < 3
+        assert len(quadrature._end_layers(*seen[1], 2.0, math.pi / 4)) == 3
 
 
 def weber_schafheitlin(nu, lam):
