@@ -15,10 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["bessel_j", "J1_FIRST_ZERO"]
-
-# First positive zero of J_1, used as an accuracy anchor in tests.
-J1_FIRST_ZERO = 3.8317059702075123
+__all__ = ["bessel_j"]
 
 
 def bessel_j(nu: float, x) -> np.ndarray | float:

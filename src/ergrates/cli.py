@@ -272,7 +272,7 @@ def _cmd_simulate(cfg: dict) -> int:
     action = parse_action(cfg["action"], dim=dim)
     measure = induced_measure(action)
     norm_sq = np.array([average_norm_sq(action, body, t) for t in ts])
-    atomic = rates_mod.decay_integral_atomic(body, measure, ts)
+    atomic = rates_mod.decay_integral(body, measure, ts)
     rows = np.column_stack([ts, norm_sq, atomic, np.abs(norm_sq - atomic)])
     header = [f"t_{k + 1}" for k in range(dim)] + ["norm_sq", "i_k_atomic", "abs_diff"]
     _write(cfg["out"], _csv_text(header, _float_lines(rows), cfg))

@@ -58,14 +58,21 @@ def as_vec(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def as_rows(x, dim: int) -> tuple[np.ndarray, bool]:
-    """x as finite rows (N, dim) of points, and whether x was one point (a vector)."""
-    pts = np.asarray(x, dtype=float)
-    one = pts.ndim != 2
-    pts = as_vec(pts, dim=dim)[None, :] if one else pts
-    if pts.shape[1] != dim or not np.all(np.isfinite(pts)):
-        raise ValueError(f"expected finite rows of {dim}-d points, got shape {pts.shape}")
-    return pts, one
+def as_rows(x, dim: int | None = None) -> tuple[np.ndarray, bool]:
+    """x as finite rows (N, d) of points, and whether x was one point (a vector).
+
+    Each row is checked as `as_vec` checks one vector, of length dim when
+    dim is given, so the first bad row raises the ValueError it raises
+    alone; an empty grid is checked for its width alone.
+    """
+    rows = np.asarray(x, dtype=float)
+    if rows.ndim != 2:
+        return as_vec(rows, dim=dim)[None, :], True
+    bad_width = rows.shape[1] == 0 or (dim is not None and rows.shape[1] != dim)
+    if bad_width or not np.all(np.isfinite(rows)):
+        for row in rows if len(rows) else np.ones((1, rows.shape[1])):
+            as_vec(row, dim=dim)
+    return rows, False
 
 
 def row_norms(pts: np.ndarray) -> np.ndarray:

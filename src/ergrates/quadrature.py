@@ -279,11 +279,13 @@ def _kink_breaks(d: int, kinks, singular_ends: bool) -> list[float]:
     return out + [breaks[-1]]
 
 
-def kink_orthant_integral(alphas, g, kinks, singular_ends: bool) -> float:
+def kink_orthant_integral(alphas, g, kinks) -> float:
     """`_orthant_integrals` of g under the fixed kink rule: kinks() gives the
     azimuths where g kinks and, in d = 3, kinks(phi) the polar angles at each
-    azimuth in phi; `singular_ends` when g has |omega_k|^(alpha_k - 1) factors.
-    Azimuths with the same polar kinks share one break list."""
+    azimuth in phi.  The ends are singular, and a kink near one is graded
+    away from it, when some alpha_k != 1 puts an |omega_k|^(alpha_k - 1)
+    factor in g.  Azimuths with the same polar kinks share one break list."""
+    singular_ends = any(a != 1.0 for a in alphas)
     theta_breaks = functools.cache(lambda k: _kink_breaks(3, k, singular_ends))
     rule = (_kink_breaks(len(alphas), kinks(), singular_ends),
             lambda phi: [theta_breaks(tuple(k)) for k in kinks(phi)])
@@ -304,7 +306,8 @@ def refined_orthant_integral(alphas, g, layers, kinks, rel_tol: float, label: st
     never stops the loop, and the first two levels take one call of g
     together.  A rel_tol below double precision is refused at once: two
     levels that agree to the last bit do not show an error that small.
-    After the last level it raises QuadratureBudgetError naming `label`.
+    It raises QuadratureBudgetError naming `label` at the first level whose
+    value is not finite, and after the last level.
     d = 1 is the one direction e_1.
     """
     if rel_tol < np.finfo(float).eps:
@@ -328,6 +331,9 @@ def refined_orthant_integral(alphas, g, layers, kinks, rel_tol: float, label: st
             values += _orthant_integrals(alphas, g, rules, order)
             breaks = _bisected(lists[-1])
         cur = values[i]
+        if not math.isfinite(cur):
+            raise QuadratureBudgetError(
+                f"angular level {levels[i]} is not finite ({cur}) for {label}")
         if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
             return cur
         prev = cur

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .fourier import ratio_abs_sq, unit_ball_profile
-from .geometry import Ball, ConvexBody, Cube, as_vec, unit_ball_volume
+from .geometry import Ball, ConvexBody, Cube, as_rows, as_vec, unit_ball_volume
 from .quadrature import (
     QuadratureBudgetError,
     bisect,
@@ -62,7 +62,6 @@ __all__ = [
     "p_ladder",
     "ray_grid",
     "sector_grid",
-    "decay_integral_atomic",
     "decay_integral",
     "decay_integral_levelform",
     "RateFit",
@@ -157,7 +156,7 @@ class Sector:
         alone as among rows; a t with an entry <= 0 is outside, and a
         non-finite entry raises ValueError.
         """
-        rows, one = _dilation_rows(t)
+        rows, one = as_rows(t)
         inside = np.all(rows > 0.0, axis=1) & (
             np.max(rows, axis=1) <= self.bound * np.min(rows, axis=1) * (1.0 + 1e-12))
         return bool(inside[0]) if one else inside
@@ -203,23 +202,6 @@ def sector_grid(bound: float, dim: int, p_values) -> np.ndarray:
 # -- decay integrals ---------------------------------------------------------
 
 
-def _dilation_rows(t, dim: int | None = None) -> tuple[np.ndarray, bool]:
-    """t as rows (N, d) of dilations, and whether t was one vector.
-
-    Each row is checked as `as_vec` checks one vector, so a bad row raises
-    the ValueError it raises alone.
-    """
-    rows = np.asarray(t, dtype=float)
-    if rows.ndim != 2:
-        return as_vec(rows, dim=dim)[None, :], True
-    bad_width = rows.shape[1] == 0 or (dim is not None and rows.shape[1] != dim)
-    if bad_width or not np.all(np.isfinite(rows)):
-        # the first bad row raises; an empty grid is checked for its width alone
-        for row in rows if len(rows) else np.ones((1, rows.shape[1])):
-            as_vec(row, dim=dim)
-    return rows, False
-
-
 # the most atom products one ratio_abs_sq call takes: rows are cut into chunks
 # of _ATOMIC_CHUNK // n, so a long grid on a large measure stays a few MB
 _ATOMIC_CHUNK = 1 << 16
@@ -240,17 +222,6 @@ def _atomic_rows(body: ConvexBody, m: AtomicMeasure, rows: np.ndarray) -> np.nda
         pts = (locs[None, :, :] * chunk[:, None, :]).reshape(-1, m.dim)
         out[lo:lo + step] = np.sum(w * ratio_abs_sq(body, pts).reshape(-1, n), axis=1)
     return out
-
-
-def decay_integral_atomic(body: ConvexBody, m: AtomicMeasure, t):
-    """I(t) for atomic sigma: exact weighted sum of damping factors.
-
-    t is one dilation (a float comes back) or rows (N, d) of them (an (N,)
-    array comes back), through the same path as `decay_integral`.
-    """
-    if not isinstance(m, AtomicMeasure):
-        raise TypeError("decay_integral_atomic needs an atomic measure")
-    return decay_integral(body, m, t)
 
 
 # One budget for every radial integral: 2^20 table panels of a quarter
@@ -652,8 +623,6 @@ def _decay_integral_continuous(body: ConvexBody, m, t: np.ndarray, rel_tol: floa
     there), with an aniso support's corner in d = 2 as the kink it grades.
     """
     d = m.dim
-    if body.dim != d:
-        raise ValueError(f"dimension mismatch: expected {body.dim}, got {d}")
     s = m.radial_order
     alphas = m.angular_alphas
     is_radial = isinstance(m, RadialPowerMeasure)
@@ -718,12 +687,15 @@ def _decay_rows(body: ConvexBody, m: SpectralMeasure, rows: np.ndarray, rel_tol:
 
 
 def decay_integral(body: ConvexBody, m: SpectralMeasure, t, rel_tol: float = 1e-5):
-    """I(t) for any supported measure; dispatches per family.
+    """I(t) for any supported measure and body; the one checked entry to I(t).
 
     t is one dilation (a float comes back) or rows (N, d) of them (an (N,)
     array comes back).  Both take the same path, so a row has the same bits
-    alone as among rows; each row is checked as one t is (finite, positive,
-    of the measure's dimension) before any is computed.
+    alone as among rows.  Before any table read or atom product, in order:
+    the measure family and the body family (else TypeError), the body's
+    dimension against the measure's (the one "dimension mismatch"
+    ValueError, whatever the family), then each row as one t is checked
+    (finite, positive, of the measure's dimension).
 
     Atomic parts are exact sums, every row's atom products in one
     `ratio_abs_sq` call per chunk of rows; the parts of a sum are added as
@@ -734,12 +706,17 @@ def decay_integral(body: ConvexBody, m: SpectralMeasure, t, rel_tol: float = 1e-
     and the breaks graded across the boundary layers whose widths are passed
     to them, are `quadrature.refined_orthant_integral`'s.  Raises
     QuadratureBudgetError when the angular refinement cannot reach rel_tol
-    (or rel_tol is below double precision), or, before any level, when some
-    direction's radial integral would need more panels than the budget.
+    (or rel_tol is below double precision, or a level is not finite), or,
+    before any level, when some direction's radial integral would need more
+    panels than the budget.
     """
-    if not isinstance(m, (AtomicMeasure, SumMeasure, RadialPowerMeasure, AnisotropicPowerMeasure)):
+    if not isinstance(m, SpectralMeasure):
         raise TypeError(f"unknown measure {m!r}")
-    rows, one = _dilation_rows(t, m.dim)
+    if not isinstance(body, ConvexBody):
+        raise TypeError(f"unknown body {body!r}")
+    if body.dim != m.dim:
+        raise ValueError(f"dimension mismatch: expected {body.dim}, got {m.dim}")
+    rows, one = as_rows(t, m.dim)
     if np.any(rows <= 0.0):
         raise ValueError("t must be positive in every coordinate")
     vals = _decay_rows(body, m, rows, rel_tol)

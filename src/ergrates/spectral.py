@@ -446,8 +446,7 @@ def _continuous_mass(m, hood: Neighborhood) -> float:
         rho = np.minimum(hood.radial_profile(om), m.support_profile(om))
         return m.angular_density(om) * rho ** s / s
 
-    return kink_orthant_integral(m.angular_alphas, g, functools.partial(extent_kinks, [hood, m]),
-                                 singular_ends=isinstance(m, AnisotropicPowerMeasure))
+    return kink_orthant_integral(m.angular_alphas, g, functools.partial(extent_kinks, [hood, m]))
 
 
 def mass(m: SpectralMeasure, hood: Neighborhood) -> float:
@@ -533,8 +532,7 @@ def singular_integral(m: SpectralMeasure, q: float) -> float:
     def g(om):
         return m.angular_density(om) * ((m.support_profile(om) ** s - r_in ** s) / s)
 
-    return inner + kink_orthant_integral(m.alphas, g, functools.partial(extent_kinks, [m]),
-                                         singular_ends=True)
+    return inner + kink_orthant_integral(m.alphas, g, functools.partial(extent_kinks, [m]))
 
 
 # -- measure spec strings ----------------------------------------------------

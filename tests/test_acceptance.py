@@ -29,7 +29,6 @@ from ergrates.rates import (
     check_critical_rate,
     check_supercritical_rate,
     decay_integral,
-    decay_integral_atomic,
     fit_rate,
     p_ladder,
     ray_grid,
@@ -67,7 +66,7 @@ def test_c01_simulated_average_equals_atomic_integral():
         for _ in range(10):
             t = rng.uniform(0.5, 50.0, size=2)
             lhs = average_norm_sq(action, body, t)
-            rhs = decay_integral_atomic(body, m, t)
+            rhs = decay_integral(body, m, t)
             assert abs(lhs - rhs) / total < 1e-10
     assert monotonic() - start < 5.0
 
@@ -203,7 +202,7 @@ def test_c08_supercritical_rates_are_excluded_for_nonzero_measures():
         assert res["theta_hat"] >= -3.1
     zero = AtomicMeasure(points=(), weights=(), dim=2)
     for t in ((1.0, 1.0), (17.0, 403.0)):
-        assert decay_integral_atomic(body, zero, t) == 0.0
+        assert decay_integral(body, zero, t) == 0.0
     res = check_supercritical_rate(body, zero, -4.0, (1.0, 1.0), p)
     assert res["sigma_zero"] is True
     assert monotonic() - start < 60.0

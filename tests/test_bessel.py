@@ -10,9 +10,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ergrates.bessel import J1_FIRST_ZERO, bessel_j
+from ergrates.bessel import bessel_j
 
 mp.mp.dps = 30
+
+# First positive zero of J_1, an accuracy anchor for the order-1 backend.
+J1_FIRST_ZERO = 3.8317059702075123
 
 
 def mp_j(nu, x):

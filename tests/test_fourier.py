@@ -91,7 +91,7 @@ class TestRows:
             assert np.array_equal(rows.view(np.int64), one.view(np.int64)), body
 
     def test_rows_are_checked(self):
-        with pytest.raises(ValueError, match="2-d points"):
+        with pytest.raises(ValueError, match="dimension mismatch: expected 2, got 3"):
             indicator_ft(Ball(1.0), np.ones((4, 3)))
         with pytest.raises(ValueError, match="finite"):
             indicator_ft(Cube(2), np.array([[1.0, np.nan]]))

@@ -21,8 +21,8 @@ for region-map components) are imported inside the functions that need
 them, never at module level, so `import ergrates.cli` and the `classify`
 command load no scipy at all.
 
-No public name is kept only for tests: each is used by package code or
-allowlisted with its reason.  A method or property counts as used only
+No public name, constants included, is kept only for tests: each is used
+by package code or allowlisted with its reason.  A method or property counts as used only
 through an attribute access, never through a bare name of the same
 spelling.  Test-only references live in `tests/reference.py`.
 """
@@ -288,11 +288,12 @@ PUBLIC_ALLOWLIST = {
 
 
 def unused_public_names(sources) -> list[str]:
-    """Public functions, classes, methods and properties defined at the top of
-    the module texts `sources`, or in their top-level classes, that no code
-    outside their own bodies refers to, sorted.  A top-level name is used by
-    any reference to it; a method or property only by an attribute access,
-    since a bare name of the same spelling is some other binding."""
+    """Public functions, classes, constants, methods and properties defined at
+    the top of the module texts `sources`, or in their top-level classes, that
+    no code outside their own bodies refers to, sorted.  A constant's body is
+    its assignment.  A top-level name is used by any reference to it; a
+    method or property only by an attribute access, since a bare name of the
+    same spelling is some other binding."""
     trees = [ast.parse(text) for text in sources]
     # (name, is a class member) -> the nodes of its own bodies
     bodies: dict[tuple[str, bool], set[int]] = {}
@@ -300,8 +301,16 @@ def unused_public_names(sources) -> list[str]:
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else []
             for d, member in [(node, False), *((m, True) for m in members)]:
-                if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_"):
-                    bodies.setdefault((d.name, member), set()).update(map(id, ast.walk(d)))
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+                    names = [d.name]
+                elif isinstance(d, (ast.Assign, ast.AnnAssign)) and not member:
+                    targets = d.targets if isinstance(d, ast.Assign) else [d.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                for name in names:
+                    if not name.startswith("_"):
+                        bodies.setdefault((name, member), set()).update(map(id, ast.walk(d)))
     used = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -324,8 +333,11 @@ def test_every_public_name_is_used_or_allowlisted():
 
 def test_public_name_scanner_flags_test_only_names():
     # stand-ins for the test-only names the package once held: a recursive
-    # call or an unused method still flags, a method used elsewhere does not
+    # call, an unused method or an unused constant still flags, a method or
+    # a constant used elsewhere does not
     stand_ins = "\n".join([
+        "J0_FIRST_ZERO = 2.404825557695773",
+        "FLOW_STEPS: int = 8",
         "def apply_flow(action, s):",
         "    return AtomicAction(action.frequencies, action.coefficients, action.dim)",
         "def decay_constant_estimate(body, xs):",
@@ -348,10 +360,10 @@ def test_public_name_scanner_flags_test_only_names():
         "        return self.frequencies",
         "def run_flow(action):",
         "    energy = abs(action.frequencies)",
-        "    return energy",
+        "    return energy * FLOW_STEPS",
     ])
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert unused_public_names(sources + [stand_ins]) == sorted([
-        *PUBLIC_ALLOWLIST, "FlowAction", "SectorSamples", "apply_flow",
+        *PUBLIC_ALLOWLIST, "FlowAction", "J0_FIRST_ZERO", "SectorSamples", "apply_flow",
         "decay_constant_estimate", "density_at", "energy", "equivalence_bounds",
         "indicator_ft_quadrature", "random_points", "run_flow"])

@@ -235,10 +235,8 @@ def test_d3_chunks_cover_every_node_once_as_the_line_loop(monkeypatch, rows_per_
         monkeypatch.setattr(quadrature, "_ROWS_PER_CALL", rows_per_call)
     values = []
     _checked_against_the_loop(monkeypatch, values)
-    aniso = isinstance(m, AnisotropicPowerMeasure)
     g = _mass_integrand(m, hood)
-    kink = kink_orthant_integral(m.angular_alphas, g, functools.partial(extent_kinks, [hood, m]),
-                                 singular_ends=aniso)
+    kink = kink_orthant_integral(m.angular_alphas, g, functools.partial(extent_kinks, [hood, m]))
     monkeypatch.setitem(quadrature._LEVELS, 3, (12, range(3, 5)))
     level = refined_orthant_integral(m.angular_alphas, g, NO_LAYERS, (), rel_tol=1.0, label="x")
     # the kink rule, then levels 3 and 4 from one pass of chunks
@@ -351,6 +349,19 @@ def test_level_loop_raises_after_the_last_level(monkeypatch):
     with pytest.raises(QuadratureBudgetError, match=r"did not reach rel_tol=1e-06 for t=\[1\]"):
         refined_orthant_integral((1.0, 1.0), g, NO_LAYERS, (), rel_tol=1e-6, label="t=[1]")
     assert sizes == [4 * 4 + 4 * 8, 4 * 16]
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_level_loop_raises_at_the_first_level_that_is_not_finite(bad):
+    calls = []
+
+    def g(om):
+        calls.append(len(om))
+        return np.full(len(om), bad)
+
+    with pytest.raises(QuadratureBudgetError, match=r"angular level \d+ is not finite .* for t=\[1\]"):
+        refined_orthant_integral((1.0, 1.0), g, NO_LAYERS, (), rel_tol=1e-6, label="t=[1]")
+    assert len(calls) == 1
 
 
 _M2 = AnisotropicPowerMeasure((0.6, 1.8), (1.0, 0.7), 1.0)

@@ -38,7 +38,6 @@ from ergrates.rates import (
     check_rate_equivalence,
     check_supercritical_rate,
     decay_integral,
-    decay_integral_atomic,
     decay_integral_levelform,
     fit_oscillatory_rate,
     fit_rate,
@@ -101,7 +100,7 @@ class TestAtomic:
         m = AtomicMeasure(points=((0.7, -1.2),), weights=(1.0,), dim=2)
         t = np.array([2.0, 3.0])
         want = float(ratio_abs_sq(body, (m.locations * t))[0])
-        assert decay_integral_atomic(body, m, t) == pytest.approx(want, rel=1e-14)
+        assert decay_integral(body, m, t) == pytest.approx(want, rel=1e-14)
 
     def test_weighted_sum(self):
         body = Cube(2)
@@ -110,15 +109,13 @@ class TestAtomic:
         want = 2.0 * float(ratio_abs_sq(body, np.array([1.5, 0.0]))[0]) + 3.0 * float(
             ratio_abs_sq(body, np.array([0.75, 2.0]))[0]
         )
-        assert decay_integral_atomic(body, m, t) == pytest.approx(want, rel=1e-14)
+        assert decay_integral(body, m, t) == pytest.approx(want, rel=1e-14)
 
     def test_validation(self):
         body = Ball(1.0)
         m = AtomicMeasure(points=((1.0, 0.0),), weights=(1.0,), dim=2)
         with pytest.raises(ValueError):
-            decay_integral_atomic(body, m, [1.0, -1.0])
-        with pytest.raises(TypeError):
-            decay_integral_atomic(body, RadialPowerMeasure(2.0, 1.0, 1.0, 2), [1.0, 1.0])
+            decay_integral(body, m, [1.0, -1.0])
 
 
 class TestContinuous:
@@ -184,7 +181,7 @@ class TestContinuous:
         b = AtomicMeasure(points=((1.0, 1.0),), weights=(2.0,), dim=2)
         t = [3.0, 4.0]
         got = decay_integral(body, SumMeasure(parts=(a, b)), t, rel_tol=1e-6)
-        want = decay_integral(body, a, t, rel_tol=1e-6) + decay_integral_atomic(body, b, t)
+        want = decay_integral(body, a, t, rel_tol=1e-6) + decay_integral(body, b, t)
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_bounded_by_total_mass(self):
@@ -220,12 +217,17 @@ class TestContinuous:
     def test_body_of_another_dimension_refused_before_any_table_read(self, body,
                                                                       monkeypatch):
         def no_work(*args, **kwargs):
-            raise AssertionError("a radial table was read before the dimensions were checked")
+            raise AssertionError("work was done before the dimensions were checked")
 
         monkeypatch.setattr(rates, "_cumulative", no_work)
-        m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2)
-        with pytest.raises(ValueError, match="dimension mismatch: expected 3, got 2"):
-            decay_integral(body, m, [3.0, 3.0])
+        monkeypatch.setattr(rates, "_atomic_rows", no_work)
+        radial = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2)
+        atoms = AtomicMeasure(points=((1.0, 0.5),), weights=(2.0,), dim=2)
+        for m in (radial, atoms, AtomicMeasure(points=(), weights=(), dim=2),
+                  AnisotropicPowerMeasure.with_total_mass((0.5, 1.5), (1.0, 2.0), 1.0),
+                  SumMeasure(parts=(radial, atoms))):
+            with pytest.raises(ValueError, match="dimension mismatch: expected 3, got 2"):
+                decay_integral(body, m, [3.0, 3.0])
 
     @pytest.mark.parametrize("body, m, support, panels", [
         (Ball(1.0), RADIAL_HUGE, "1e+150", "5.09e+150"),  # R t_2
@@ -299,8 +301,8 @@ class TestDecayRows:
             assert type(decay_integral(Ball(1.0), measure, [3.0, 4.0])) is float
             rows = decay_integral(Ball(1.0), measure, [[3.0, 4.0]])
             assert type(rows) is np.ndarray and rows.shape == (1,)
-        assert type(decay_integral_atomic(Ball(1.0), m, [3.0, 4.0])) is float
-        assert decay_integral_atomic(Ball(1.0), m, [[3.0, 4.0], [5.0, 6.0]]).shape == (2,)
+        assert type(decay_integral(Ball(1.0), m, [3.0, 4.0])) is float
+        assert decay_integral(Ball(1.0), m, [[3.0, 4.0], [5.0, 6.0]]).shape == (2,)
 
     def test_empty_atomic_measure_is_zero_on_every_row(self):
         empty = AtomicMeasure(points=(), weights=(), dim=2)
