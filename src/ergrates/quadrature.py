@@ -9,15 +9,16 @@ here: `kink_orthant_integral` for neighborhood masses and the singular
 integral's outer piece, and `refined_orthant_integral`, the level loop of
 decay integrals, whose first two levels share one pass of the integrand.
 Callers pass their integrand, its kinks and the widths of its boundary
-layers; one end-grading rule serves both policies.  Segment rules are built
-for many break lists at once (`_line_rules`; `_segment_rules` is its
-one-line case): the interior segments are one broadcast of the cached
+layers; one end-grading rule serves both policies.  One builder,
+`_line_rules`, makes every angular segment rule, for many break lists at
+once: the interior segments are one broadcast of the cached
 Gauss-Legendre rule, the singular end segments one Gauss-Jacobi call per
-end, and each rule is bit for bit `end_power_rule` on its segment.  In
-d = 3 every theta line's rule comes from one such call, the integrand
-takes the directions in consecutive chunks of at most `_ROWS_PER_CALL`
-rows, which may cut across lines, each theta line is summed as np.sum sums
-it alone, and the lines are added up in phi order.  Budgets are enforced
+end, and each rule is bit for bit `end_power_rule` on its segment.  The
+phi rules of one orthant-integral call come from one such call and, in
+d = 3, every theta line's rule from one more; the integrand takes the
+directions in consecutive chunks of at most `_ROWS_PER_CALL` rows, which
+may cut across lines, each theta line is summed as np.sum sums it alone,
+and the lines are added up in phi order.  Budgets are enforced
 loudly, never silently.  Every root and peak search (ray zeros and peaks,
 level sets) is one of the 1-D bracketed searches at the end, which work
 on many brackets at once.
@@ -109,58 +110,35 @@ def end_power_rule(a: float, b: float, exponent: float, at_lower: bool, order: i
     return nodes, w * scale / dist ** exponent
 
 
-def _end_rules(a, b, exponent: float, at_lower: bool, order: int):
-    """`end_power_rule` on the end segments [a, b]: one scalar call for the
-    end of one line, else one column-array call for an array of lines,
-    whose scale is taken per line as a Python float, as the scalar call
-    takes it."""
-    if not isinstance(a, np.ndarray):
-        return end_power_rule(float(a), float(b), exponent, at_lower, order)
-    scale = np.array([h ** (exponent + 1.0) for h in (0.5 * (b - a)).tolist()])
-    return end_power_rule(a[:, None], b[:, None], exponent, at_lower, order, scale[:, None])
-
-
-def _segment_rows(lo, hi, first, last, exp_lo: float, exp_hi: float, order: int):
-    """Flat (nodes, weights) of one rule per segment [lo_i, hi_i], in order:
-    Gauss-Legendre, one broadcast for all, except the segments `first`,
-    singular as (x - lo)^exp_lo, and `last`, singular as (hi - x)^exp_hi."""
+def _line_rules(lines, exp_lo: float, exp_hi: float, order: int):
+    """Per-segment rules on each break list in `lines`, all at once: flat
+    (nodes, weights), one line after another, and the node count of each
+    line.  Each list must strictly increase.  On each line the first
+    segment is singular as (x - lo)^exp_lo, the last as (hi - x)^exp_hi
+    and the rest are Gauss-Legendre, one broadcast for all; the end
+    segments of all lines are one column-array `end_power_rule` call per
+    end, whose scale is taken per line as a Python float, so each rule is
+    bit for bit `end_power_rule` on its segment.  A single segment cannot
+    absorb two singular ends: ValueError."""
+    n_seg = np.array([len(tb) - 1 for tb in lines])
+    if exp_lo != 0.0 and exp_hi != 0.0 and np.any(n_seg == 1):
+        raise ValueError("a break list of one segment cannot absorb two singular ends")
+    edges = np.fromiter(itertools.chain.from_iterable(lines), float)
+    stop = np.cumsum(n_seg)  # one past each line's last segment
+    inner = np.ones(edges.size - 1, dtype=bool)  # pairs of breaks within one line
+    inner[stop[:-1] + np.arange(n_seg.size - 1)] = False
+    lo, hi = edges[:-1][inner], edges[1:][inner]
     x, w = _gl(order)
     half = 0.5 * (hi - lo)
     nodes = lo[:, None] + half[:, None] * (x + 1.0)
     weights = half[:, None] * w
-    for exponent, rows, at_lower in ((exp_lo, first, True), (exp_hi, last, False)):
+    for exponent, at_lower in ((exp_lo, True), (exp_hi, False)):
         if exponent != 0.0:
-            nodes[rows], weights[rows] = _end_rules(lo[rows], hi[rows], exponent, at_lower, order)
-    return nodes.ravel(), weights.ravel()
-
-
-_ONE_SEGMENT = "a break list of one segment cannot absorb two singular ends"
-
-
-def _segment_rules(breaks: list[float], exp_lo: float, exp_hi: float, order: int):
-    """Per-segment rules on [breaks[0], breaks[-1]], which must strictly
-    increase, with singular ends of exponents exp_lo and exp_hi: each rule
-    bit for bit `end_power_rule` on its segment.  A single segment cannot
-    absorb two singular ends: ValueError."""
-    if exp_lo != 0.0 and exp_hi != 0.0 and len(breaks) == 2:
-        raise ValueError(_ONE_SEGMENT)
-    edges = np.asarray(breaks, dtype=float)
-    return _segment_rows(edges[:-1], edges[1:], 0, edges.size - 2, exp_lo, exp_hi, order)
-
-
-def _line_rules(lines, exp_lo: float, exp_hi: float, order: int):
-    """`_segment_rules` of every break list in `lines` at once: flat (nodes,
-    weights), one line after another, and the node count of each line.
-    The end segments of all lines are one column-array call per end."""
-    n_seg = np.array([len(tb) - 1 for tb in lines])
-    if exp_lo != 0.0 and exp_hi != 0.0 and np.any(n_seg == 1):
-        raise ValueError(_ONE_SEGMENT)
-    edges = np.fromiter(itertools.chain.from_iterable(lines), float)
-    stop = np.cumsum(n_seg)  # one past each line's last segment
-    last_break = stop + np.arange(n_seg.size)
-    nodes, weights = _segment_rows(np.delete(edges, last_break), np.delete(edges, last_break - n_seg),
-                                   stop - n_seg, stop - 1, exp_lo, exp_hi, order)
-    return nodes, weights, n_seg * order
+            rows = stop - n_seg if at_lower else stop - 1
+            scale = np.array([h ** (exponent + 1.0) for h in half[rows].tolist()])
+            nodes[rows], weights[rows] = end_power_rule(lo[rows][:, None], hi[rows][:, None],
+                                                        exponent, at_lower, order, scale[:, None])
+    return nodes.ravel(), weights.ravel(), n_seg * order
 
 
 # rows of directions per call of the angular integrand in d = 3, which bounds
@@ -180,31 +158,30 @@ def _orthant_integrals(alphas, g, rules, order: int) -> list[float]:
     `theta_breaks(phi)[i]`, where phi is the array of every phi node of the
     rule, and the sin(theta) surface element is included: the directions
     are (sin theta cos phi, sin theta sin phi, cos theta).
-    In d = 3 the theta rules of all phi nodes come from one `_line_rules`
-    call per rule, and g is called on consecutive chunks of at most
-    _ROWS_PER_CALL rows that may cut across phi lines and rules, so it must
-    treat every row on its own.  Each phi line's theta sum is the one np.sum
-    takes of that line alone (each run of consecutive lines of one length
-    is summed as the rows of one 2-D view), and the lines are added up in
-    phi order, one after another.
+    The phi rules of all of them come from one `_line_rules` call, and in
+    d = 3 the theta rules of all their phi nodes from one more.  In d = 3 g
+    is called on consecutive chunks of at most _ROWS_PER_CALL rows that may
+    cut across phi lines and rules, so it must treat every row on its own.
+    Each phi line's theta sum is the one np.sum takes of that line alone
+    (each run of consecutive lines of one length is summed as the rows of
+    one 2-D view), and the lines are added up in phi order, one after
+    another.
     """
     d = len(alphas)
     if d > 3:
         raise ValueError(f"orthant integrals support d <= 3, got d = {d}")
     a1, a2 = alphas[0], alphas[1]
     # phi end behavior: sin(phi)^(a2-1) at 0, cos(phi)^(a1-1) at pi/2
-    phis = [_segment_rules(breaks, exp_lo=a2 - 1.0, exp_hi=a1 - 1.0, order=order)
-            for breaks, _ in rules]
-    phi = np.concatenate([p for p, _ in phis])
-    ends = np.cumsum([0] + [p.size for p, _ in phis])  # each rule's phi nodes
+    phi, w_phi, n_phi = _line_rules([breaks for breaks, _ in rules], a2 - 1.0, a1 - 1.0, order)
+    ends = [0, *itertools.accumulate(n_phi.tolist())]  # each rule's phi nodes are phi[a:b]
+    spans = list(zip(ends[:-1], ends[1:]))
     if d == 2:
         vals = g(np.stack([np.cos(phi), np.sin(phi)], axis=-1))
-        return [4.0 * float(np.sum(vals[a:b] * w_phi))
-                for (_, w_phi), a, b in zip(phis, ends[:-1], ends[1:])]
+        return [4.0 * float(np.sum(vals[a:b] * w_phi[a:b])) for a, b in spans]
     # theta end behavior: sin(theta)^(a1+a2-1) at 0, cos(theta)^(a3-1) at pi/2
-    lines = [_line_rules(theta_breaks(p), a1 + a2 - 1.0, alphas[2] - 1.0, order)
-             for (p, _), (_, theta_breaks) in zip(phis, rules)]
-    theta, terms, sizes = (np.concatenate(parts) for parts in zip(*lines))
+    theta, terms, sizes = _line_rules(
+        [tb for (_, theta_breaks), (a, b) in zip(rules, spans) for tb in theta_breaks(phi[a:b])],
+        a1 + a2 - 1.0, alphas[2] - 1.0, order)
     line = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)  # the phi node of each row
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     for i in range(0, theta.size, _ROWS_PER_CALL):
@@ -219,13 +196,8 @@ def _orthant_integrals(alphas, g, rules, order: int) -> list[float]:
     sums = np.empty(sizes.size)
     for a, b in zip([0, *runs.tolist()], [*runs.tolist(), sizes.size]):
         sums[a:b] = terms[stop[a] - sizes[a]:stop[b - 1]].reshape(b - a, -1).sum(axis=1)
-    out = []
-    for (_, w_phi), a, b in zip(phis, ends[:-1], ends[1:]):
-        total = 0.0
-        for v in (w_phi * sums[a:b]).tolist():  # sequential, in phi order
-            total += v
-        out.append(8.0 * total)
-    return out
+    # the lines of each rule added up sequentially, in phi order
+    return [8.0 * float(np.cumsum(w_phi[a:b] * sums[a:b])[-1]) for a, b in spans]
 
 
 # -- the break policy of the angular integrals ---------------------------------

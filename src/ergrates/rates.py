@@ -651,7 +651,9 @@ def _decay_integral_continuous(body: ConvexBody, m, t: np.ndarray, rel_tol: floa
         def angular_value(om_rows: np.ndarray) -> np.ndarray:
             c = np.linalg.norm(om_rows * (axes * t)[None, :], axis=1)
             z = m.support_profile(om_rows) * c
-            return m.angular_density(om_rows) * c ** (-s) * _cumulative("ball", d, [s], z)[0]
+            # c^(-s) overflows at tiny t; the level loop refuses the level that is not finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                return m.angular_density(om_rows) * c ** (-s) * _cumulative("ball", d, [s], z)[0]
 
     if not z_max / _QUARTER <= _MAX_RADIAL_PANELS:
         raise QuadratureBudgetError(
@@ -732,14 +734,16 @@ def decay_integral_levelform(body: Ball, m: RadialPowerMeasure, t) -> float:
     I(t) = 2 int_0^1 u * sigma({x : |ratio(x o t)| > u}) du; level sets of
     the radial ball profile are unions of hump intervals found by
     bisection, and their sigma-masses come from the radial mass function.
-    Restricted to Ball with a radial power measure, where the level sets
-    are computable.  Cost grows with max(t); intended for cross-checks at
+    Restricted to Ball with a radial power measure of its dimension, where
+    the level sets are computable.  Cost grows with max(t); intended for cross-checks at
     moderate dilations, not production sweeps.
     """
     if not isinstance(body, Ball):
         raise ValueError("distribution-function route needs a ball")
     if not isinstance(m, RadialPowerMeasure):
         raise ValueError("distribution-function route needs a radial power measure")
+    if body.dim != m.dim:
+        raise ValueError(f"dimension mismatch: expected {body.dim}, got {m.dim}")
     t = as_vec(t, dim=m.dim)
     if np.any(t <= 0):
         raise ValueError("t must be positive in every coordinate")

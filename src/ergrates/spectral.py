@@ -315,13 +315,6 @@ class BoxNeighborhood:
             raise ValueError("box halfwidths must be positive")
         object.__setattr__(self, "halfwidths", hw)
 
-    @classmethod
-    def from_inverse(cls, t):
-        t = as_vec(t)
-        if np.any(t <= 0):
-            raise ValueError("t must be positive in every coordinate")
-        return cls(halfwidths=tuple(1.0 / t))
-
     @property
     def dim(self) -> int:
         return len(self.halfwidths)

@@ -277,6 +277,22 @@ class TestVerifyCommand:
         assert rep["sup_ratios"]["decay_over_phi"] > 0
         assert "config_hash" in rep and "version" in rep
 
+    @pytest.mark.parametrize("body, verdict", [
+        ("cube", "inconsistent: I/phi unbounded but mass/phi bounded"),
+        ("ball:1", "consistent with equivalence"),
+    ], ids=["cube", "ball"])
+    def test_theorem1_needs_a_strictly_convex_body(self, tmp_path, body, verdict):
+        # one atom off the origin: its mass in the shrinking ellipsoids
+        # vanishes, so mass/phi is bounded; |F[1_K]|^2 decays like |t|^-3 for
+        # the ball, faster than phi = |t|^-2.9, but along the cube's axis only
+        # like |t|^-2
+        out = tmp_path / "v.json"
+        assert main(["verify", "--theorem", "1", "--body", body, "--measure", "atomic:[(1,0;1)]",
+                     "--phi", "power:2.9", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["verdict"] == verdict
+        assert rep["evidence"]["consistent"] is (body == "ball:1")
+
     def test_theorem2_atomic(self, tmp_path):
         out = tmp_path / "v.json"
         assert main(["verify", "--theorem", "2",
@@ -437,6 +453,20 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert err.startswith("ergrates: config error: cannot write") and err.count("\n") == 1
         assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["rates"], "dim = x\n", "dim must be a number, got 'x'"),
+        (["classify"], "", "classify needs an alpha vector (e.g. --alpha 2,1)"),
+        (["regionmap", "--grid", "0:4:x"], "",
+         "grid must be lo:hi:resolution with numbers, got '0:4:x'"),
+    ], ids=["dim-not-a-number", "classify-without-alpha", "regionmap-grid-not-a-number"])
+    def test_bad_option_exits_2_with_one_line(self, tmp_path, capsys, argv, config, message):
+        # a config file reaches the number check; argparse refuses `--dim x` itself
+        cfg, out = tmp_path / "c.cfg", tmp_path / "out.txt"
+        cfg.write_text(config)
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"ergrates: config error: {message}\n"
+        assert not out.exists()
 
     def test_zero_direction_exits_2_with_one_line(self, tmp_path, capsys):
         out = tmp_path / "f.csv"

@@ -232,3 +232,14 @@ class TestValidationAndParsing:
             parse_body("pyramid:1", dim=2)
         with pytest.raises(ValueError):
             parse_body("ball:-2", dim=2)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("ball:x", "bad ball spec 'ball:x': radius must be a number"),
+    ("ellipsoid:1,x", "bad ellipsoid spec 'ellipsoid:1,x': axes must be numbers"),
+    ("ellipsoid:1", "bad ellipsoid spec 'ellipsoid:1': need at least two axes"),
+], ids=["ball-number", "ellipsoid-number", "ellipsoid-one-axis"])
+def test_bad_body_spec_is_refused(spec, message):
+    with pytest.raises(ValueError) as err:
+        parse_body(spec, dim=2)
+    assert str(err.value) == message

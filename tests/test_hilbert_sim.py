@@ -165,3 +165,13 @@ class TestSpecStrings:
             parse_action("flow:[(1;1,0)]")
         with pytest.raises(ValueError, match="bad component"):
             parse_action("action:[(1,0;1)]")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("action:(1,0;1,0)", "bad action spec 'action:(1,0;1,0)': expected action:[(x;re,im),...]"),
+    ("action:[1,0;1,0]", "bad component '1' in 'action:[1,0;1,0]'"),
+], ids=["brackets", "parentheses"])
+def test_bad_action_spec_is_refused(spec, message):
+    with pytest.raises(ValueError) as err:
+        parse_action(spec)
+    assert str(err.value) == message

@@ -24,7 +24,8 @@ command load no scipy at all.
 No public name, constants included, is kept only for tests: each is used
 by package code or allowlisted with its reason.  A method or property counts as used only
 through an attribute access, never through a bare name of the same
-spelling.  Test-only references live in `tests/reference.py`.
+spelling, and `Cls.method` counts only for the method of class Cls.
+Test-only references live in `tests/reference.py`.
 """
 
 import ast
@@ -293,33 +294,36 @@ def unused_public_names(sources) -> list[str]:
     no code outside their own bodies refers to, sorted.  A constant's body is
     its assignment.  A top-level name is used by any reference to it; a
     method or property only by an attribute access, since a bare name of the
-    same spelling is some other binding."""
+    same spelling is some other binding, and `Cls.name` uses only the member
+    of class Cls when Cls defines one."""
     trees = [ast.parse(text) for text in sources]
-    # (name, is a class member) -> the nodes of its own bodies
-    bodies: dict[tuple[str, bool], set[int]] = {}
+    # (name, owning class or "" at the top) -> the nodes of its own bodies
+    bodies: dict[tuple[str, str], set[int]] = {}
     for tree in trees:
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else []
-            for d, member in [(node, False), *((m, True) for m in members)]:
+            for d, owner in [(node, ""), *((m, node.name) for m in members)]:
                 if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
                     names = [d.name]
-                elif isinstance(d, (ast.Assign, ast.AnnAssign)) and not member:
+                elif isinstance(d, (ast.Assign, ast.AnnAssign)) and not owner:
                     targets = d.targets if isinstance(d, ast.Assign) else [d.target]
                     names = [t.id for t in targets if isinstance(t, ast.Name)]
                 else:
                     continue
                 for name in names:
                     if not name.startswith("_"):
-                        bodies.setdefault((name, member), set()).update(map(id, ast.walk(d)))
+                        bodies.setdefault((name, owner), set()).update(map(id, ast.walk(d)))
     used = set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
-                keys = [(node.attr, False), (node.attr, True)]
+                cls = node.value.id if isinstance(node.value, ast.Name) else None
+                keys = ([(node.attr, cls)] if (node.attr, cls) in bodies
+                        else [k for k in bodies if k[0] == node.attr])
             elif isinstance(node, ast.Name):
-                keys = [(node.id, False)]
+                keys = [(node.id, "")]
             elif isinstance(node, ast.alias):
-                keys = [(node.name, False)]
+                keys = [(node.name, "")]
             else:
                 continue
             used.update(k for k in keys if k in bodies and id(node) not in bodies[k])
@@ -334,7 +338,8 @@ def test_every_public_name_is_used_or_allowlisted():
 def test_public_name_scanner_flags_test_only_names():
     # stand-ins for the test-only names the package once held: a recursive
     # call, an unused method or an unused constant still flags, a method or
-    # a constant used elsewhere does not
+    # a constant used elsewhere does not, and Cls.method uses no other
+    # class's method of that name
     stand_ins = "\n".join([
         "J0_FIRST_ZERO = 2.404825557695773",
         "FLOW_STEPS: int = 8",
@@ -361,9 +366,19 @@ def test_public_name_scanner_flags_test_only_names():
         "def run_flow(action):",
         "    energy = abs(action.frequencies)",
         "    return energy * FLOW_STEPS",
+        "class RoundLens:",
+        "    @classmethod",
+        "    def from_focus(cls, f):",
+        "        return cls()",
+        "class FlatLens:",
+        "    @classmethod",
+        "    def from_focus(cls, f):",
+        "        return cls()",
+        "def make_lenses(f):",
+        "    return RoundLens.from_focus(f), FlatLens()",
     ])
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert unused_public_names(sources + [stand_ins]) == sorted([
         *PUBLIC_ALLOWLIST, "FlowAction", "J0_FIRST_ZERO", "SectorSamples", "apply_flow",
         "decay_constant_estimate", "density_at", "energy", "equivalence_bounds",
-        "indicator_ft_quadrature", "random_points", "run_flow"])
+        "from_focus", "indicator_ft_quadrature", "make_lenses", "random_points", "run_flow"])

@@ -62,8 +62,8 @@ def test_oscillatory_at_quarter_period_panels():
 def test_segment_rules_absorb_both_singular_ends():
     # x^-0.4 (1 - x)^0.7 on [0, 1] split at two inner breaks: the Jacobi ends
     # make it exact, the Beta function B(0.6, 1.7)
-    nodes, weights = quadrature._segment_rules([0.0, 0.3, 0.6, 1.0], exp_lo=-0.4, exp_hi=0.7,
-                                               order=10)
+    nodes, weights, _ = quadrature._line_rules([[0.0, 0.3, 0.6, 1.0]], exp_lo=-0.4,
+                                                exp_hi=0.7, order=10)
     got = float(np.sum(weights * nodes ** -0.4 * (1.0 - nodes) ** 0.7))
     want = math.gamma(0.6) * math.gamma(1.7) / math.gamma(2.3)
     assert got == pytest.approx(want, rel=1e-12)
@@ -73,12 +73,12 @@ def test_segment_rules_absorb_both_singular_ends():
 def test_one_segment_cannot_absorb_two_singular_ends():
     # a lone segment's Jacobi rule absorbs only one of two singular ends
     with pytest.raises(ValueError, match="one segment cannot absorb two singular ends"):
-        quadrature._segment_rules([0.0, 1.0], exp_lo=-0.4, exp_hi=0.7, order=8)
+        quadrature._line_rules([[0.0, 1.0]], exp_lo=-0.4, exp_hi=0.7, order=8)
     with pytest.raises(ValueError, match="one segment cannot absorb two singular ends"):
         quadrature._line_rules([[0.0, 0.5, 1.0], [0.0, 1.0]], exp_lo=-0.4, exp_hi=0.7, order=8)
     # one singular end on a lone segment is the end rule itself
     for exp_lo, exp_hi, at_lower in ((-0.4, 0.0, True), (0.0, 0.7, False)):
-        nodes, weights = quadrature._segment_rules([0.5, 2.0], exp_lo, exp_hi, order=8)
+        nodes, weights, _ = quadrature._line_rules([[0.5, 2.0]], exp_lo, exp_hi, order=8)
         want = end_power_rule(0.5, 2.0, exp_lo + exp_hi, at_lower=at_lower, order=8)
         assert np.array_equal(nodes, want[0]) and np.array_equal(weights, want[1])
 
@@ -126,7 +126,7 @@ def test_line_rules_equal_the_per_segment_loop(seed, n_lines, exp_lo, exp_hi, or
     assert sizes.tolist() == [nd.size for nd, _ in want]
     assert np.array_equal(nodes, np.concatenate([nd for nd, _ in want]))
     assert np.array_equal(weights, np.concatenate([wt for _, wt in want]))
-    one = quadrature._segment_rules(lines[0], exp_lo, exp_hi, order)
+    one = quadrature._line_rules(lines[:1], exp_lo, exp_hi, order)
     assert np.array_equal(one[0], want[0][0]) and np.array_equal(one[1], want[0][1])
 
 

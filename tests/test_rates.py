@@ -247,6 +247,17 @@ class TestContinuous:
             decay_integral(body, m, [3.0, 4.0])
         assert f"support {support} at t=[3.0, 4.0] needs {panels} panels" in str(err.value)
 
+    @pytest.mark.parametrize("body", [Ball(1.0), Ellipsoid((2.0, 1.0))], ids=["ball", "ellipsoid"])
+    def test_tiny_t_refused_without_warnings(self, body):
+        # c^(-s) overflows at every direction: the first level is refused as
+        # not finite, and no numpy warning escapes on the way
+        m = parse_measure("radial:2.5,1,1", dim=2)
+        message = re.escape("angular level 1 is not finite (nan) for t=[1e-130")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(quadrature.QuadratureBudgetError, match=message):
+                decay_integral(body, m, [1e-130, 1e-130])
+
 
 # aniso support boxes whose corner lies near one end of [0, pi/2], and the t
 # at which their decays are checked
@@ -894,6 +905,12 @@ class TestLevelform:
                 Ball(1.0), AnisotropicPowerMeasure((1.0, 1.0), (1.0, 1.0), 1.0), [1.0, 1.0]
             )
 
+    def test_ball_of_another_dimension_refused(self):
+        # the measure's dimension once set d, and the 2-d value came back
+        m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=2)
+        with pytest.raises(ValueError, match="dimension mismatch: expected 3, got 2"):
+            decay_integral_levelform(Ball(1.0, dim=3), m, [3.0, 4.0])
+
 
 class TestFit:
     def test_pure_power(self):
@@ -999,6 +1016,16 @@ class TestPhi:
             parse_phi("exp:1")
         with pytest.raises(ValueError):
             parse_phi("power:abc")
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: parse_phi("mono:1,x"), "bad phi spec 'mono:1,x': exponents must be numbers"),
+        (lambda: fit_rate(p_ladder(10.0, 1000.0), np.ones(3)),
+         "p_values and i_values must be 1-D and paired"),
+    ], ids=["phi-mono-number", "ladder-unpaired"])
+    def test_bad_input_is_refused(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
     def test_positive_cone_only(self):
         with pytest.raises(ValueError):

@@ -109,9 +109,6 @@ class TestNeighborhoods:
 
     def test_from_inverse(self):
         assert EllipsoidNeighborhood.from_inverse([2.0, 4.0]).semi_axes == (0.5, 0.25)
-        assert BoxNeighborhood.from_inverse([2.0, 4.0]).halfwidths == (0.5, 0.25)
-        with pytest.raises(ValueError):
-            BoxNeighborhood.from_inverse([1.0, 0.0])
 
     @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("cls", [EllipsoidNeighborhood, BoxNeighborhood])
@@ -782,3 +779,43 @@ class TestSpecStrings:
             parse_measure("aniso:1,1;1,1")
         with pytest.raises(ValueError, match="unknown measure spec"):
             parse_measure("gauss:1")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RadialPowerMeasure(0.0, 1.0, 1.0, 2), "gamma must be positive"),
+    (lambda: RadialPowerMeasure(1.0, 0.0, 1.0, 2), "radius must be positive"),
+    (lambda: RadialPowerMeasure(1.0, 1.0, -1.0, 2), "scale must be nonnegative"),
+    (lambda: RadialPowerMeasure.with_total_mass(-1.0, 1.0, 1.0, 2),
+     "gamma and radius must be positive"),
+    (lambda: RadialPowerMeasure.with_total_mass(1.0, 0.0, 1.0, 2),
+     "gamma and radius must be positive"),
+    (lambda: RadialPowerMeasure.with_total_mass(1.0, 1.0, -1.0, 2), "scale must be nonnegative"),
+    (lambda: AnisotropicPowerMeasure((1.0, 1.0), (1.0,), 1.0),
+     "alphas and halfwidths must share a dimension"),
+    (lambda: AnisotropicPowerMeasure((1.0, 0.0), (1.0, 1.0), 1.0), "every alpha must be positive"),
+    (lambda: AnisotropicPowerMeasure((1.0, 1.0), (1.0, -1.0), 1.0),
+     "every box halfwidth must be positive"),
+    (lambda: AnisotropicPowerMeasure((1.0, 1.0), (1.0, 1.0), -1.0), "scale must be nonnegative"),
+    (lambda: SumMeasure(()), "sum measure needs at least one part"),
+    (lambda: SumMeasure((RadialPowerMeasure(1.0, 1.0, 1.0, 2),
+                         RadialPowerMeasure(1.0, 1.0, 1.0, 3))),
+     "sum parts disagree on dimension: [2, 3]"),
+    (lambda: AtomicMeasure(((1.0, 0.0),), (1.0, 2.0), 2), "points and weights must pair up"),
+    (lambda: EllipsoidNeighborhood.from_inverse([1.0, 0.0]),
+     "t must be positive in every coordinate"),
+    (lambda: parse_measure("atomic:(1,0;1)"),
+     "bad atomic spec 'atomic:(1,0;1)': expected atomic:[(x;w),...]"),
+    (lambda: parse_measure("atomic:[1,0;1]"), "bad atom '1' in 'atomic:[1,0;1]'"),
+    (lambda: parse_measure("aniso:1,x;1,1;1"),
+     "bad aniso spec 'aniso:1,x;1,1;1': fields must be numbers"),
+    (lambda: parse_measure("sum:radial:2,1,1"),
+     "bad sum spec 'sum:radial:2,1,1': expected sum:[spec|spec|...]"),
+], ids=["radial-gamma", "radial-radius", "radial-scale", "total-mass-gamma", "total-mass-radius",
+        "total-mass-scale", "aniso-lengths", "aniso-alpha", "aniso-halfwidth", "aniso-scale",
+        "sum-empty", "sum-dimensions", "atomic-unpaired", "ellipsoid-from-inverse",
+        "spec-atomic-brackets", "spec-atom-parentheses", "spec-aniso-number",
+        "spec-sum-brackets"])
+def test_bad_input_is_refused(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
