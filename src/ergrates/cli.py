@@ -43,12 +43,12 @@ class ConfigError(ValueError):
 
 # -- config files ------------------------------------------------------------
 
+# each number option's type: _merged checks a flag as a config file's value is
+_NUMBERS = {**dict.fromkeys(("dim", "points", "theorem"), int),
+            **dict.fromkeys(("z-lo", "z-hi", "p-lo", "p-hi", "tol", "sector", "degree"), float)}
 # argparse settings of each option --key that is more than a plain string;
 # which command takes which option, and its default, is set in _COMMANDS
 _ARGPARSE = {
-    **{key: {"type": int} for key in ("dim", "points", "theorem")},
-    **{key: {"type": float}
-       for key in ("z-lo", "z-hi", "p-lo", "p-hi", "tol", "sector", "degree")},
     "r-mode": {"choices": ["successive", "at-max"]},
     "no-sector": {"action": "store_true",
                   "help": "exploratory sweep outside the sector; no claim made"},
@@ -157,7 +157,7 @@ def _merged(args, options: dict[str, object]) -> dict:
         attr = key.replace("-", "_")
         cli_val = getattr(args, attr, None)
         if cli_val is not None and cli_val is not False:
-            out[key] = str(cli_val)
+            out[key] = str(_num({key: cli_val}, key, _NUMBERS[key]) if key in _NUMBERS else cli_val)
         elif key in file_cfg:
             out[key] = file_cfg[key]
         elif default is not None:

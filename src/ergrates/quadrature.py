@@ -7,21 +7,19 @@ singular-end segment rules), and every angular integral over the unit
 sphere, by one of two policies that set breaks, order and refinement
 here: `kink_orthant_integral` for neighborhood masses and the singular
 integral's outer piece, and `refined_orthant_integral`, the level loop of
-decay integrals, whose first two levels share one pass of the integrand.
-Callers pass their integrand, its kinks and the widths of its boundary
-layers; one end-grading rule serves both policies.  One builder,
-`_line_rules`, makes every angular segment rule, for many break lists at
-once: the interior segments are one broadcast of the cached
-Gauss-Legendre rule, the singular end segments one Gauss-Jacobi call per
-end, and each rule is bit for bit `end_power_rule` on its segment.  The
-phi rules of one orthant-integral call come from one such call and, in
-d = 3, every theta line's rule from one more; the integrand takes the
-directions in consecutive chunks of at most `_ROWS_PER_CALL` rows, which
-may cut across lines, each theta line is summed as np.sum sums it alone,
-and the lines are added up in phi order.  Budgets are enforced
-loudly, never silently.  Every root and peak search (ray zeros and peaks,
-level sets) is one of the 1-D bracketed searches at the end, which work
-on many brackets at once.
+decay integrals, run on every row of a grid at once, each row leaving at
+its own level.  Callers pass their integrand, its kinks and the widths
+of each row's boundary layers; one end-grading rule serves both
+policies.  One builder, `_line_rules`, makes every angular segment rule,
+for many break lists at once: the interior segments are one broadcast of
+the cached Gauss-Legendre rule, the singular end segments one
+Gauss-Jacobi call per end, and each rule is bit for bit `end_power_rule`
+on its segment.  The integrand takes the directions in chunks of at most
+`_ROWS_PER_CALL`, each theta line is summed as np.sum sums it alone, and
+the lines are added up in phi order.  Budgets are enforced loudly, never
+silently.  Every root and peak search (ray zeros and peaks, level sets)
+is one of the 1-D bracketed searches at the end, which work on many
+brackets at once.
 
 Gauss-Legendre rules come from numpy.  Gauss-Jacobi rules (the
 singular-end segments) come from `scipy.special.roots_jacobi`, imported
@@ -141,31 +139,31 @@ def _line_rules(lines, exp_lo: float, exp_hi: float, order: int):
     return nodes.ravel(), weights.ravel(), n_seg * order
 
 
-# rows of directions per call of the angular integrand in d = 3, which bounds
-# the transient arrays; chunks need not follow phi lines
+# directions per call of the angular integrand, counted over every row, which
+# bounds the transient arrays; chunks need not follow phi lines or rows
 _ROWS_PER_CALL = 4096
 
 
-def _orthant_integrals(alphas, g, rules, order: int) -> list[float]:
+def _orthant_integrals(alphas, g, rules, order: int, uses) -> list[float]:
     """2^d times the integral of g over the first orthant of the unit sphere,
-    d = 2 or 3, on each (breaks, theta_breaks) in `rules`: g is called on
-    the directions of all of them at once and each is summed on its own.
+    d = 2 or 3, for each (k, row) in `uses` on rules[k] = (breaks,
+    theta_breaks), each use summed on its own.
 
-    g maps unit directions (rows) to the full angular integrand, including
-    its |omega_k|^(alpha_k - 1) axis factors; the alphas tell the segment
-    rules which end singularities to absorb.  The azimuth phi runs over
-    `breaks`; in d = 3 the polar angle theta of the i-th phi node runs over
-    `theta_breaks(phi)[i]`, where phi is the array of every phi node of the
-    rule, and the sin(theta) surface element is included: the directions
-    are (sin theta cos phi, sin theta sin phi, cos theta).
-    The phi rules of all of them come from one `_line_rules` call, and in
-    d = 3 the theta rules of all their phi nodes from one more.  In d = 3 g
-    is called on consecutive chunks of at most _ROWS_PER_CALL rows that may
-    cut across phi lines and rules, so it must treat every row on its own.
-    Each phi line's theta sum is the one np.sum takes of that line alone
-    (each run of consecutive lines of one length is summed as the rows of
-    one 2-D view), and the lines are added up in phi order, one after
-    another.
+    g(om, row) maps unit directions om[i] of rows row[i] (or of row[0]
+    alone, when every use has it: g broadcasts it) to the full angular
+    integrand, including its |omega_k|^(alpha_k - 1) axis factors; the
+    alphas tell the segment rules which end singularities to absorb.  The
+    azimuth phi runs over `breaks`; in d = 3 the polar angle theta of the
+    i-th phi node runs over `theta_breaks(phi)[i]`, where phi is the array
+    of every phi node of the rule, and the sin(theta) surface element is
+    included: the directions are (sin theta cos phi, sin theta sin phi,
+    cos theta).  One `_line_rules` call builds every phi rule, and in d = 3
+    one more every theta rule; g takes the directions of all uses in
+    consecutive chunks of at most _ROWS_PER_CALL, which may cut across phi
+    lines and uses.  A use's sum in d = 2 is the one np.sum takes of its
+    slice; in d = 3 each phi line's theta sum is the one np.sum takes of
+    that line alone (runs of lines of one length are summed as the rows of
+    one 2-D view), and the lines are added up in phi order.
     """
     d = len(alphas)
     if d > 3:
@@ -173,31 +171,54 @@ def _orthant_integrals(alphas, g, rules, order: int) -> list[float]:
     a1, a2 = alphas[0], alphas[1]
     # phi end behavior: sin(phi)^(a2-1) at 0, cos(phi)^(a1-1) at pi/2
     phi, w_phi, n_phi = _line_rules([breaks for breaks, _ in rules], a2 - 1.0, a1 - 1.0, order)
-    ends = [0, *itertools.accumulate(n_phi.tolist())]  # each rule's phi nodes are phi[a:b]
-    spans = list(zip(ends[:-1], ends[1:]))
+    ends = [0, *itertools.accumulate(n_phi.tolist())]  # rule k's phi[ends[k]:ends[k + 1]]
+    spans = [(ends[k], ends[k + 1]) for k, _ in uses]
+    at = [0, *itertools.accumulate(b - a for a, b in spans)]  # where each use's phi nodes start
+    rows = [r for _, r in uses]
+    one = rows.count(rows[0]) == len(rows)  # g then takes that row alone
+    whole = [k for k, _ in uses] == list(range(len(rules)))  # else each use's nodes are picked
+
+    def picked(spans):
+        return slice(None) if whole else np.concatenate([np.arange(a, b) for a, b in spans])
+
     if d == 2:
-        vals = g(np.stack([np.cos(phi), np.sin(phi)], axis=-1))
-        return [4.0 * float(np.sum(vals[a:b] * w_phi[a:b])) for a, b in spans]
+        om = np.empty((phi.size, 2))
+        om[:, 0], om[:, 1] = np.cos(phi), np.sin(phi)
+        om, who = om[picked(spans)], np.array(rows[:1]) if one else np.repeat(rows, np.diff(at))
+        vals = np.empty(len(om))
+        for i in range(0, len(om), _ROWS_PER_CALL):
+            part = slice(i, i + _ROWS_PER_CALL)
+            vals[part] = g(om[part], who if one else who[part])
+        return [4.0 * float((vals[i:j] * w_phi[a:b]).sum())  # the sum np.sum takes
+                for (a, b), i, j in zip(spans, at, at[1:])]
     # theta end behavior: sin(theta)^(a1+a2-1) at 0, cos(theta)^(a3-1) at pi/2
     theta, terms, sizes = _line_rules(
-        [tb for (_, theta_breaks), (a, b) in zip(rules, spans) for tb in theta_breaks(phi[a:b])],
+        [tb for (_, theta_breaks), a, b in zip(rules, ends, ends[1:])
+         for tb in theta_breaks(phi[a:b])],
         a1 + a2 - 1.0, alphas[2] - 1.0, order)
-    line = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)  # the phi node of each row
+    line = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)  # the phi node of each node
+    stop = np.cumsum(sizes)  # line j's nodes end at theta[stop[j]]
+    if not whole:  # from here on, the lines of each use, one after another
+        nodes = picked([(stop[a] - sizes[a], stop[b - 1]) for a, b in spans])
+        theta, terms, line, sizes = theta[nodes], terms[nodes], line[nodes], sizes[picked(spans)]
+        stop = np.cumsum(sizes)
+    who = np.array(rows[:1]) if one else np.repeat(rows, np.diff(np.concatenate(([0], stop))[at]))
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     for i in range(0, theta.size, _ROWS_PER_CALL):
-        rows = slice(i, i + _ROWS_PER_CALL)
-        th, k = theta[rows], line[rows]
+        part = slice(i, i + _ROWS_PER_CALL)
+        th, k = theta[part], line[part]
         st = np.sin(th)
         om = np.stack([st * cos_phi[k], st * sin_phi[k], np.cos(th)], axis=-1)
-        terms[rows] = g(om) * st * terms[rows]  # the weights become g sin(theta) w_theta
+        # the weights become g sin(theta) w_theta
+        terms[part] = g(om, who if one else who[part]) * st * terms[part]
     # each run of lines of one length is summed as the rows of one 2-D view
-    stop = np.cumsum(sizes)
     runs = np.flatnonzero(np.diff(sizes)) + 1
     sums = np.empty(sizes.size)
     for a, b in zip([0, *runs.tolist()], [*runs.tolist(), sizes.size]):
         sums[a:b] = terms[stop[a] - sizes[a]:stop[b - 1]].reshape(b - a, -1).sum(axis=1)
-    # the lines of each rule added up sequentially, in phi order
-    return [8.0 * float(np.cumsum(w_phi[a:b] * sums[a:b])[-1]) for a, b in spans]
+    # the lines of each use added up sequentially, in phi order
+    return [8.0 * float(np.cumsum(w_phi[a:b] * sums[i:j])[-1])
+            for (a, b), i, j in zip(spans, at, at[1:])]
 
 
 # -- the break policy of the angular integrals ---------------------------------
@@ -261,55 +282,85 @@ def kink_orthant_integral(alphas, g, kinks) -> float:
     theta_breaks = functools.cache(lambda k: _kink_breaks(3, k, singular_ends))
     rule = (_kink_breaks(len(alphas), kinks(), singular_ends),
             lambda phi: [theta_breaks(tuple(k)) for k in kinks(phi)])
-    return _orthant_integrals(alphas, g, [rule], 24)[0]
+    return _orthant_integrals(alphas, lambda om, row: g(om), [rule], 24, [(0, 0)])[0]
 
 
 def _bisected(breaks: list[float]) -> list[float]:
-    return sorted(set(breaks) | {(a + b) / 2 for a, b in zip(breaks[:-1], breaks[1:])})
+    return sorted({*breaks, *[(a + b) / 2 for a, b in zip(breaks, breaks[1:])]})
 
 
-def refined_orthant_integral(alphas, g, layers, kinks, rel_tol: float, label: str) -> float:
-    """`_orthant_integrals` of g on the kinks of g, graded away from an end
-    they are near, and on breaks w 2^j below pi/4 from each end, w in
-    `layers`, the widths of g's boundary layers next to phi = 0 and pi/2
-    (inf for none), every segment bisected k times at level k, for phi and
-    theta alike: the first level in `_LEVELS` within rel_tol of the one
-    before it.  The first level has none before it to agree with, so it
-    never stops the loop, and the first two levels take one call of g
-    together.  A rel_tol below double precision is refused at once: two
-    levels that agree to the last bit do not show an error that small.
-    It raises QuadratureBudgetError naming `label` at the first level whose
-    value is not finite, and after the last level.
-    d = 1 is the one direction e_1.
+def refined_orthant_integral(alphas, g, layers, kinks, rel_tol: float, labels) -> list[float]:
+    """`_orthant_integrals` of g for each row r, on the kinks of g, graded
+    away from an end they are near, and on breaks w 2^j below pi/4 from each
+    end, w in layers[r], the widths of row r's boundary layers next to
+    phi = 0 and pi/2 (inf for none), every segment bisected k times at
+    level k, for phi and theta alike: a row's first level in `_LEVELS`
+    within rel_tol of the one before it.  Each level is one call of
+    g(om, row) on every row still refining (the first two levels share
+    one), and rows with the same layers share every rule.  A rel_tol below
+    double precision is refused at once: two levels that agree to the last
+    bit do not show an error that small.  A row fails with
+    QuadratureBudgetError naming labels[r] at its first level that is not
+    finite and after the last level, or with the QuadratureBudgetError g
+    raises on it alone; a failure ends the rows after it and is raised once
+    the rows before it stop, as one row at a time raises it.  d = 1 is e_1.
     """
     if rel_tol < np.finfo(float).eps:
         raise QuadratureBudgetError(f"rel_tol={rel_tol:g} is below double precision; "
                                     "no refinement can confirm it")
-    d = len(alphas)
+    d, n = len(alphas), len(layers)
     if d == 1:
-        return 2.0 * float(g(np.array([[1.0]]))[0])
+        return [2.0 * v for v in g(np.ones((n, 1)), np.arange(n)).tolist()]
     if d > 3:
         raise ValueError(f"orthant integrals support d <= 3, got d = {d}")
     order, levels = _LEVELS[d]
-    breaks = sorted(set(_graded_kinks(kinks)) | set(_end_layers(*layers, 2.0, math.pi / 4)))
+    kinked = set(_graded_kinks(kinks))  # rows with the same layers share their breaks
+    breaks = {w: sorted(kinked | set(_end_layers(*w, 2.0, math.pi / 4))) for w in layers}
     for _ in range(levels.start):
-        breaks = _bisected(breaks)
-    values, prev = [], math.nan
-    for i in range(len(levels)):
-        if i == len(values):
-            lists = [breaks, _bisected(breaks)] if i == 0 and len(levels) > 1 else [breaks]
-            # theta takes a level's phi breaks at every phi node
-            rules = [(b, lambda phi, b=b: [b] * phi.size) for b in lists]
-            values += _orthant_integrals(alphas, g, rules, order)
-            breaks = _bisected(lists[-1])
-        cur = values[i]
-        if not math.isfinite(cur):
-            raise QuadratureBudgetError(
-                f"angular level {levels[i]} is not finite ({cur}) for {label}")
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise QuadratureBudgetError(f"angular refinement did not reach rel_tol={rel_tol:g} for {label}")
+        breaks = {w: _bisected(b) for w, b in breaks.items()}
+    prev, pending, error = [math.nan] * n, list(range(n)), None  # pending rows in row order
+    for i, level in enumerate(levels):
+        if i != 1 and pending:  # one pass of g; the first takes the first two levels
+            count = 2 if i == 0 and len(levels) > 1 else 1
+            rules, slot, uses = [], {}, []
+            for r in pending:
+                w = layers[r]
+                if w not in slot:
+                    slot[w] = len(rules)
+                    b = breaks[w] if i == 0 else _bisected(breaks[w])
+                    bs = (b, _bisected(b)) if count == 2 else (b,)
+                    # theta takes a level's phi breaks at every phi node
+                    rules += [(x, lambda phi, x=x: [x] * phi.size) for x in bs]
+                    breaks[w] = bs[-1]
+                uses += ((slot[w] + j, r) for j in range(count))
+            try:
+                values = _orthant_integrals(alphas, g, rules, order, uses)
+            except QuadratureBudgetError:  # again row by row: the first row that raises fails
+                values = []
+                for j in range(len(pending)):
+                    try:
+                        values += _orthant_integrals(alphas, g, rules, order,
+                                                     uses[j * count:(j + 1) * count])
+                    except QuadratureBudgetError as err:
+                        pending, error = pending[:j], err
+                        break
+        still = []
+        for j, r in enumerate(pending):
+            cur = values[j * count + i % count]  # the pass's values, count a row
+            if not math.isfinite(cur):
+                error = QuadratureBudgetError(
+                    f"angular level {level} is not finite ({cur}) for {labels[r]}")
+                break
+            if not abs(cur - prev[r]) <= rel_tol * max(abs(cur), 1e-300):  # nan at first
+                still.append(r)
+            prev[r] = cur
+        pending = still
+    if pending:
+        raise QuadratureBudgetError(
+            f"angular refinement did not reach rel_tol={rel_tol:g} for {labels[pending[0]]}")
+    if error is not None:
+        raise error
+    return prev
 
 
 # -- bracketed searches: one call of f per step, every bracket shrunk alike --

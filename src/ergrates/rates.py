@@ -205,6 +205,8 @@ def sector_grid(bound: float, dim: int, p_values) -> np.ndarray:
 # the most atom products one ratio_abs_sq call takes: rows are cut into chunks
 # of _ATOMIC_CHUNK // n, so a long grid on a large measure stays a few MB
 _ATOMIC_CHUNK = 1 << 16
+# rows per level loop, taken in row order, so a long grid's passes stay tens of MB
+_LOOP_ROWS = 64
 
 
 def _atomic_rows(body: ConvexBody, m: AtomicMeasure, rows: np.ndarray) -> np.ndarray:
@@ -606,21 +608,21 @@ def _cube_radial(a: np.ndarray, rho: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def _decay_integral_continuous(body: ConvexBody, m, t: np.ndarray, rel_tol: float) -> float:
-    """Angular-adaptive quadrature of I(t) over the power measure's directions,
-    for one checked dilation t.
+def _decay_integral_continuous(body: ConvexBody, m, rows: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Angular-adaptive quadrature of I(t) over the power measure's directions
+    for the checked dilations t in `rows`, all in one level loop.
 
     Along each angular node the radial integral is read off a cumulative
-    table, one array expression per call: c^(-s) G_s(rho c) for a ball or
-    an ellipsoid, the K_{s,m} cosine sum (with the sinc^2 series for
-    factors near their axis) for the cube, after one check of the panel
-    budget on the largest z of any direction.  The integrand is even in
-    every coordinate of x, so `quadrature.refined_orthant_integral` takes
-    the first orthant, given the widths of its boundary layers next to
-    either axis in d = 2: the cube's about 2 pi / (t_k rho), and a ball's or
-    an ellipsoid's k_min / k_max next to the axis of the smaller k = a o t
-    when that ratio is below 1/8 (c dips over an angle of about that ratio
-    there), with an aniso support's corner in d = 2 as the kink it grades.
+    table, one array expression per call for every row: c^(-s) G_s(rho c)
+    for a ball or an ellipsoid, the K_{s,m} cosine sum (with the sinc^2
+    series for factors near their axis) for the cube; the rows before the
+    first whose largest z of any direction is over the panel budget are
+    integrated, then that row is refused.  The integrand is even in every
+    coordinate of x, so `quadrature.refined_orthant_integral` takes the
+    first orthant, given each row's boundary-layer widths in d = 2: the
+    cube's about 2 pi / (t_k rho), a ball's or an ellipsoid's k_min / k_max
+    next to the axis of the smaller k = a o t when below 1/8 (c dips over
+    about that angle there), and an aniso support's corner as a kink.
     """
     d = m.dim
     s = m.radial_order
@@ -631,48 +633,53 @@ def _decay_integral_continuous(body: ConvexBody, m, t: np.ndarray, rel_tol: floa
     # sup of z = rho c over directions: the cube's frequencies are at most |t|;
     # for K = a o B, c = |a o omega o t| and rho omega lies in the support
     if is_cube:
-        z_max = rho_max * float(np.linalg.norm(t))
+        z_max = [rho_max * math.sqrt(v.dot(v)) for v in rows]  # |t| as np.linalg.norm takes it
 
-        def angular_value(om_rows: np.ndarray) -> np.ndarray:
-            a = 0.5 * om_rows * t[None, :]
+        def angular_value(om: np.ndarray, row: np.ndarray) -> np.ndarray:
+            a = 0.5 * om * rows.take(row, axis=0)
             with np.errstate(over="ignore", invalid="ignore"):
-                radial = _cube_radial(a, m.support_profile(om_rows), s)
-            if not np.all(np.isfinite(radial)):
+                radial = _cube_radial(a, m.support_profile(om), s)
+            if not np.isfinite(radial).all():
                 # u^(s-1-2m) of the K_{s,m} table overflows at large s * log(z)
+                t = rows[np.broadcast_to(row, radial.shape)[np.argmin(np.isfinite(radial))]]
                 raise QuadratureBudgetError(
-                    f"the cube's radial kernel overflows for radial order {s:g} at t={t.tolist()}"
-                )
-            return m.angular_density(om_rows) * radial
+                    f"the cube's radial kernel overflows for radial order {s:g} at t={t.tolist()}")
+            return m.angular_density(om) * radial
     else:
-        axes = body.semi_axes
-        z_max = (m.radius * float(np.max(axes * t)) if is_radial
-                 else float(np.linalg.norm(axes * t * np.asarray(m.halfwidths))))
+        k = body.semi_axes * rows
+        z_max = ([m.radius * x for x in k.max(axis=1).tolist()] if is_radial
+                 else [math.sqrt(v.dot(v)) for v in k * np.asarray(m.halfwidths)])
 
-        def angular_value(om_rows: np.ndarray) -> np.ndarray:
-            c = np.linalg.norm(om_rows * (axes * t)[None, :], axis=1)
-            z = m.support_profile(om_rows) * c
+        def angular_value(om: np.ndarray, row: np.ndarray) -> np.ndarray:
+            c = np.sqrt(np.add.reduce(np.square(om * k.take(row, axis=0)), axis=1))  # as norm sums
+            z = m.support_profile(om) * c
             # c^(-s) overflows at tiny t; the level loop refuses the level that is not finite
             with np.errstate(over="ignore", invalid="ignore"):
-                return m.angular_density(om_rows) * c ** (-s) * _cumulative("ball", d, [s], z)[0]
+                return m.angular_density(om) * c ** (-s) * _cumulative("ball", d, [s], z)[0]
 
-    if not z_max / _QUARTER <= _MAX_RADIAL_PANELS:
-        raise QuadratureBudgetError(
-            f"radial quadrature over support {rho_max:.6g} at t={t.tolist()} needs "
-            f"{z_max / _QUARTER:.3g} panels, over the budget of {_MAX_RADIAL_PANELS}"
-        )
+    n = next((i for i, z in enumerate(z_max) if not z / _QUARTER <= _MAX_RADIAL_PANELS), len(rows))
     # the layers next to phi = 0 (omega_2 -> 0) and phi = pi/2 (omega_1 -> 0)
-    layers = (math.inf, math.inf)
+    layers = [(math.inf, math.inf)] * n
     if d == 2 and is_cube:
-        layers = (2.0 * math.pi / (t[1] * rho_max), 2.0 * math.pi / (t[0] * rho_max))
+        layers = [(2.0 * math.pi / (t1 * rho_max), 2.0 * math.pi / (t0 * rho_max))
+                  for t0, t1 in rows[:n].tolist()]
     elif d == 2:
-        # c = |omega o k| with k = a o t dips to k_min within an angle of
-        # about k_min / k_max of the axis where k is small
-        k1, k2 = (axes * t).tolist()
-        w = min(k1, k2) / max(k1, k2) if min(k1, k2) < max(k1, k2) / 8.0 else math.inf
-        layers = (w, math.inf) if k1 < k2 else (math.inf, w)
+        # c = |omega o k| dips to k_min within an angle of about k_min / k_max
+        # of the axis where k is small
+        layers = []
+        for k1, k2 in k[:n].tolist():
+            w = min(k1, k2) / max(k1, k2) if min(k1, k2) < max(k1, k2) / 8.0 else math.inf
+            layers.append((w, math.inf) if k1 < k2 else (math.inf, w))
     # in d = 2 the support box's corner direction is a kink of the radial extent
     kinks = extent_kinks([m]) if d == 2 and not is_radial else []
-    return refined_orthant_integral(alphas, angular_value, layers, kinks, rel_tol, f"t={t.tolist()}")
+    out = refined_orthant_integral(alphas, angular_value, layers, kinks, rel_tol,
+                                   [f"t={t.tolist()}" for t in rows[:n]]) if n else []
+    if n < len(rows):
+        raise QuadratureBudgetError(
+            f"radial quadrature over support {rho_max:.6g} at t={rows[n].tolist()} needs "
+            f"{z_max[n] / _QUARTER:.3g} panels, over the budget of {_MAX_RADIAL_PANELS}"
+        )
+    return np.array(out)
 
 
 def _decay_rows(body: ConvexBody, m: SpectralMeasure, rows: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -684,7 +691,8 @@ def _decay_rows(body: ConvexBody, m: SpectralMeasure, rows: np.ndarray, rel_tol:
             total = total + _decay_rows(body, part, rows, rel_tol)
         return total
     if isinstance(m, (RadialPowerMeasure, AnisotropicPowerMeasure)):
-        return np.array([_decay_integral_continuous(body, m, t, rel_tol) for t in rows])
+        return np.concatenate([_decay_integral_continuous(body, m, rows[i:i + _LOOP_ROWS], rel_tol)
+                               for i in range(0, len(rows) or 1, _LOOP_ROWS)])
     raise TypeError(f"unknown measure {m!r}")
 
 
@@ -702,7 +710,8 @@ def decay_integral(body: ConvexBody, m: SpectralMeasure, t, rel_tol: float = 1e-
     Atomic parts are exact sums, every row's atom products in one
     `ratio_abs_sq` call per chunk of rows; the parts of a sum are added as
     arrays; continuous parts use angular-radial quadrature in d <= 3 (else
-    ValueError), one t at a time.  Along each direction the radial integral
+    ValueError), `_LOOP_ROWS` rows at a time through one level loop that
+    each leaves at its own level.  Along each direction the radial integral
     is read off a cached cumulative table: the profile G_s for a ball or an
     ellipsoid, the cosine kernel K_{s,m} for the cube; the angular levels,
     and the breaks graded across the boundary layers whose widths are passed

@@ -7,10 +7,11 @@ constants of a homogeneous comparison function on a sector.  `decimals`
 draws the short decimal values the spec-grammar round trips are built from.
 `extent_switches` finds the kinks of a radial extent by a dense scan of
 which boundary piece is nearest, never through quadratic forms.
-`segment_rules_loop` and `orthant_integral_3d_loop` build the angular rules
-one segment and one phi line at a time, and `refined_orthant_integral_loop`
-runs one level per pass of the integrand: the loops the vectorised builders
-and the level loop must reproduce bit for bit.  `cube_radial_loop` and
+`segment_rules_loop`, `orthant_integral_2d_loop` and `orthant_integral_3d_loop`
+build the angular rules one segment and one phi line at a time, and
+`refined_orthant_integral_loop` runs one level per pass of the integrand on
+them, one row at a time in `refined_orthant_integral_rows_loop`: the loops
+the vectorised builders and the level loop must reproduce bit for bit.  `cube_radial_loop` and
 `cosine_remainder_masked` evaluate the cube's radial kernel one mask of
 near-axis factors, one series order and one masked part of the nodes at a
 time, the loops the grouped kernel must reproduce bit for bit.
@@ -169,6 +170,14 @@ def segment_rules_loop(breaks, exp_lo: float, exp_hi: float, order: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def orthant_integral_2d_loop(alphas, g, breaks, order: int) -> float:
+    """4 times the integral of g over the first quadrant of the unit circle:
+    the phi rule of `segment_rules_loop`, g called once, summed by np.sum."""
+    a1, a2 = alphas
+    phi, w_phi = segment_rules_loop(breaks, a2 - 1.0, a1 - 1.0, order)
+    return 4.0 * float(np.sum(g(np.stack([np.cos(phi), np.sin(phi)], axis=-1)) * w_phi))
+
+
 def orthant_integral_3d_loop(alphas, g, breaks, order: int, theta_breaks) -> float:
     """8 times the integral of g over the first octant of the unit sphere:
     the phi and theta rules of `segment_rules_loop`, g called once per phi
@@ -191,8 +200,8 @@ def refined_orthant_integral_loop(alphas, g, layers, kinks, rel_tol: float,
     level, at the order and over the levels of `quadrature._LEVELS`, from the
     graded kinks and breaks w 2^j below pi/4 from each end, w in `layers`:
     each level's breaks bisect the last's, and the first level within rel_tol
-    of the one before it is the value.  A rel_tol below double precision is
-    refused before anything else."""
+    of the one before it is the value; a level that is not finite is refused.
+    A rel_tol below double precision is refused before anything else."""
     if rel_tol < np.finfo(float).eps:
         raise quadrature.QuadratureBudgetError(
             f"rel_tol={rel_tol:g} is below double precision; no refinement can confirm it")
@@ -209,14 +218,27 @@ def refined_orthant_integral_loop(alphas, g, layers, kinks, rel_tol: float,
     prev = math.nan
     for level in range(levels.stop):
         if level >= levels.start:
-            rule = (breaks, lambda phi: [breaks] * phi.size)
-            cur = quadrature._orthant_integrals(alphas, g, [rule], order)[0]
+            cur = (orthant_integral_2d_loop(alphas, g, breaks, order) if len(alphas) == 2
+                   else orthant_integral_3d_loop(alphas, g, breaks, order,
+                                                 lambda phi: [breaks] * phi.size))
+            if not math.isfinite(cur):
+                raise quadrature.QuadratureBudgetError(
+                    f"angular level {level} is not finite ({cur}) for {label}")
             if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
                 return cur
             prev = cur
         breaks = sorted(set(breaks) | {(a + b) / 2 for a, b in zip(breaks[:-1], breaks[1:])})
     raise quadrature.QuadratureBudgetError(
         f"angular refinement did not reach rel_tol={rel_tol:g} for {label}")
+
+
+def refined_orthant_integral_rows_loop(alphas, g, layers, kinks, rel_tol: float, labels):
+    """`refined_orthant_integral_loop` run on one row after another, each on
+    its own integrand g(om, r) and its own layers and label: the first row
+    that fails raises, as a grid of rows must."""
+    return [refined_orthant_integral_loop(alphas, lambda om, r=r: g(om, np.full(len(om), r)),
+                                          w, kinks, rel_tol, label)
+            for r, (w, label) in enumerate(zip(layers, labels))]
 
 
 # -- the cube's radial kernel one mask and one order at a time --------------------

@@ -456,12 +456,18 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("argv, config, message", [
         (["rates"], "dim = x\n", "dim must be a number, got 'x'"),
+        (["rates", "--dim", "x"], "", "dim must be a number, got 'x'"),
+        (["rates", "--points", "x"], "", "points must be a number, got 'x'"),
+        (["rates", "--tol", "x"], "", "tol must be a number, got 'x'"),
+        (["verify", "--theorem", "2.0"], "", "theorem must be a number, got '2.0'"),
         (["classify"], "", "classify needs an alpha vector (e.g. --alpha 2,1)"),
         (["regionmap", "--grid", "0:4:x"], "",
          "grid must be lo:hi:resolution with numbers, got '0:4:x'"),
-    ], ids=["dim-not-a-number", "classify-without-alpha", "regionmap-grid-not-a-number"])
+    ], ids=["dim-not-a-number", "dim-flag-not-a-number", "points-flag-not-a-number",
+            "tol-flag-not-a-number", "theorem-flag-not-an-int", "classify-without-alpha",
+            "regionmap-grid-not-a-number"])
     def test_bad_option_exits_2_with_one_line(self, tmp_path, capsys, argv, config, message):
-        # a config file reaches the number check; argparse refuses `--dim x` itself
+        # a number flag is refused as the same value in a config file is
         cfg, out = tmp_path / "c.cfg", tmp_path / "out.txt"
         cfg.write_text(config)
         assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2

@@ -38,6 +38,12 @@ from ergrates.spectral import (
 NO_LAYERS = (math.inf, math.inf)
 
 
+def _level_loop(alphas, g, layers, kinks, rel_tol, label):
+    """The level loop on one row, whose integrand is g(om)."""
+    return refined_orthant_integral(alphas, lambda om, row: g(om), [layers], kinks, rel_tol,
+                                    [label])[0]
+
+
 def test_polynomial_exactness():
     # GL order n is exact through degree 2n-1 per panel
     nodes, weights = gl_edges_rule(np.linspace(0.0, 2.0, 4), order=4)
@@ -92,11 +98,11 @@ def test_angular_break_lists_have_two_segments_or_more(monkeypatch):
     g, sizes = _scripted([1.0], [8])
     monkeypatch.setitem(quadrature._LEVELS, 2, (4, range(1, 2)))
     with pytest.raises(QuadratureBudgetError):
-        refined_orthant_integral((0.5, 1.5), g, NO_LAYERS, (), rel_tol=1e-6, label="x")
+        _level_loop((0.5, 1.5), g, NO_LAYERS, (), rel_tol=1e-6, label="x")
     assert sizes == [2 * 4]
     monkeypatch.setitem(quadrature._LEVELS, 2, (4, range(0, 3)))
     with pytest.raises(ValueError, match="one segment"):
-        refined_orthant_integral((0.5, 1.5), g, NO_LAYERS, (), rel_tol=1e-6, label="x")
+        _level_loop((0.5, 1.5), g, NO_LAYERS, (), rel_tol=1e-6, label="x")
 
 
 def _break_lines(seed: int, n_lines: int, both_singular: bool) -> list[list[float]]:
@@ -177,7 +183,8 @@ def test_orthant_integral_matches_sphere_moments(alphas):
         breaks = list(np.linspace(0.0, math.pi / 2, n_seg + 1))
         for order in (12, 16, 24):
             rule = (breaks, lambda phi: [breaks] * phi.size)
-            got = quadrature._orthant_integrals(alphas, g, [rule], order)[0]
+            got = quadrature._orthant_integrals(alphas, lambda om, row: g(om), [rule], order,
+                                                [(0, 0)])[0]
             assert type(got) is float
             assert got == pytest.approx(want, rel=1e-13), (n_seg, order)
 
@@ -186,9 +193,9 @@ def test_orthant_integral_matches_sphere_moments(alphas):
 
 
 def _recorded(g, calls: list):
-    def rec(om):
+    def rec(om, *row):
         calls.append(om.copy())
-        return g(om)
+        return g(om, *row)
     return rec
 
 
@@ -199,12 +206,12 @@ def _checked_against_the_loop(monkeypatch, values: list):
     value is the loop's."""
     real = quadrature._orthant_integrals
 
-    def checked(alphas, g, rules, order):
+    def checked(alphas, g, rules, order, uses):
         got, want = [], []
-        out = real(alphas, _recorded(g, got), rules, order)
-        expected = [reference.orthant_integral_3d_loop(alphas, _recorded(g, want), breaks, order,
-                                                       theta_breaks)
-                    for breaks, theta_breaks in rules]
+        out = real(alphas, _recorded(g, got), rules, order, uses)
+        expected = [reference.orthant_integral_3d_loop(
+            alphas, _recorded(lambda om, r=r: g(om, np.full(len(om), r)), want), rules[k][0],
+            order, rules[k][1]) for k, r in uses]
         assert max(om.shape[0] for om in got) <= quadrature._ROWS_PER_CALL
         assert np.array_equal(np.concatenate(got), np.concatenate(want))
         assert out == expected
@@ -238,7 +245,7 @@ def test_d3_chunks_cover_every_node_once_as_the_line_loop(monkeypatch, rows_per_
     g = _mass_integrand(m, hood)
     kink = kink_orthant_integral(m.angular_alphas, g, functools.partial(extent_kinks, [hood, m]))
     monkeypatch.setitem(quadrature._LEVELS, 3, (12, range(3, 5)))
-    level = refined_orthant_integral(m.angular_alphas, g, NO_LAYERS, (), rel_tol=1.0, label="x")
+    level = _level_loop(m.angular_alphas, g, NO_LAYERS, (), rel_tol=1.0, label="x")
     # the kink rule, then levels 3 and 4 from one pass of chunks
     assert len(values) == 3 and values[0] == kink and values[2] == level
 
@@ -324,7 +331,7 @@ def _scripted(levels, level_rows):
 def test_level_loop_stops_at_the_first_level_that_agrees(monkeypatch):
     g, sizes = _scripted([1.0, 1.5, 1.25, 1.25 * (1.0 + 1e-7), 9.0], [16, 32, 64, 128, 256])
     monkeypatch.setitem(quadrature._LEVELS, 2, (4, range(1, 7)))
-    got = refined_orthant_integral((1.0, 1.0), g, NO_LAYERS, [0.3], rel_tol=1e-6, label="x")
+    got = _level_loop((1.0, 1.0), g, NO_LAYERS, [0.3], rel_tol=1e-6, label="x")
     assert got == pytest.approx(2.0 * math.pi * 1.25 * (1.0 + 1e-7), rel=1e-13)
     # {0, 0.3, pi/2} bisected once, then once more per level; the first
     # two levels share one call of g, then one call per level
@@ -347,7 +354,7 @@ def test_level_loop_raises_after_the_last_level(monkeypatch):
     g, sizes = _scripted([1.0, 2.0, 3.0, 4.0, 5.0], [16, 32, 64, 128, 256])
     monkeypatch.setitem(quadrature._LEVELS, 2, (4, range(2, 5)))
     with pytest.raises(QuadratureBudgetError, match=r"did not reach rel_tol=1e-06 for t=\[1\]"):
-        refined_orthant_integral((1.0, 1.0), g, NO_LAYERS, (), rel_tol=1e-6, label="t=[1]")
+        _level_loop((1.0, 1.0), g, NO_LAYERS, (), rel_tol=1e-6, label="t=[1]")
     assert sizes == [4 * 4 + 4 * 8, 4 * 16]
 
 
@@ -360,7 +367,7 @@ def test_level_loop_raises_at_the_first_level_that_is_not_finite(bad):
         return np.full(len(om), bad)
 
     with pytest.raises(QuadratureBudgetError, match=r"angular level \d+ is not finite .* for t=\[1\]"):
-        refined_orthant_integral((1.0, 1.0), g, NO_LAYERS, (), rel_tol=1e-6, label="t=[1]")
+        _level_loop((1.0, 1.0), g, NO_LAYERS, (), rel_tol=1e-6, label="t=[1]")
     assert len(calls) == 1
 
 
@@ -386,7 +393,7 @@ def test_level_loop_is_the_one_call_per_level_loop(monkeypatch, m, hood, levels,
         except QuadratureBudgetError as err:
             return str(err)
 
-    assert run(refined_orthant_integral) == run(reference.refined_orthant_integral_loop)
+    assert run(_level_loop) == run(reference.refined_orthant_integral_loop)
 
 
 @pytest.mark.parametrize("body, m, t, rel_tol", [
@@ -400,13 +407,73 @@ def test_decay_integrals_are_those_of_the_one_call_per_level_loop(monkeypatch, b
                                                                   rel_tol):
     # g treats each row on its own, so sharing a call changes no bit
     want = decay_integral(body, m, t, rel_tol)
-    monkeypatch.setattr(rates, "refined_orthant_integral", reference.refined_orthant_integral_loop)
+    monkeypatch.setattr(rates, "refined_orthant_integral",
+                        reference.refined_orthant_integral_rows_loop)
     assert decay_integral(body, m, t, rel_tol) == want
+
+
+def _two_rows(calls: list, raising=None):
+    """g of two rows: row 0 constant, so its levels agree at once, row 1
+    kinked at omega_1 = 0.3, so it refines for longer; records the
+    directions of each row in each call, and raises a budget failure on
+    `raising`, as the cube's kernel raises its overflow."""
+    def g(om, row):
+        row = np.broadcast_to(row, len(om))
+        calls.append(np.bincount(row, minlength=2).tolist())
+        if raising is not None and np.any(row == raising):
+            raise QuadratureBudgetError(f"row {raising} raises")
+        return np.where(row == 0, 1.0, np.abs(om[:, 0] - 0.3))
+    return g
+
+
+def test_rows_leave_the_loop_at_their_own_level():
+    # one call for levels 1 and 2 of both rows (3 and 6 segments of 16 nodes);
+    # row 0 stops at level 2 and is not passed to g again, row 1 goes on alone
+    calls = []
+    got = refined_orthant_integral((1.0, 1.0), _two_rows(calls), [NO_LAYERS] * 2, (), 1e-4,
+                                   ["a", "b"])
+    assert calls == [[96, 96], [0, 128], [0, 256]]
+    assert got == [_level_loop((1.0, 1.0), lambda om: np.ones(len(om)), NO_LAYERS, (), 1e-4, "a"),
+                   _level_loop((1.0, 1.0), lambda om: np.abs(om[:, 0] - 0.3), NO_LAYERS, (), 1e-4,
+                               "b")]
+
+
+@pytest.mark.parametrize("rows, raising, want", [
+    ([0, 1], 0, "row 0 raises"),  # the first row raises at once
+    ([1, 0], 1, "row 1 raises"),
+    ([1, 1], 1, "row 1 raises"),
+], ids=["first-raises", "second-raises-after-a-constant-row", "both-raise"])
+def test_an_exception_of_g_fails_the_first_row_that_raises_it(rows, raising, want):
+    # the pass is run again row by row, in row order, and the first row
+    # whose g raises fails with that exception, as one row at a time does
+    def per_row(calls):
+        g = _two_rows(calls, raising)
+        return lambda om, row: g(om, np.asarray(rows)[np.broadcast_to(row, len(om))])
+
+    with pytest.raises(QuadratureBudgetError, match=want):
+        refined_orthant_integral((1.0, 1.0), per_row([]), [NO_LAYERS] * 2, (), 1e-4, ["a", "b"])
+    with pytest.raises(QuadratureBudgetError, match=want):
+        reference.refined_orthant_integral_rows_loop((1.0, 1.0), per_row([]), [NO_LAYERS] * 2, (),
+                                                     1e-4, ["a", "b"])
+
+
+def test_a_failure_waits_for_the_rows_before_it():
+    # row 0 cannot reach rel_tol = 1e-15 and fails after the last level,
+    # while row 1's g raises in the first call: the grid raises row 0's
+    # failure, as row 0 alone raises it first
+    def g(om, row):
+        if np.any(np.broadcast_to(row, len(om)) == 1):
+            raise QuadratureBudgetError("row 1 raises")
+        return np.abs(om[:, 0] - 0.3)
+
+    for loop in (refined_orthant_integral, reference.refined_orthant_integral_rows_loop):
+        with pytest.raises(QuadratureBudgetError, match=r"did not reach rel_tol=1e-15 for a$"):
+            loop((1.0, 1.0), g, [NO_LAYERS] * 2, (), 1e-15, ["a", "b"])
 
 
 def test_level_loop_in_d1_takes_the_one_direction():
     g, sizes = _scripted([0.75], [1])
-    got = refined_orthant_integral((1.0,), g, NO_LAYERS, (), rel_tol=1e-6, label="x")
+    got = _level_loop((1.0,), g, NO_LAYERS, (), rel_tol=1e-6, label="x")
     assert got == 1.5 and sizes == [1]
 
 
@@ -417,7 +484,8 @@ def test_decay_refinement_failure_names_t(monkeypatch, t, n_levels):
     # level 6 in d = 2 and level 4 in d = 3
     calls = iter(range(1, 100))
     monkeypatch.setattr(quadrature, "_orthant_integrals",
-                        lambda alphas, g, rules, order: [float(next(calls)) for _ in rules])
+                        lambda alphas, g, rules, order, uses: [float(next(calls))
+                                                               for _ in uses])
     m = RadialPowerMeasure.with_total_mass(2.0, 1.0, 1.0, dim=len(t))
     with pytest.raises(QuadratureBudgetError) as err:
         decay_integral(Ball(1.0, dim=len(t)), m, t)

@@ -276,34 +276,187 @@ def _bodies(d: int):
 
 @st.composite
 def decay_rows_cases(draw):
-    """(body, measure, rows): atomic measures of 1 to 130 atoms over
-    numpy's 8-element pairwise-sum block, atomic-plus-radial sums, and two or
-    three rows of a continuous measure."""
-    kind = draw(st.sampled_from(("atomic", "atomic", "sum", "continuous")))
-    d = draw(st.integers(1, 3)) if kind == "atomic" else 2
+    """(body, measure, rows, rel_tol): atomic measures of 1 to 130 atoms over
+    numpy's 8-element pairwise-sum block, atomic-plus-radial sums, and grids
+    of a continuous measure on a ball, an ellipsoid or a cube.  In d = 2 the
+    measure is radial or aniso (its support corner a kink of the level
+    loop), on 1 to 24 rows whose aspects t_2 / t_1 run from 1/40 to 40, so
+    rows past aspect 8 pass boundary layers among rows that pass none and
+    rows stop at different levels; in d = 3 it is radial, on 1 to 4 rows."""
+    kind = draw(st.sampled_from(("atomic", "atomic", "sum", "continuous", "continuous")))
+    d = (draw(st.integers(1, 3)) if kind == "atomic" else 2 if kind == "sum"
+         else draw(st.sampled_from((2, 2, 3))))
     body = draw(st.sampled_from(_bodies(d)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n_rows = draw(st.integers(2, 3)) if kind != "atomic" else draw(st.integers(1, 40))
-    hi = 3.0 if kind == "atomic" else 1.5  # t up to about 1e3, or 30 for quadrature
-    rows = np.exp(rng.uniform(-1.0, hi * math.log(10.0), size=(n_rows, d)))
+    rel_tol = 1e-5
+    if kind == "continuous" and d == 2:
+        n_rows = draw(st.integers(1, 24))
+        p = np.exp(rng.uniform(math.log(3.0), math.log(200.0), size=n_rows))
+        root = np.exp(rng.uniform(-0.5, 0.5, size=n_rows) * math.log(40.0))  # sqrt of the aspect
+        rows = np.stack([p / root, p * root], axis=1)
+        rel_tol = draw(st.sampled_from((1e-3, 1e-5, 1e-6)))
+    elif kind == "continuous":
+        rows = np.exp(rng.uniform(0.0, math.log(10.0), size=(draw(st.integers(1, 4)), d)))
+        rel_tol = draw(st.sampled_from((1e-3, 1e-4)))
+    else:
+        n_rows = draw(st.integers(2, 3)) if kind == "sum" else draw(st.integers(1, 40))
+        hi = 3.0 if kind == "atomic" else 1.5  # t up to about 1e3, or 30 for quadrature
+        rows = np.exp(rng.uniform(-1.0, hi * math.log(10.0), size=(n_rows, d)))
     n = draw(st.sampled_from((1, 7, 8, 9, 130)))
     atomic = AtomicMeasure(points=tuple(map(tuple, rng.uniform(-2.0, 2.0, size=(n, d)))),
                            weights=tuple(rng.uniform(0.1, 3.0, size=n)), dim=d)
     radial = RadialPowerMeasure.with_total_mass(float(rng.uniform(1.0, 4.0)), 1.0, 1.0, dim=d)
+    if kind == "continuous" and d == 2 and draw(st.booleans()):
+        aniso = AnisotropicPowerMeasure.with_total_mass(
+            tuple(rng.uniform(0.6, 1.8, size=2)), (1.0, float(rng.uniform(0.3, 3.0))), 1.0)
+        return body, aniso, rows, rel_tol
     m = {"atomic": atomic, "sum": SumMeasure(parts=(atomic, radial)), "continuous": radial}[kind]
-    return body, m, rows
+    return body, m, rows, rel_tol
+
+
+# the rows of a ball x radial:3 grid at rel_tol 1e-6 that fail, and what each raises alone
+GRID_FAILURES = {
+    "A": ([1840.7587538741816, 1000.0],
+          "angular refinement did not reach rel_tol=1e-06 for t=[1840.7587538741816, 1000.0]"),
+    "B": ([1e6, 1e6], "radial quadrature over support 1 at t=[1000000.0, 1000000.0] needs "
+                      "1.27e+06 panels, over the budget of 1048576"),
+    "C": ([1e-130, 1e-130], "angular level 1 is not finite (nan) for t=[1e-130, 1e-130]"),
+}
+
+
+def outcome(compute):
+    """The float.hex of every value compute() returns, or the type and the
+    message of what it raises."""
+    try:
+        return hex_list(np.atleast_1d(compute()))
+    except Exception as err:
+        return type(err), str(err)
+
+
+def one_at_a_time(body, m, rows, rel_tol):
+    """decay_integral of each row alone, in row order: the first row that fails raises."""
+    return [decay_integral(body, m, t, rel_tol) for t in rows]
 
 
 class TestDecayRows:
-    """decay_integral of rows (N, d) against N calls of one t each."""
+    """decay_integral of rows (N, d) against N calls of one t each, and
+    continuous rows against the level loop run one row at a time."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(decay_rows_cases())
     def test_rows_have_the_bits_of_single_calls(self, case):
-        body, m, rows = case
-        got = decay_integral(body, m, rows)
-        assert isinstance(got, np.ndarray) and got.shape == (len(rows),)
-        assert hex_list(got) == hex_list(decay_integral(body, m, t) for t in rows)
+        body, m, rows, rel_tol = case
+        got = outcome(lambda: decay_integral(body, m, rows, rel_tol))
+        if isinstance(got, list):
+            assert isinstance(decay_integral(body, m, rows, rel_tol), np.ndarray)
+            assert len(got) == len(rows)
+        assert got == outcome(lambda: one_at_a_time(body, m, rows, rel_tol))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(decay_rows_cases().filter(lambda case: not isinstance(case[1], AtomicMeasure)))
+    def test_continuous_rows_have_the_bits_of_the_per_row_loop(self, case):
+        # the reference level loop, one pass of g per level, run on one row
+        # after another with each row's own integrand: a single t takes the
+        # batch path too, so single calls alone cannot show a batch error
+        body, m, rows, rel_tol = case
+        got = outcome(lambda: decay_integral(body, m, rows, rel_tol))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rates, "refined_orthant_integral",
+                       reference.refined_orthant_integral_rows_loop)
+            assert got == outcome(lambda: decay_integral(body, m, rows, rel_tol))
+
+    @pytest.mark.parametrize("spec", ["radial:2.5,1,1", "aniso:1.3,0.8;1,0.4;1"],
+                             ids=["radial", "aniso-corner"])
+    @pytest.mark.parametrize("body", _bodies(2), ids=["ball", "ellipsoid", "cube"])
+    def test_a_grid_of_24_rows_is_the_per_row_loop(self, body, spec, monkeypatch):
+        # 24 rows of |t| from 5 to 300 and aspects from 1/40 to 40: some pass
+        # boundary layers, and they leave the loop at different levels
+        m = parse_measure(spec, dim=2)
+        angle = np.linspace(math.atan(1 / 40), math.atan(40), 6)
+        rows = np.array([[p * math.cos(a), p * math.sin(a)]
+                         for p in (5.0, 30.0, 120.0, 300.0) for a in angle])
+        stops = []
+        real = quadrature._orthant_integrals
+        monkeypatch.setattr(quadrature, "_orthant_integrals", lambda *args: stops.append(
+            sorted({r for _, r in args[-1]})) or real(*args))
+        got = outcome(lambda: decay_integral(body, m, rows, 1e-8))
+        passes = [sum(r in rs for rs in stops) for r in range(len(rows))]
+        assert isinstance(got, list) and len(set(passes)) > 1
+        monkeypatch.setattr(rates, "refined_orthant_integral",
+                            reference.refined_orthant_integral_rows_loop)
+        assert outcome(lambda: decay_integral(body, m, rows, 1e-8)) == got
+
+    @pytest.mark.parametrize("body", [*_bodies(2), *_bodies(3)], ids=[
+        f"{name}-{d}d" for d in (2, 3) for name in ("ball", "ellipsoid", "cube")])
+    def test_rows_keep_their_bits_in_chunks_of_7(self, body, monkeypatch):
+        # g takes at most _ROWS_PER_CALL directions a call, counted over all
+        # rows, so a chunk cuts across rows; no bit moves
+        d = body.dim
+        m = RadialPowerMeasure.with_total_mass(2.2, 1.0, 1.0, dim=d)
+        rows = np.array([[2.0, 3.0, 2.5], [6.0, 1.5, 4.0], [1.2, 1.1, 1.3]])[:, :d] * (10.0 / d)
+        want = outcome(lambda: decay_integral(body, m, rows, 1e-3))
+        monkeypatch.setattr(rates, "refined_orthant_integral",
+                            reference.refined_orthant_integral_rows_loop)
+        assert outcome(lambda: decay_integral(body, m, rows, 1e-3)) == want
+        monkeypatch.undo()
+        sizes = []
+        real = quadrature._orthant_integrals
+
+        def recorded(alphas, g, rules, order, uses):
+            def counted(om, row):
+                sizes.append(len(om))
+                return g(om, row)
+            return real(alphas, counted, rules, order, uses)
+
+        monkeypatch.setattr(quadrature, "_orthant_integrals", recorded)
+        monkeypatch.setattr(quadrature, "_ROWS_PER_CALL", 7)
+        assert outcome(lambda: decay_integral(body, m, rows, 1e-3)) == want
+        assert max(sizes) == 7 and isinstance(want, list)
+
+    @pytest.mark.parametrize("spec, t_bad", [("radial:3,1,1", [1e-130, 1e-130]),
+                                             ("radial:3,1,1", [1e6, 1e6])], ids=["level", "budget"])
+    def test_a_grid_longer_than_one_loop_runs_its_rows_in_order(self, spec, t_bad, monkeypatch):
+        # rows go through the level loop _LOOP_ROWS at a time, in row order:
+        # the bits are those of single calls, and a failing row in a later
+        # loop raises what it raises alone, after every row before it ran
+        monkeypatch.setattr(rates, "_LOOP_ROWS", 3)
+        m = parse_measure(spec, dim=2)
+        rows = np.array([[3.0 + k, 40.0 / (1.0 + k)] for k in range(8)])
+        loops = []
+        real = rates.refined_orthant_integral
+        monkeypatch.setattr(rates, "refined_orthant_integral",
+                            lambda *args: loops.append(len(args[2])) or real(*args))
+        assert outcome(lambda: decay_integral(Ball(1.0), m, rows)) == outcome(
+            lambda: one_at_a_time(Ball(1.0), m, rows, 1e-5))
+        assert loops[:3] == [3, 3, 2]
+        bad = np.insert(rows, 4, t_bad, axis=0)
+        want = outcome(lambda: one_at_a_time(Ball(1.0), m, bad, 1e-5))
+        assert outcome(lambda: decay_integral(Ball(1.0), m, bad)) == want
+        assert want[0] is quadrature.QuadratureBudgetError
+
+    @pytest.mark.parametrize("names", ["A", "B", "C", "AB", "CA"])
+    def test_a_grid_raises_the_failure_of_its_first_failing_row(self, names, monkeypatch):
+        # ball x radial:3 at rel_tol 1e-6: A runs out of levels, B needs
+        # 1.27e6 radial panels, C's first level is not finite; a grid raises
+        # what its rows raise one at a time, in row order
+        m = parse_measure("radial:3,1,1", dim=2)
+        rows = [GRID_FAILURES[n][0] for n in names]
+        got = outcome(lambda: decay_integral(Ball(1.0), m, rows, 1e-6))
+        assert got == (quadrature.QuadratureBudgetError, GRID_FAILURES[names[0]][1])
+        assert outcome(lambda: one_at_a_time(Ball(1.0), m, rows, 1e-6)) == got
+        monkeypatch.setattr(rates, "refined_orthant_integral",
+                            reference.refined_orthant_integral_rows_loop)
+        assert outcome(lambda: decay_integral(Ball(1.0), m, rows, 1e-6)) == got
+
+    @pytest.mark.parametrize("rows", [[[1000.0, 1300.0], [10.0, 10.0]],
+                                      [[10.0, 10.0], [1000.0, 1300.0]]],
+                             ids=["far-first", "near-first"])
+    def test_a_kernel_overflow_names_the_first_row_that_overflows(self, rows):
+        # the cube's K_{s,m} overflows at s = 200 on both rows
+        m = RadialPowerMeasure.with_total_mass(200.0, 1.0, 1.0, dim=2)
+        got = outcome(lambda: decay_integral(Cube(2), m, rows))
+        assert got == outcome(lambda: one_at_a_time(Cube(2), m, rows, 1e-5))
+        assert got[1].endswith(f"radial order 200 at t={rows[0]}")
 
     def test_one_t_is_a_float_and_rows_an_array(self):
         m = AtomicMeasure(points=((1.0, 0.5),), weights=(2.0,), dim=2)
@@ -409,9 +562,9 @@ class TestEccentricDecays:
         m = RadialPowerMeasure.with_total_mass(2.5, 1.0, 1.0, dim=2)
         decay_integral(Ellipsoid((2.0, 1.0)), m, [10.0, 160.0])  # k = (20, 160)
         decay_integral(Ellipsoid((2.0, 1.0)), m, [10.0, 161.0])
-        assert seen == [(math.inf, math.inf), (20.0 / 161.0, math.inf)]
+        assert seen == [[(math.inf, math.inf)], [(20.0 / 161.0, math.inf)]]
         # 1/8.05: pi/4 > 2^j / 8.05 for j < 3
-        assert len(quadrature._end_layers(*seen[1], 2.0, math.pi / 4)) == 3
+        assert len(quadrature._end_layers(*seen[1][0], 2.0, math.pi / 4)) == 3
 
 
 def weber_schafheitlin(nu, lam):
